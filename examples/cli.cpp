@@ -32,10 +32,11 @@
 // Telemetry: --trace FILE writes a Chrome trace_event JSON of the run
 // (chrome://tracing / Perfetto); --metrics dumps the process metric
 // registry to stderr after the command; `stats` runs one count and dumps
-// the registry JSON to stdout; `count --json` prints the result with its
-// per-component provenance and QueryProfile as one JSON object;
-// `explain --json` prints the planning provenance (per-component plans,
-// budget split, observed shape history) without executing.
+// the registry JSON to stdout; `count --json` prints
+// EngineResult::ToJson() (the result, its per-component records and the
+// derived profile); `explain --json` prints Explanation::ToJson() (the
+// per-component plans, budget split and observed shape history) without
+// executing.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -46,7 +47,6 @@
 #include "counting/sampler.h"
 #include "decomposition/width_measures.h"
 #include "engine/engine.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/parser.h"
@@ -145,141 +145,6 @@ bool WriteTraceFile(const std::string& path) {
 void DumpMetrics() {
   std::fputs(obs::MetricRegistry::Global().ToJson().c_str(), stderr);
   std::fputc('\n', stderr);
-}
-
-const char* KindName(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kCq:
-      return "CQ";
-    case QueryKind::kDcq:
-      return "DCQ";
-    default:
-      return "ECQ";
-  }
-}
-
-// The `count --json` document: the result with its per-component
-// provenance and QueryProfile as ONE object (machine-readable mode;
-// scripts/check_estimates.py validates this schema).
-std::string CountResultJson(const EngineResult& r) {
-  obs::JsonWriter json;
-  json.BeginObject();
-  json.Key("estimate").Double(r.estimate);
-  json.Key("exact").Bool(r.exact);
-  json.Key("converged").Bool(r.converged);
-  json.Key("partial").Bool(r.partial);
-  json.Key("lower_bound").Double(r.lower_bound);
-  json.Key("upper_bound").Double(r.upper_bound);
-  json.Key("partial_reason").String(r.partial_reason);
-  json.Key("adaptive").Bool(r.adaptive);
-  json.Key("strategy").String(StrategyName(r.strategy));
-  json.Key("kind").String(KindName(r.kind));
-  json.Key("width").Double(r.width);
-  json.Key("verdict").String(r.verdict);
-  json.Key("shape_key").String(r.shape_key);
-  json.Key("oracle_calls").Uint(r.oracle_calls);
-  json.Key("plan_cache_hit").Bool(r.plan_cache_hit);
-  json.Key("num_components").Int(r.num_components);
-  json.Key("guards_evaluated").Int(r.guards_evaluated);
-  json.Key("plan_ms").Double(r.plan_millis);
-  json.Key("exec_ms").Double(r.exec_millis);
-  json.Key("components").BeginArray();
-  for (const ComponentResult& c : r.components) {
-    json.BeginObject();
-    json.Key("estimate").Double(c.estimate);
-    json.Key("exact").Bool(c.exact);
-    json.Key("converged").Bool(c.converged);
-    json.Key("partial").Bool(c.partial);
-    json.Key("lower_bound").Double(c.lower_bound);
-    json.Key("upper_bound").Double(c.upper_bound);
-    json.Key("stop_reason").String(StopReasonName(c.stop_reason));
-    json.Key("rounds_executed").Int(c.rounds_executed);
-    json.Key("completed_runs").Int(c.completed_runs);
-    json.Key("total_runs").Int(c.total_runs);
-    json.Key("executed").Bool(c.executed);
-    json.Key("strategy").String(StrategyName(c.strategy));
-    json.Key("verdict").String(c.verdict);
-    json.Key("shape_key").String(c.shape_key);
-    json.Key("width").Double(c.width);
-    json.Key("num_vars").Int(c.num_vars);
-    json.Key("num_free").Int(c.num_free);
-    json.Key("existential").Bool(c.existential);
-    json.Key("plan_cache_hit").Bool(c.plan_cache_hit);
-    json.Key("oracle_calls").Uint(c.oracle_calls);
-    json.Key("estimator_calls").Uint(c.estimator_calls);
-    json.Key("cost_source").String(c.cost_source);
-    json.Key("predicted_ms").Double(c.predicted_millis);
-    json.Key("predicted_oracle_calls").Double(c.predicted_oracle_calls);
-    json.Key("dp_prepared_decides").Uint(c.dp_prepared_decides);
-    json.Key("dp_prepared_path").Bool(c.dp_prepared_path);
-    json.Key("colouring_trials_per_call").Uint(c.colouring_trials_per_call);
-    json.Key("epsilon").Double(c.epsilon);
-    json.Key("delta").Double(c.delta);
-    json.Key("exec_ms").Double(c.exec_millis);
-    json.Key("lanes").Int(c.parallel.lanes);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Key("profile").RawValue(r.profile.ToJson());
-  json.EndObject();
-  return json.Take();
-}
-
-// The `explain --json` document: planning provenance without execution —
-// per-component plans, budget split, and the cache's observed shape
-// history when warm.
-std::string ExplanationJson(const Explanation& e) {
-  obs::JsonWriter json;
-  json.BeginObject();
-  json.Key("strategy").String(StrategyName(e.plan.strategy));
-  json.Key("verdict").String(e.plan.classification.verdict);
-  json.Key("shape_key").String(e.plan.shape_key);
-  json.Key("cost_estimate").Double(e.plan.cost_estimate);
-  json.Key("plan_cache_hit").Bool(e.plan_cache_hit);
-  json.Key("plan_ms").Double(e.plan_millis);
-  json.Key("pass_stats");
-  json.BeginObject();
-  json.Key("atoms_deduped").Int(e.pass_stats.atoms_deduped);
-  json.Key("guards_extracted").Int(e.pass_stats.guards_extracted);
-  json.Key("variables_pruned").Int(e.pass_stats.variables_pruned);
-  json.EndObject();
-  json.Key("guards").BeginArray();
-  for (const NullaryGuard& guard : e.guards) {
-    json.BeginObject();
-    json.Key("relation").String(guard.relation);
-    json.Key("negated").Bool(guard.negated);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Key("components").BeginArray();
-  for (const ComponentExplanation& c : e.components) {
-    json.BeginObject();
-    json.Key("strategy").String(StrategyName(c.plan.strategy));
-    json.Key("verdict").String(c.plan.classification.verdict);
-    json.Key("shape_key").String(c.plan.shape_key);
-    json.Key("cost_estimate").Double(c.plan.cost_estimate);
-    json.Key("plan_cache_hit").Bool(c.plan_cache_hit);
-    json.Key("existential").Bool(c.existential);
-    json.Key("variables").BeginArray();
-    for (const std::string& v : c.variables) json.String(v);
-    json.EndArray();
-    json.Key("epsilon").Double(c.epsilon);
-    json.Key("delta").Double(c.delta);
-    json.Key("planned_lanes").Int(c.planned_lanes);
-    json.Key("cost_source").String(c.cost_source);
-    json.Key("predicted_ms").Double(c.predicted_millis);
-    json.Key("predicted_oracle_calls").Double(c.predicted_oracle_calls);
-    json.Key("observed");
-    if (c.observed.has_value()) {
-      json.RawValue(c.observed->ToJson());
-    } else {
-      json.Null();
-    }
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  return json.Take();
 }
 
 }  // namespace
@@ -421,7 +286,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       if (as_json) {
-        std::printf("%s\n", ExplanationJson(*explanation).c_str());
+        std::printf("%s\n", explanation->ToJson().c_str());
       } else {
         std::fputs(explanation->text.c_str(), stdout);
       }
@@ -457,7 +322,7 @@ int main(int argc, char** argv) {
       if (!WriteTraceFile(trace_path)) return 1;
     }
     if (as_json) {
-      std::printf("%s\n", CountResultJson(*result).c_str());
+      std::printf("%s\n", result->ToJson().c_str());
       if (dump_metrics) DumpMetrics();
       return 0;
     }

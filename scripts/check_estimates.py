@@ -7,10 +7,8 @@ Usage:
                                                     `cli stats` schema check;
                                                     with a second dump, a
                                                     determinism comparison
-                                                    (nondet-prefixed metrics
-                                                    excluded)
+                                                    of every work counter
   check_estimates.py trace <trace.json>             Chrome-trace schema check
-  check_estimates.py count-json <result.json>       `cli count --json` check
   check_estimates.py scheduler <BENCH_scheduler.json>
                                                     adaptive-scheduler bench
                                                     schema + reduction check
@@ -25,8 +23,9 @@ refactor changed answers, not just speed. CI fails the build in that
 case.
 
 The telemetry modes validate the observability surface added with the
-obs/ subsystem: the metric registry dump, the Chrome trace_event export,
-and the machine-readable count result with its embedded QueryProfile.
+obs/ subsystem: the metric registry dump and the Chrome trace_event
+export. The `count --json` and `explain --json` documents are checked by
+tests/result_json_test.cc.
 """
 import json
 import sys
@@ -57,11 +56,6 @@ REQUIRED_METRICS = (
     "storage.zone_probes",
     "storage.zone_prunes",
 )
-
-# Metrics with this name segment are documented scheduling-dependent WORK
-# counters (e.g. cc.nondet.hom_queries: parallel trial loops exit early).
-# Determinism-sensitive assertions must skip them.
-NONDET_SEGMENT = ".nondet."
 
 # Typed stop reasons an estimator execution may report (util/
 # estimate_outcome.h StopReasonName). "none" covers exact strategies with
@@ -183,18 +177,14 @@ def check_stats(path, other_path=None):
             failures.append(f"required metric missing: {required}")
     if other_path is not None:
         # Determinism comparison: two dumps from identically-configured
-        # fixed-seed runs must agree on every WORK counter — except the
-        # `.nondet.`-marked families, whose totals legitimately vary with
-        # thread scheduling (e.g. parallel colour-coding trial loops race
-        # to the success threshold). Timing-valued metrics (histograms,
-        # gauges) are excluded wholesale: they measure clocks and queue
-        # depths, not work.
+        # fixed-seed runs must agree on every WORK counter, including
+        # cc.nondet.hom_queries (lane-invariant despite its historical
+        # name). Timing-valued metrics (histograms, gauges) are excluded
+        # wholesale: they measure clocks and queue depths, not work.
         other = {m.get("name"): m for m in load_stats(other_path)}
         for m in metrics:
             name = m.get("name")
             if not name or m.get("kind") != "counter":
-                continue
-            if NONDET_SEGMENT in name:
                 continue
             peer = other.get(name)
             if peer is None:
@@ -202,8 +192,7 @@ def check_stats(path, other_path=None):
             elif m.get("value") != peer.get("value"):
                 failures.append(
                     f"{name}: counter value {m.get('value')} != "
-                    f"{peer.get('value')} across fixed-seed runs (only "
-                    f"'{NONDET_SEGMENT}'-marked metrics may differ)")
+                    f"{peer.get('value')} across fixed-seed runs")
     if failures:
         print("stats schema check FAILED:")
         for failure in failures:
@@ -253,62 +242,6 @@ def check_trace(path):
         return 1
     print(f"trace schema check OK ({len(events)} events, "
           f"{len(seen)} distinct spans)")
-    return 0
-
-
-def check_count_json(path):
-    with open(path) as f:
-        data = json.load(f)
-    failures = []
-    for key in ("estimate", "exact", "converged", "partial", "lower_bound",
-                "upper_bound", "partial_reason", "adaptive", "strategy",
-                "kind", "verdict", "oracle_calls", "num_components",
-                "components", "profile"):
-        if key not in data:
-            failures.append(f"missing top-level key {key!r}")
-    # The anytime contract: non-partial results have a degenerate interval
-    # [estimate, estimate]; partial results need a non-empty reason and an
-    # interval actually containing the estimate.
-    if data.get("partial"):
-        if not data.get("partial_reason"):
-            failures.append("partial result without a partial_reason")
-        lo, hi = data.get("lower_bound"), data.get("upper_bound")
-        est = data.get("estimate")
-        if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))
-                and lo <= est <= hi):
-            failures.append(
-                f"partial bounds [{lo}, {hi}] do not contain the estimate "
-                f"{est}")
-    components = data.get("components", [])
-    if not components:
-        failures.append("empty 'components' array")
-    for i, c in enumerate(components):
-        for key in ("estimate", "exact", "strategy", "shape_key", "verdict",
-                    "partial", "lower_bound", "upper_bound", "stop_reason",
-                    "rounds_executed", "completed_runs", "total_runs",
-                    "plan_cache_hit", "oracle_calls", "estimator_calls",
-                    "exec_ms"):
-            if key not in c:
-                failures.append(f"component {i}: missing {key!r}")
-        if "stop_reason" in c and c["stop_reason"] not in STOP_REASONS:
-            failures.append(
-                f"component {i}: stop_reason {c['stop_reason']!r} not in "
-                f"{STOP_REASONS}")
-    profile = data.get("profile", {})
-    phases = profile.get("phases", {})
-    for key in ("parse_ms", "compile_ms", "plan_ms", "execute_ms"):
-        if key not in phases:
-            failures.append(f"profile.phases: missing {key!r}")
-    for key in ("plan_cache_hits", "plan_cache_misses", "oracle_calls",
-                "lanes", "components"):
-        if key not in profile:
-            failures.append(f"profile: missing {key!r}")
-    if failures:
-        print("count --json schema check FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    print(f"count --json schema check OK ({len(components)} components)")
     return 0
 
 
@@ -469,8 +402,6 @@ def main():
                            sys.argv[3] if len(sys.argv) == 4 else None)
     if len(sys.argv) == 3 and sys.argv[1] == "trace":
         return check_trace(sys.argv[2])
-    if len(sys.argv) == 3 and sys.argv[1] == "count-json":
-        return check_count_json(sys.argv[2])
     if len(sys.argv) == 3 and sys.argv[1] == "scheduler":
         return check_scheduler(sys.argv[2])
     if len(sys.argv) == 3 and sys.argv[1] == "storage":

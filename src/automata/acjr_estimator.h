@@ -70,8 +70,6 @@ struct AcjrResult : EstimateOutcome {
   uint64_t membership_tests = 0;
   /// Number of (forget-existential node, state) union estimates performed.
   uint64_t union_estimates = 0;
-  /// Intra-estimate parallelism observability.
-  ParallelStats parallel;
 };
 
 /// Runs the estimator for a pure CQ over a valid nice tree decomposition

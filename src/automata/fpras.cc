@@ -62,14 +62,8 @@ StatusOr<FprasResult> FprasCountCq(const Query& q, const Database& db,
 
   auto estimate = AcjrCountAnswers(q, db, nice, opts.acjr);
   if (!estimate.ok()) return estimate.status();
-  result.estimate = estimate->estimate;
-  result.exact = estimate->exact;
-  result.converged = estimate->converged;
-  result.partial = estimate->partial;
-  result.lower_bound = estimate->lower_bound;
-  result.upper_bound = estimate->upper_bound;
+  static_cast<EstimateOutcome&>(result) = *estimate;
   result.membership_tests = estimate->membership_tests;
-  result.parallel = estimate->parallel;
   AcjrMetrics& metrics = AcjrMetrics::Get();
   metrics.invocations.Increment();
   metrics.membership_tests.Add(estimate->membership_tests);

@@ -39,8 +39,6 @@ struct FprasResult : EstimateOutcome {
   /// Nodes of the nice decomposition.
   int decomposition_nodes = 0;
   uint64_t membership_tests = 0;
-  /// Intra-estimate parallelism observability.
-  ParallelStats parallel;
 };
 
 /// Approximates |Ans(phi, D)| for a pure CQ in fully polynomial time for

@@ -116,7 +116,8 @@ ColourCodingEdgeFreeOracle::ColourCodingEdgeFreeOracle(
           NumTrials(q.disequalities().size(), opts.per_call_failure)),
       opts_(opts),
       hom_ctx_(hom->SupportsConcurrentDecides() ? hom->CreateContext()
-                                                : nullptr) {
+                                                : nullptr),
+      hom_queries_(std::make_shared<std::atomic<uint64_t>>(0)) {
   overlays_.push_back(std::make_unique<TrialOverlay>(q));
 }
 
@@ -127,7 +128,8 @@ ColourCodingEdgeFreeOracle::ColourCodingEdgeFreeOracle(
       universe_(parent.universe_),
       trials_per_call_(parent.trials_per_call_),
       opts_(parent.opts_),
-      hom_ctx_(std::move(ctx)) {
+      hom_ctx_(std::move(ctx)),
+      hom_queries_(parent.hom_queries_) {
   // Forks never fan out further: one lane, inline trials.
   opts_.pool = nullptr;
   opts_.lanes = 1;
@@ -177,6 +179,7 @@ bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
   std::unique_ptr<PreparedHom> prepared =
       hom_->Prepare(base, overlay.endpoint_vars(), hom_ctx_.get());
   if (disequalities.empty()) {
+    hom_queries_->fetch_add(1, std::memory_order_relaxed);
     return !prepared->Decide({});
   }
 
@@ -189,7 +192,8 @@ bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
                        trials_per_call_ >= kMinTrialsForFanout &&
                        hom_ctx_ != nullptr;
   if (!fan_out) {
-    for (uint64_t trial = 0; trial < trials_per_call_; ++trial) {
+    uint64_t trial = 0;
+    for (; trial < trials_per_call_; ++trial) {
       // Trial-batch checkpoint: a fired governor truncates the loop (the
       // enclosing governed work unit is discarded wholesale, so the
       // truncated verdict never feeds a reported estimate).
@@ -200,20 +204,25 @@ bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
       Rng trial_rng(DeriveSeed(call_seed, trial));
       const std::vector<DomainRestriction>& extra =
           overlay.Draw(trial_rng, universe_);
-      if (prepared->Decide(extra)) return false;  // Witness: has an edge.
+      if (prepared->Decide(extra)) {  // Witness: has an edge.
+        hom_queries_->fetch_add(trial + 1, std::memory_order_relaxed);
+        return false;
+      }
     }
+    hom_queries_->fetch_add(trial, std::memory_order_relaxed);
     return true;
   }
 
   // Lane-partitioned trial loop. The verdict is an OR over deterministic
-  // per-trial outcomes, so the early-exit flag affects work, never the
-  // result.
+  // per-trial outcomes. Lanes skip only trials above the lowest witness
+  // found so far, so every trial below the first witness runs and the
+  // charged work — the one-lane loop's — never depends on scheduling.
   EnsureLaneState();
-  std::atomic<bool> witness{false};
+  std::atomic<uint64_t> first_witness{trials_per_call_};  // Q = none yet.
   opts_.pool->ParallelForLanes(
       static_cast<size_t>(trials_per_call_), opts_.lanes,
       [&](int lane, size_t trial) {
-        if (witness.load(std::memory_order_relaxed)) return;
+        if (trial > first_witness.load(std::memory_order_relaxed)) return;
         // Latched-state read only (no clock probe on worker lanes): once
         // the governor fires, remaining trials become no-ops.
         if (opts_.governor != nullptr && opts_.governor->fired()) return;
@@ -224,10 +233,17 @@ bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
         HomContext* ctx =
             lane == 0 ? hom_ctx_.get() : lane_ctxs_[static_cast<size_t>(lane)].get();
         if (prepared->Decide(extra, *ctx)) {
-          witness.store(true, std::memory_order_relaxed);
+          uint64_t seen = first_witness.load(std::memory_order_relaxed);
+          while (trial < seen && !first_witness.compare_exchange_weak(
+                                     seen, trial, std::memory_order_relaxed)) {
+          }
         }
       });
-  return !witness.load(std::memory_order_relaxed);
+  const uint64_t witness = first_witness.load(std::memory_order_relaxed);
+  const bool edge_free = witness == trials_per_call_;
+  hom_queries_->fetch_add(edge_free ? trials_per_call_ : witness + 1,
+                          std::memory_order_relaxed);
+  return edge_free;
 }
 
 bool DecideAnySolution(const Query& q, HomOracle* hom, uint32_t universe_size,

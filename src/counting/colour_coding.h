@@ -25,11 +25,15 @@
 //     which is the shape the Theorem 17 estimator conditions on (its
 //     failure bound union-bounds over the distinct subsets queried).
 // Within one call, trials partition across lanes via the executor; the
-// verdict is an OR of per-trial outcomes, so early exit does not affect
-// the result, only the work.
+// verdict is an OR of per-trial outcomes. A lane skips trial t only once a
+// witness with a lower index has been found, so every trial up to the
+// first witness still runs, and the oracle charges exactly those trials
+// (the one-lane loop's work) to hom_queries() — a tally that does not
+// depend on the lane count.
 #ifndef CQCOUNT_COUNTING_COLOUR_CODING_H_
 #define CQCOUNT_COUNTING_COLOUR_CODING_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -87,8 +91,14 @@ class ColourCodingEdgeFreeOracle : public EdgeFreeOracle {
 
   /// Number of colouring trials used per oracle call (Q).
   uint64_t trials_per_call() const { return trials_per_call_; }
-  /// Total Hom queries issued.
-  uint64_t hom_queries() const { return hom_->num_calls(); }
+  /// Hom queries charged to this oracle and all its forks: per call, the
+  /// trials up to and including the first witness (all Q without one;
+  /// one decision for disequality-free queries). Trials a parallel lane
+  /// evaluates past the first witness are not charged, so the tally is
+  /// the same at every lane count.
+  uint64_t hom_queries() const {
+    return hom_queries_->load(std::memory_order_relaxed);
+  }
 
  private:
   // Fork constructor: private context, no further fan-out.
@@ -112,6 +122,8 @@ class ColourCodingEdgeFreeOracle : public EdgeFreeOracle {
   std::vector<std::unique_ptr<internal::TrialOverlay>> overlays_;
   // Lane HomContexts for trial-parallel decides (lane 0 = hom_ctx_).
   std::vector<std::unique_ptr<HomContext>> lane_ctxs_;
+  // Charged hom queries, shared by the root oracle and its forks.
+  std::shared_ptr<std::atomic<uint64_t>> hom_queries_;
 };
 
 /// Amplified decision "does (phi, D) have any solution?" via colour-coded

@@ -106,13 +106,6 @@ struct DlmResult : EstimateOutcome {
   uint64_t oracle_calls = 0;
   /// Adaptive rounds used by the slowest run.
   int refinement_rounds = 0;
-  /// Outer-median runs that ran to completion / that were scheduled.
-  /// Differ only on partial results (interrupted runs are discarded; the
-  /// anytime interval brackets the full-median over all scheduled runs).
-  int completed_runs = 0;
-  int total_runs = 0;
-  /// Intra-estimate parallelism observability.
-  ParallelStats parallel;
 };
 
 /// Counts edges of the implicit l-partite hypergraph whose part i has

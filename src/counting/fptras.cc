@@ -20,27 +20,24 @@ namespace {
 struct FptrasMetrics {
   obs::Counter& invocations = obs::MetricRegistry::Global().GetCounter(
       "fptras.invocations", "ApproxCountAnswers pipeline executions");
-  // NOTE on determinism: hom_queries is a WORK counter, not a result.
-  // The colour-coding trial loop exits early across parallel lanes, so
-  // the number of hom-oracle queries actually issued depends on
-  // scheduling. Verdicts (and thus estimates and oracle_calls =
-  // hom + edgefree probes at the DLM layer) are scheduling-independent;
-  // only this tally of work performed may vary run to run. The `.nondet.`
-  // name segment marks it (and any future scheduling-dependent counter)
-  // for tooling: scripts/check_estimates.py excludes the prefix from
-  // determinism-sensitive assertions.
+  // hom_queries counts each EdgeFree call's colouring trials up to and
+  // including the first witness (all of them when there is none) — the
+  // work the one-lane loop does — so the tally is the same at every lane
+  // count. The name keeps its historical `.nondet.` segment because
+  // external readers look it up by name.
   obs::Counter& hom_queries = obs::MetricRegistry::Global().GetCounter(
       "cc.nondet.hom_queries",
-      "Hom-oracle queries issued by colour-coding trials. Nondeterministic "
-      "work counter: parallel trial loops exit early, so the tally varies "
-      "with scheduling; trial verdicts never do");
+      "Hom-oracle queries charged to colour-coding trials: per EdgeFree "
+      "call, the trials up to and including the first witness. Lane-"
+      "invariant despite the historical name");
   obs::Counter& colouring_trials = obs::MetricRegistry::Global().GetCounter(
       "cc.colouring_trials_per_call",
       "Colouring trials budgeted per edge-free oracle call, summed over "
       "invocations");
   obs::Counter& prepared_decides = obs::MetricRegistry::Global().GetCounter(
       "dp.prepared_decides",
-      "Trial decisions answered by the prepared (trial-reuse) DP split");
+      "Trial decisions charged to the prepared (trial-reuse) DP split; "
+      "lane-invariant like the hom-query tally");
   obs::Counter& cached_bag_rows = obs::MetricRegistry::Global().GetCounter(
       "dp.cached_bag_rows",
       "Bag-join cache rows shared across an invocation's oracle calls");
@@ -165,25 +162,21 @@ StatusOr<ApproxCountResult> ApproxCountAnswers(const Query& q,
   }();
   if (!dlm_result.ok()) return dlm_result.status();
 
-  result.estimate = dlm_result->estimate;
+  static_cast<EstimateOutcome&>(result) = *dlm_result;
   // "Exact" from the enumeration phase is still subject to the one-sided
   // colour-coding failure when disequalities are present; keep the flag,
   // since the failure probability is covered by delta.
-  result.exact = dlm_result->exact && q.disequalities().empty();
-  result.converged = dlm_result->converged;
-  result.partial = dlm_result->partial;
-  result.lower_bound = dlm_result->lower_bound;
-  result.upper_bound = dlm_result->upper_bound;
-  result.stop_reason = dlm_result->stop_reason;
-  result.rounds_executed = dlm_result->rounds_executed;
-  result.completed_runs = dlm_result->completed_runs;
-  result.total_runs = dlm_result->total_runs;
+  result.exact = result.exact && q.disequalities().empty();
   result.edgefree_calls = dlm_result->oracle_calls;
-  result.hom_queries = hom.num_calls();
-  result.dp_prepared_decides = hom.dp_stats().prepared_decides;
-  result.dp_cached_bag_rows = hom.dp_stats().cached_bag_rows;
-  result.dp_prepared_path = hom.dp_stats().prepared_path;
-  result.parallel = dlm_result->parallel;
+  // Every trial decision of the oracle stack runs on the prepared DP
+  // unless the bag-join cache cap forced the monolithic fallback for the
+  // whole invocation, so the lane-invariant trial tally is also the
+  // prepared-decide tally.
+  const DecompositionSolver::DpStats dp = hom.dp_stats();
+  result.hom_queries = oracle.hom_queries();
+  result.dp_prepared_decides = dp.prepared_path ? result.hom_queries : 0;
+  result.dp_cached_bag_rows = dp.cached_bag_rows;
+  result.dp_prepared_path = dp.prepared_path;
   RecordPipelineMetrics(result);
   return result;
 }

@@ -70,29 +70,23 @@ struct ApproxCountResult : EstimateOutcome {
   /// EdgeFree oracle calls made by the estimator (deterministic: the
   /// DLM layer accounts calls per deterministic work unit).
   uint64_t edgefree_calls = 0;
-  /// Hom queries issued by the colour-coding layer. A WORK counter, not
-  /// part of the determinism contract: with intra-query lanes, the
-  /// parallel trial loop's early exit means the number of trials
-  /// actually evaluated (never the verdict) can vary with scheduling.
+  /// Hom queries charged to the colour-coding layer: per EdgeFree call,
+  /// the trials up to and including the first witness (all trials when
+  /// there is none). Lane-invariant: parallel trial loops may evaluate a
+  /// few trials past the witness, but those are never charged.
   uint64_t hom_queries = 0;
   /// Colouring trials per EdgeFree call (the 4^{|Delta|} log factor).
   uint64_t colouring_trials_per_call = 0;
   /// Width of the decomposition the Hom oracle ran on.
   double width = 0.0;
-  /// Trial decisions served through the prepare/evaluate DP split.
+  /// Trial decisions charged to the prepare/evaluate DP split: the
+  /// hom-query tally when the prepared path served the count, else 0.
   uint64_t dp_prepared_decides = 0;
   /// Rows in the solver's per-bag unrestricted join cache (built once,
   /// shared by every EdgeFree call of this count).
   uint64_t dp_cached_bag_rows = 0;
   /// False when the cache cap forced decisions onto the monolithic DP.
   bool dp_prepared_path = true;
-  /// Outer-median runs completed / scheduled (differ only on partial
-  /// results; see DlmResult).
-  int completed_runs = 0;
-  int total_runs = 0;
-  /// Intra-query parallelism observability (lanes, tasks spawned, tasks
-  /// run by pool workers).
-  ParallelStats parallel;
 };
 
 /// (epsilon, delta)-approximates |Ans(phi, D)| for an ECQ (Theorem 5 with

@@ -295,12 +295,4 @@ bool AnswerSampler::Member(const Tuple& answer, double delta) {
   return DecideAnySolution(query_, hom_.get(), n, domains, delta, rng_);
 }
 
-StatusOr<ApproxCountResult> AnswerSampler::EstimateCount(double epsilon,
-                                                         double delta) {
-  ApproxOptions opts = opts_.approx;
-  opts.epsilon = epsilon;
-  opts.delta = delta;
-  return ApproxCountAnswers(query_, db_, opts);
-}
-
 }  // namespace cqcount

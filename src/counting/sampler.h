@@ -55,9 +55,6 @@ class AnswerSampler {
   /// negatives with probability <= delta; never false positives.)
   bool Member(const Tuple& answer, double delta);
 
-  /// Convenience: run the FPTRAS on this machinery.
-  StatusOr<ApproxCountResult> EstimateCount(double epsilon, double delta);
-
  private:
   AnswerSampler(const Query& q, const Database& db,
                 const SamplerOptions& opts);

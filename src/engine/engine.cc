@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/parser.h"
@@ -63,6 +64,17 @@ struct EngineMetrics {
 // (schema validation) even on code paths that never touch it.
 [[maybe_unused]] const EngineMetrics& kEngineMetricsInit = EngineMetrics::Get();
 
+const char* QueryKindName(QueryKind kind) {
+  switch (kind) {
+    case QueryKind::kCq:
+      return "CQ";
+    case QueryKind::kDcq:
+      return "DCQ";
+    default:
+      return "ECQ";
+  }
+}
+
 // Hard cap on one never-started component's factor: |U|^num_free answer
 // tuples at most (existential components contribute a 0/1 factor).
 // Clamped so partial intervals always have finite endpoints.
@@ -74,6 +86,165 @@ double ComponentFactorCap(uint32_t universe, int num_free, bool existential) {
 }
 
 }  // namespace
+
+std::string EngineResult::ToJson() const {
+  obs::JsonWriter json;
+  json.BeginObject();
+  json.Key("estimate").Double(estimate);
+  json.Key("exact").Bool(exact);
+  json.Key("converged").Bool(converged);
+  json.Key("partial").Bool(partial);
+  json.Key("lower_bound").Double(lower_bound);
+  json.Key("upper_bound").Double(upper_bound);
+  json.Key("partial_reason").String(partial_reason);
+  json.Key("adaptive").Bool(adaptive);
+  json.Key("strategy").String(StrategyName(strategy));
+  json.Key("kind").String(QueryKindName(kind));
+  json.Key("width").Double(width);
+  json.Key("verdict").String(verdict);
+  json.Key("shape_key").String(shape_key);
+  json.Key("oracle_calls").Uint(oracle_calls);
+  json.Key("plan_cache_hit").Bool(plan_cache_hit);
+  json.Key("num_components").Int(num_components);
+  json.Key("guards_evaluated").Int(guards_evaluated);
+  json.Key("plan_ms").Double(plan_millis);
+  json.Key("exec_ms").Double(exec_millis);
+  json.Key("components").BeginArray();
+  for (const ComponentResult& c : components) {
+    json.BeginObject();
+    json.Key("estimate").Double(c.estimate);
+    json.Key("exact").Bool(c.exact);
+    json.Key("converged").Bool(c.converged);
+    json.Key("partial").Bool(c.partial);
+    json.Key("lower_bound").Double(c.lower_bound);
+    json.Key("upper_bound").Double(c.upper_bound);
+    json.Key("stop_reason").String(StopReasonName(c.stop_reason));
+    json.Key("rounds_executed").Int(c.rounds_executed);
+    json.Key("completed_runs").Int(c.completed_runs);
+    json.Key("total_runs").Int(c.total_runs);
+    json.Key("executed").Bool(c.executed);
+    json.Key("strategy").String(StrategyName(c.strategy));
+    json.Key("verdict").String(c.verdict);
+    json.Key("shape_key").String(c.shape_key);
+    json.Key("width").Double(c.width);
+    json.Key("num_vars").Int(c.num_vars);
+    json.Key("num_free").Int(c.num_free);
+    json.Key("existential").Bool(c.existential);
+    json.Key("plan_cache_hit").Bool(c.plan_cache_hit);
+    json.Key("oracle_calls").Uint(c.oracle_calls);
+    json.Key("estimator_calls").Uint(c.estimator_calls);
+    json.Key("cost_source").String(c.cost_source);
+    json.Key("predicted_ms").Double(c.predicted_millis);
+    json.Key("predicted_oracle_calls").Double(c.predicted_oracle_calls);
+    json.Key("dp_prepared_decides").Uint(c.dp_prepared_decides);
+    json.Key("dp_prepared_path").Bool(c.dp_prepared_path);
+    json.Key("colouring_trials_per_call").Uint(c.colouring_trials_per_call);
+    json.Key("epsilon").Double(c.epsilon);
+    json.Key("delta").Double(c.delta);
+    json.Key("exec_ms").Double(c.exec_millis);
+    json.Key("lanes").Int(c.parallel.lanes);
+    json.EndObject();
+  }
+  json.EndArray();
+
+  // The profile: phase times plus totals and a per-component slice, all
+  // derived from the records above.
+  int cache_hits = 0;
+  uint64_t dp_prepared_decides = 0;
+  for (const ComponentResult& c : components) {
+    cache_hits += c.plan_cache_hit ? 1 : 0;
+    dp_prepared_decides += c.dp_prepared_decides;
+  }
+  json.Key("profile").BeginObject();
+  json.Key("phases").BeginObject();
+  json.Key("parse_ms").Double(profile.parse_millis);
+  json.Key("compile_ms").Double(profile.compile_millis);
+  json.Key("plan_ms").Double(profile.plan_millis);
+  json.Key("execute_ms").Double(profile.execute_millis);
+  json.EndObject();
+  json.Key("plan_cache_hits").Int(cache_hits);
+  json.Key("plan_cache_misses")
+      .Int(static_cast<int>(components.size()) - cache_hits);
+  json.Key("guards_evaluated").Int(guards_evaluated);
+  json.Key("oracle_calls").Uint(oracle_calls);
+  json.Key("dp_prepared_decides").Uint(dp_prepared_decides);
+  json.Key("lanes").Int(parallel.lanes);
+  json.Key("tasks").Uint(parallel.tasks);
+  json.Key("worker_tasks").Uint(parallel.worker_tasks);
+  json.Key("components").BeginArray();
+  for (const ComponentResult& c : components) {
+    json.BeginObject();
+    json.Key("shape_key").String(c.shape_key);
+    json.Key("strategy").String(StrategyName(c.strategy));
+    json.Key("exec_ms").Double(c.exec_millis);
+    json.Key("plan_cache_hit").Bool(c.plan_cache_hit);
+    json.Key("executed").Bool(c.executed);
+    json.Key("oracle_calls").Uint(c.oracle_calls);
+    json.Key("dp_prepared_decides").Uint(c.dp_prepared_decides);
+    json.Key("colouring_trials_per_call").Uint(c.colouring_trials_per_call);
+    json.Key("lanes").Int(c.parallel.lanes);
+    json.Key("tasks").Uint(c.parallel.tasks);
+    json.Key("worker_tasks").Uint(c.parallel.worker_tasks);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.EndObject();
+  json.EndObject();
+  return json.Take();
+}
+
+std::string Explanation::ToJson() const {
+  obs::JsonWriter json;
+  json.BeginObject();
+  json.Key("strategy").String(StrategyName(plan.strategy));
+  json.Key("verdict").String(plan.classification.verdict);
+  json.Key("shape_key").String(plan.shape_key);
+  json.Key("cost_estimate").Double(plan.cost_estimate);
+  json.Key("plan_cache_hit").Bool(plan_cache_hit);
+  json.Key("plan_ms").Double(plan_millis);
+  json.Key("pass_stats").BeginObject();
+  json.Key("atoms_deduped").Int(pass_stats.atoms_deduped);
+  json.Key("guards_extracted").Int(pass_stats.guards_extracted);
+  json.Key("variables_pruned").Int(pass_stats.variables_pruned);
+  json.EndObject();
+  json.Key("guards").BeginArray();
+  for (const NullaryGuard& guard : guards) {
+    json.BeginObject();
+    json.Key("relation").String(guard.relation);
+    json.Key("negated").Bool(guard.negated);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Key("components").BeginArray();
+  for (const ComponentExplanation& c : components) {
+    json.BeginObject();
+    json.Key("strategy").String(StrategyName(c.plan.strategy));
+    json.Key("verdict").String(c.plan.classification.verdict);
+    json.Key("shape_key").String(c.plan.shape_key);
+    json.Key("cost_estimate").Double(c.plan.cost_estimate);
+    json.Key("plan_cache_hit").Bool(c.plan_cache_hit);
+    json.Key("existential").Bool(c.existential);
+    json.Key("variables").BeginArray();
+    for (const std::string& v : c.variables) json.String(v);
+    json.EndArray();
+    json.Key("epsilon").Double(c.epsilon);
+    json.Key("delta").Double(c.delta);
+    json.Key("planned_lanes").Int(c.planned_lanes);
+    json.Key("cost_source").String(c.cost_source);
+    json.Key("predicted_ms").Double(c.predicted_millis);
+    json.Key("predicted_oracle_calls").Double(c.predicted_oracle_calls);
+    json.Key("observed");
+    if (c.observed.has_value()) {
+      json.RawValue(c.observed->ToJson());
+    } else {
+      json.Null();
+    }
+    json.EndObject();
+  }
+  json.EndArray();
+  json.EndObject();
+  return json.Take();
+}
 
 CountingEngine::CountingEngine(EngineOptions opts)
     : opts_(opts),
@@ -208,43 +379,36 @@ CountingEngine::PlannedQuery CountingEngine::CompileAndPlan(
   return planned;
 }
 
-int CountingEngine::IntraQueryLanes(Strategy strategy,
-                                    double cost_estimate) const {
-  // Cost model: exact strategies are decision-free table scans (no DLM
-  // loop to partition) and cheap estimates finish before fan-out pays
-  // for itself; only wide estimated components get workers.
-  if (strategy == Strategy::kExact) return 1;
-  if (cost_estimate < opts_.intra_query_min_cost) return 1;
-  int lanes = opts_.intra_query_threads;
-  if (lanes == 0) lanes = pool_->num_threads();
-  return std::max(1, lanes);
-}
-
-std::vector<BudgetShare> CountingEngine::ComponentBudgets(
-    const PlannedQuery& planned, double epsilon, double delta,
+std::vector<CountingEngine::ComponentSchedule> CountingEngine::Schedule(
+    const PlannedQuery& planned, double epsilon, double delta, bool adaptive,
     bool force_exact) const {
+  obs::Span span("engine.schedule");
   const auto& components = planned.compiled.components;
-  // Exact factors are free: only components whose effective strategy
-  // estimates split the budget — epsilon over the estimated counting
-  // factors, delta over every estimated factor (union bound).
-  auto estimates = [&](size_t i) {
-    return !force_exact &&
-           planned.plans[i]->strategy != Strategy::kExact;
-  };
-  size_t estimated_total = 0;
-  size_t estimated_counting = 0;
+  std::vector<ComponentSchedule> schedule(components.size());
+  std::vector<SchedulerComponent> inputs(components.size());
   for (size_t i = 0; i < components.size(); ++i) {
-    if (!estimates(i)) continue;
-    ++estimated_total;
-    if (!components[i].existential) ++estimated_counting;
+    const QueryPlan& plan = *planned.plans[i];
+    // Only the adaptive path reads (and counts) shape history; otherwise
+    // the static plan estimate drives the lane gate.
+    schedule[i].cost =
+        adaptive ? scheduler_.Predict(plan, cache_.Profile(planned.keys[i]))
+                 : AdaptiveScheduler::ColdPrediction(plan);
+    const Strategy strategy = force_exact ? Strategy::kExact : plan.strategy;
+    // Lanes are scheduling only: the estimate is the same at every lane
+    // count.
+    schedule[i].lanes = scheduler_.PlanLanes(
+        strategy, schedule[i].cost, opts_.intra_query_threads,
+        pool_->num_threads(), opts_.intra_query_min_cost);
+    inputs[i].estimated = strategy != Strategy::kExact;
+    inputs[i].existential = components[i].existential;
+    inputs[i].cost = schedule[i].cost;
   }
-  std::vector<BudgetShare> shares(components.size());
+  const std::vector<BudgetShare> shares =
+      scheduler_.SplitBudgets(epsilon, delta, inputs, adaptive);
   for (size_t i = 0; i < components.size(); ++i) {
-    if (!estimates(i)) continue;  // Zero share for exact factors.
-    shares[i] = SplitBudget(epsilon, delta, estimated_counting,
-                            estimated_total, components[i].existential);
+    schedule[i].share = shares[i];
   }
-  return shares;
+  return schedule;
 }
 
 Status CountingEngine::ValidateRequest(const CountRequest& request) const {
@@ -324,29 +488,13 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
   }
 
   const size_t k_total = compiled.num_components();
-  // Adaptive scheduling (opt-in): predict per-component cost from the
-  // shape's observed history and replace the even budget split with the
-  // marginal-cost allocation. force_exact bypasses it — there is no
+  // Adaptive scheduling (opt-in) predicts per-component cost from the
+  // shape's observed history. force_exact bypasses it — there is no
   // accuracy budget to allocate.
   const bool adaptive = opts_.adaptive && !request.force_exact;
   result.adaptive = adaptive;
-  std::vector<CostPrediction> predictions;
-  std::vector<BudgetShare> budgets;
-  if (adaptive) {
-    obs::Span schedule_span("engine.schedule");
-    predictions.resize(k_total);
-    std::vector<SchedulerComponent> sched(k_total);
-    for (size_t i = 0; i < k_total; ++i) {
-      predictions[i] =
-          scheduler_.Predict(*planned.plans[i], cache_.Profile(planned.keys[i]));
-      sched[i].estimated = planned.plans[i]->strategy != Strategy::kExact;
-      sched[i].existential = compiled.components[i].existential;
-      sched[i].cost = predictions[i];
-    }
-    budgets = scheduler_.SplitBudgets(epsilon, delta, sched);
-  } else {
-    budgets = ComponentBudgets(planned, epsilon, delta, request.force_exact);
-  }
+  const std::vector<ComponentSchedule> schedule =
+      Schedule(planned, epsilon, delta, adaptive, request.force_exact);
   const ExecutorRegistry& registry = ExecutorRegistry::Default();
 
   double product = 1.0;
@@ -376,13 +524,14 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
     cr.plan_cache_hit = planned.cache_hits[i];
     cr.shape_key = plan.shape_key;
     cr.verdict = plan.classification.verdict;
-    const BudgetShare& share = budgets[i];
+    const BudgetShare& share = schedule[i].share;
+    const CostPrediction& cost = schedule[i].cost;
     cr.epsilon = share.epsilon;
     cr.delta = share.delta;
     if (adaptive) {
-      cr.cost_source = CostSourceName(predictions[i].source);
-      cr.predicted_millis = predictions[i].millis;
-      cr.predicted_oracle_calls = predictions[i].oracle_calls;
+      cr.cost_source = CostSourceName(cost.source);
+      cr.predicted_millis = cost.millis;
+      cr.predicted_oracle_calls = cost.oracle_calls;
     }
     result.width = std::max(result.width, cr.width);
 
@@ -405,16 +554,7 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
       ctx.budget.seed =
           k_total == 1 ? base_seed : DeriveSeed(base_seed, static_cast<uint64_t>(i));
       ctx.exact_decomposition_limit = opts_.plan.exact_decomposition_limit;
-      // Intra-query fan-out (scheduling only: the estimate is the same
-      // at every lane count, so the cost model needs no second-guessing).
-      // The adaptive path gates lanes on observed wall time once the
-      // shape has history.
-      const int lanes =
-          adaptive ? scheduler_.PlanLanes(cr.strategy, predictions[i],
-                                          opts_.intra_query_threads,
-                                          pool_->num_threads(),
-                                          opts_.intra_query_min_cost)
-                   : IntraQueryLanes(cr.strategy, plan.cost_estimate);
+      const int lanes = schedule[i].lanes;
       ctx.pool = lanes > 1 ? pool_.get() : nullptr;
       ctx.intra_threads = lanes;
       ctx.governor = governor;
@@ -424,7 +564,7 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
         ctx.adaptive.min_early_stop_runs =
             scheduler_.options().min_early_stop_runs;
         ctx.adaptive.per_call_failure =
-            scheduler_.PerCallFailure(share.delta, predictions[i]);
+            scheduler_.PerCallFailure(share.delta, cost);
       }
       auto outcome = executor->Execute(ctx);
       if (!outcome.ok()) {
@@ -440,26 +580,10 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
         if (!governance_stop) return outcome.status();
         interrupted = true;
       } else {
+        static_cast<ExecOutcome&>(cr) = *outcome;
         cr.executed = true;
-        cr.estimate = outcome->estimate;
-        cr.exact = outcome->exact;
-        cr.converged = outcome->converged;
-        cr.partial = outcome->partial;
-        cr.lower_bound = outcome->lower_bound;
-        cr.upper_bound = outcome->upper_bound;
-        cr.stop_reason = outcome->stop_reason;
-        cr.rounds_executed = outcome->rounds_executed;
-        cr.completed_runs = outcome->completed_runs;
-        cr.total_runs = outcome->total_runs;
         if (cr.partial) interrupted = true;
-        cr.oracle_calls = outcome->oracle_calls;
-        cr.estimator_calls = outcome->estimator_calls;
-        cr.dp_prepared_decides = outcome->dp_prepared_decides;
-        cr.dp_cached_bag_rows = outcome->dp_cached_bag_rows;
-        cr.dp_prepared_path = outcome->dp_prepared_path;
-        cr.colouring_trials_per_call = outcome->colouring_trials_per_call;
-        cr.parallel = outcome->parallel;
-        result.parallel.Merge(outcome->parallel);
+        result.parallel.Merge(cr.parallel);
         all_exact = all_exact && cr.exact;
         all_converged = all_converged && cr.converged;
         result.oracle_calls += cr.oracle_calls;
@@ -484,19 +608,6 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
         EngineMetrics::Get().components.Increment();
       }
     }
-    obs::ComponentProfile cp;
-    cp.shape_key = cr.shape_key;
-    cp.strategy = StrategyName(cr.strategy);
-    cp.exec_millis = cr.exec_millis;
-    cp.plan_cache_hit = cr.plan_cache_hit;
-    cp.executed = cr.executed;
-    cp.oracle_calls = cr.oracle_calls;
-    cp.dp_prepared_decides = cr.dp_prepared_decides;
-    cp.colouring_trials_per_call = cr.colouring_trials_per_call;
-    cp.lanes = cr.parallel.lanes;
-    cp.tasks = cr.parallel.tasks;
-    cp.worker_tasks = cr.parallel.worker_tasks;
-    result.profile.components.push_back(std::move(cp));
     result.components.push_back(std::move(cr));
   }
 
@@ -549,26 +660,9 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
     result.lower_bound = result.upper_bound = result.estimate;
   }
   result.exec_millis = timer.Millis();
-
-  obs::QueryProfile& profile = result.profile;
-  profile.compile_millis = planned.compile_millis;
-  profile.plan_millis = planned.plan_millis;
-  profile.execute_millis = result.exec_millis;
-  profile.guards_evaluated = result.guards_evaluated;
-  profile.oracle_calls = result.oracle_calls;
-  profile.lanes = result.parallel.lanes;
-  profile.tasks = result.parallel.tasks;
-  profile.worker_tasks = result.parallel.worker_tasks;
-  for (size_t i = 0; i < planned.cache_hits.size(); ++i) {
-    if (planned.cache_hits[i]) {
-      ++profile.plan_cache_hits;
-    } else {
-      ++profile.plan_cache_misses;
-    }
-  }
-  for (const ComponentResult& cr : result.components) {
-    profile.dp_prepared_decides += cr.dp_prepared_decides;
-  }
+  result.profile.compile_millis = planned.compile_millis;
+  result.profile.plan_millis = planned.plan_millis;
+  result.profile.execute_millis = result.exec_millis;
 
   EngineMetrics& metrics = EngineMetrics::Get();
   metrics.counts.Increment();
@@ -696,34 +790,16 @@ StatusOr<Explanation> CountingEngine::Explain(const std::string& query,
 
   const size_t k_total = compiled.num_components();
   const size_t k_counting = compiled.num_counting_components();
-  // Mirror ExecutePlanned's budget policy so Explain reports the shares a
-  // Count would actually run with (adaptive: marginal-cost allocation
-  // from the same predictions).
-  std::vector<CostPrediction> predictions;
-  std::vector<BudgetShare> budgets;
-  if (opts_.adaptive) {
-    predictions.resize(k_total);
-    std::vector<SchedulerComponent> sched(k_total);
-    for (size_t i = 0; i < k_total; ++i) {
-      predictions[i] =
-          scheduler_.Predict(*planned.plans[i], cache_.Profile(planned.keys[i]));
-      sched[i].estimated = planned.plans[i]->strategy != Strategy::kExact;
-      sched[i].existential = compiled.components[i].existential;
-      sched[i].cost = predictions[i];
-    }
-    budgets = scheduler_.SplitBudgets(opts_.epsilon, opts_.delta, sched);
-  } else {
-    budgets = ComponentBudgets(planned, opts_.epsilon, opts_.delta, false);
-  }
+  // The schedule a Count with the engine defaults would run with.
+  const std::vector<ComponentSchedule> schedule =
+      Schedule(planned, opts_.epsilon, opts_.delta, opts_.adaptive,
+               /*force_exact=*/false);
 
   const Query& nq = compiled.normalized;
   std::ostringstream text;
   text << "query: " << q->ToString() << "\n"
-       << "kind: "
-       << (nq.Kind() == QueryKind::kCq    ? "CQ"
-           : nq.Kind() == QueryKind::kDcq ? "DCQ"
-                                          : "ECQ")
-       << "  vars: " << nq.num_vars() << " (" << nq.num_free() << " free)"
+       << "kind: " << QueryKindName(nq.Kind()) << "  vars: " << nq.num_vars()
+       << " (" << nq.num_free() << " free)"
        << "  ||phi||: " << nq.PhiSize() << "\n";
   if (compiled.stats.Changed()) {
     text << "passes: atoms deduped " << compiled.stats.atoms_deduped
@@ -751,19 +827,16 @@ StatusOr<Explanation> CountingEngine::Explain(const std::string& query,
     for (int local = 0; local < component.query.num_vars(); ++local) {
       ce.variables.push_back(component.query.var_name(local));
     }
-    const BudgetShare& share = budgets[i];
+    const BudgetShare& share = schedule[i].share;
     ce.epsilon = share.epsilon;
     ce.delta = share.delta;
+    ce.planned_lanes = schedule[i].lanes;
     ce.observed = cache_.Profile(planned.keys[i]);
     if (opts_.adaptive) {
-      ce.cost_source = CostSourceName(predictions[i].source);
-      ce.predicted_millis = predictions[i].millis;
-      ce.predicted_oracle_calls = predictions[i].oracle_calls;
-      ce.planned_lanes = scheduler_.PlanLanes(
-          plan.strategy, predictions[i], opts_.intra_query_threads,
-          pool_->num_threads(), opts_.intra_query_min_cost);
-    } else {
-      ce.planned_lanes = IntraQueryLanes(plan.strategy, plan.cost_estimate);
+      const CostPrediction& cost = schedule[i].cost;
+      ce.cost_source = CostSourceName(cost.source);
+      ce.predicted_millis = cost.millis;
+      ce.predicted_oracle_calls = cost.oracle_calls;
     }
 
     const Classification& cls = plan.classification;

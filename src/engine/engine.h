@@ -124,32 +124,12 @@ struct CountRequest {
   const DeadlineClock* clock = nullptr;
 };
 
-/// Execution provenance of one Gaifman component of a query.
-struct ComponentResult {
-  /// This component's factor of the product. Purely-existential
-  /// components report their raw strategy estimate here; the boolean
-  /// collapse (non-zero -> 1) happens in the product.
-  double estimate = 0.0;
-  bool exact = false;
-  bool converged = true;
-  /// True when a deadline/cancellation interrupted this component and its
-  /// estimate is an anytime answer over the completed work units;
-  /// [lower_bound, upper_bound] then brackets the uninterrupted same-seed
-  /// result. Complete components carry [estimate, estimate].
-  bool partial = false;
-  double lower_bound = 0.0;
-  double upper_bound = 0.0;
-  /// Why the estimator stopped sampling (kFullSchedule for an ordinary
-  /// complete schedule, kConfidence/kHardBounds for adaptive early stops,
-  /// kCancelled/kDeadlineExpired on partial components, kNone for exact
-  /// strategies without run structure).
-  StopReason stop_reason = StopReason::kNone;
-  /// Adaptive refinement rounds executed across the estimator's runs.
-  int rounds_executed = 0;
-  /// Estimator outer-median runs completed / scheduled (differ only on
-  /// partial components; 0/0 for strategies without run structure).
-  int completed_runs = 0;
-  int total_runs = 0;
+/// Execution provenance of one Gaifman component of a query: its planning
+/// provenance plus the strategy's ExecOutcome. `estimate` is the
+/// component's factor of the product; purely-existential components
+/// report their raw strategy estimate, and the boolean collapse (non-zero
+/// -> 1) happens in the product.
+struct ComponentResult : ExecOutcome {
   Strategy strategy = Strategy::kExact;
   /// Width of the decomposition the component ran on.
   double width = 0.0;
@@ -159,19 +139,10 @@ struct ComponentResult {
   bool existential = false;
   bool plan_cache_hit = false;
   /// False when execution was skipped (a false nullary guard makes the
-  /// product a certain zero): estimate/exact/oracle_calls are then
-  /// placeholders, only the planning provenance is meaningful.
+  /// product a certain zero, or an interruption stopped the count before
+  /// this component): the ExecOutcome fields are then defaults, only the
+  /// planning provenance is meaningful.
   bool executed = false;
-  uint64_t oracle_calls = 0;
-  /// Deterministic estimator probes only (excludes the scheduling-
-  /// dependent hom-query tally); the cost model's observation input.
-  uint64_t estimator_calls = 0;
-  /// Trial decisions served by the prepare/evaluate DP split and the
-  /// size of the bag-join cache they shared (fptras strategies).
-  uint64_t dp_prepared_decides = 0;
-  uint64_t dp_cached_bag_rows = 0;
-  /// False when the bag-join cache cap forced the monolithic per-call DP.
-  bool dp_prepared_path = true;
   /// Canonical shape key of the component sub-query.
   std::string shape_key;
   /// Figure-1 verdict for the component's shape.
@@ -180,12 +151,6 @@ struct ComponentResult {
   /// factors: they consume none of the accuracy budget.
   double epsilon = 0.0;
   double delta = 0.0;
-  /// Intra-query parallelism this component ran with (lanes granted by
-  /// the cost model, tasks spawned, tasks run by pool workers).
-  ParallelStats parallel;
-  /// Colouring trials the EdgeFree simulation runs per oracle call
-  /// (fptras strategies; 0 otherwise).
-  uint64_t colouring_trials_per_call = 0;
   /// Wall-clock execution time of this component alone.
   double exec_millis = 0.0;
   /// Adaptive-scheduler provenance: the cost prediction this component
@@ -243,10 +208,12 @@ struct EngineResult {
   int variables_pruned = 0;
   /// Nullary guards evaluated (each a 0/1 factor of the product).
   int guards_evaluated = 0;
-  /// Telemetry: phase durations, cache outcomes, oracle work and lane
-  /// utilization of this execution (also folded into the plan cache's
-  /// per-shape ShapeProfile).
+  /// Phase durations of this execution.
   obs::QueryProfile profile;
+
+  /// The `count --json` document: this result, its per-component records
+  /// and a "profile" object derived from them.
+  std::string ToJson() const;
 };
 
 /// Per-component planning provenance in Explain() output.
@@ -289,6 +256,10 @@ struct Explanation {
   /// Multi-line human-readable rendering (includes the per-component
   /// breakdown).
   std::string text;
+
+  /// The `explain --json` document: the plans, budget split, lane grants
+  /// and observed shape history, without `text`.
+  std::string ToJson() const;
 };
 
 /// Thread-safe counting engine with a named-database registry, a shared
@@ -382,17 +353,23 @@ class CountingEngine {
   PlannedQuery CompileAndPlan(const Query& q, const std::string& db_name,
                               uint64_t db_generation, const Database& db);
 
-  /// Lanes the cost model grants a component: 1 for exact strategies and
-  /// plans under `intra_query_min_cost`, the configured (or pool-sized)
-  /// lane count otherwise.
-  int IntraQueryLanes(Strategy strategy, double cost_estimate) const;
+  /// How one component will execute: its (epsilon, delta) share, the
+  /// cost prediction behind it and the lanes it may fan out across.
+  struct ComponentSchedule {
+    BudgetShare share;
+    CostPrediction cost;
+    int lanes = 1;
+  };
 
-  /// Per-component budget shares (shared by Count and Explain). Exact
-  /// factors consume no budget and get a zero share; the (epsilon,
-  /// delta) target is split across the estimated factors only.
-  std::vector<BudgetShare> ComponentBudgets(const PlannedQuery& planned,
-                                            double epsilon, double delta,
-                                            bool force_exact) const;
+  /// Schedules every component of `planned` (shared by Count and
+  /// Explain). Adaptive: costs predicted from the shapes' observed
+  /// history weight the epsilon split. Otherwise: SplitBudget's even
+  /// shares and the plans' static cost estimates. Exact factors (and
+  /// every factor under `force_exact`) get a zero share and one lane.
+  std::vector<ComponentSchedule> Schedule(const PlannedQuery& planned,
+                                          double epsilon, double delta,
+                                          bool adaptive,
+                                          bool force_exact) const;
 
   /// Request-shape validation shared by Count and CountBatch: accuracy
   /// overrides must be finite and in (0, 1), the database name non-empty,

@@ -244,8 +244,6 @@ const char* StrategyName(Strategy strategy) {
       return "fptras-fhw";
     case Strategy::kAutomataFpras:
       return "automata-fpras";
-    case Strategy::kSampler:
-      return "sampler";
   }
   return "unknown";
 }

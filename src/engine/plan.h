@@ -31,8 +31,6 @@ enum class Strategy {
   kFptrasFhw,
   /// Counting-automaton FPRAS for pure CQs (Theorem 16).
   kAutomataFpras,
-  /// JVV-style answer sampling machinery (Section 6).
-  kSampler,
 };
 
 /// Human-readable strategy name ("exact", "fptras-tw", ...).

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace cqcount {
 namespace {
@@ -59,18 +58,23 @@ CostPrediction AdaptiveScheduler::Predict(
     prediction.source = CostSource::kObservedProfile;
     SchedulerMetrics::Get().profile_predictions.Increment();
   } else {
-    prediction.cost_units = std::max(plan.cost_estimate, 1.0);
-    prediction.source = CostSource::kPlanEstimate;
+    prediction = ColdPrediction(plan);
     SchedulerMetrics::Get().plan_predictions.Increment();
   }
   return prediction;
 }
 
+CostPrediction AdaptiveScheduler::ColdPrediction(const QueryPlan& plan) {
+  CostPrediction prediction;
+  prediction.cost_units = std::max(plan.cost_estimate, 1.0);
+  prediction.source = CostSource::kPlanEstimate;
+  return prediction;
+}
+
 std::vector<BudgetShare> AdaptiveScheduler::SplitBudgets(
     double epsilon, double delta,
-    const std::vector<SchedulerComponent>& components) const {
-  obs::Span span("scheduler.budget_split");
-  SchedulerMetrics::Get().budget_splits.Increment();
+    const std::vector<SchedulerComponent>& components, bool weighted) const {
+  if (weighted) SchedulerMetrics::Get().budget_splits.Increment();
   size_t estimated_total = 0;
   size_t counting = 0;
   double weight_sum = 0.0;
@@ -81,33 +85,25 @@ std::vector<BudgetShare> AdaptiveScheduler::SplitBudgets(
     ++counting;
     weight_sum += std::cbrt(std::max(c.cost.cost_units, 1.0));
   }
-  std::vector<BudgetShare> shares(components.size());
-  // Same delta/n union bound as SplitBudget; only the epsilon weighting
-  // differs.
-  const double delta_share =
-      estimated_total > 1 ? delta / static_cast<double>(estimated_total)
-                          : delta;
-  // Total counting epsilon mass: eps/2 for k > 1 (the product-guarantee
-  // budget), the full eps for a single counting component (bitwise parity
-  // with the unfactored path).
-  const double mass = counting > 1 ? epsilon / 2.0 : epsilon;
+  // Weights only move epsilon between two or more counting factors; the
+  // even shares come from SplitBudget itself, so the unweighted split is
+  // bitwise SplitBudget's (equal weights would not be: the floor
+  // arithmetic rounds differently).
+  weighted = weighted && counting > 1;
+  // The counting factors share eps/2 (the product-guarantee budget), each
+  // keeping a floor fraction of its even share.
+  const double mass = epsilon / 2.0;
   const double floor =
-      counting > 1
-          ? opts_.eps_floor_fraction * mass / static_cast<double>(counting)
-          : 0.0;
-  const double distributable =
-      mass - floor * static_cast<double>(counting);
+      weighted ? opts_.eps_floor_fraction * mass / static_cast<double>(counting)
+               : 0.0;
+  const double distributable = mass - floor * static_cast<double>(counting);
+  std::vector<BudgetShare> shares(components.size());
   for (size_t i = 0; i < components.size(); ++i) {
     const SchedulerComponent& c = components[i];
     if (!c.estimated) continue;  // Zero share for exact factors.
-    shares[i].delta = delta_share;
-    if (c.existential) {
-      // A 0/1 factor survives any relative error below 1 (see
-      // SplitBudget): fixed loose epsilon, no shared budget consumed.
-      shares[i].epsilon = 0.5;
-    } else if (counting <= 1) {
-      shares[i].epsilon = mass;
-    } else {
+    shares[i] = SplitBudget(epsilon, delta, counting, estimated_total,
+                            c.existential);
+    if (weighted && !c.existential) {
       const double weight = std::cbrt(std::max(c.cost.cost_units, 1.0));
       shares[i].epsilon = floor + distributable * weight / weight_sum;
     }

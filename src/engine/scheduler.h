@@ -25,14 +25,20 @@
 //     worst-case cap, shrinking the log(1/per-call-failure) trial
 //     factor.
 //
+// The non-adaptive engine uses the same two entry points: SplitBudgets
+// without weights returns SplitBudget's even shares bit for bit, and
+// PlanLanes with a ColdPrediction is the static intra_query_min_cost
+// gate.
+//
 // Determinism contract: every accuracy-relevant output (budget shares,
 // trial budgets, early-stop arming) is a pure function of deterministic,
 // lane-count-independent inputs (plan cost estimates and the profile's
-// estimator-call counter). Wall-clock readings only ever influence lane
-// counts, which are scheduling-only. Fixed-seed adaptive runs are
-// therefore reproducible at any lane count; they do depend on the plan
-// cache's observation history (a warm shape schedules less work than a
-// cold one), which is itself deterministic for a fixed request sequence.
+// estimator-call and oracle-call counters). Wall-clock readings only
+// ever influence lane counts, which are scheduling-only. Fixed-seed
+// adaptive runs are therefore reproducible at any lane count; they do
+// depend on the plan cache's observation history (a warm shape schedules
+// less work than a cold one), which is itself deterministic for a fixed
+// request sequence.
 #ifndef CQCOUNT_ENGINE_SCHEDULER_H_
 #define CQCOUNT_ENGINE_SCHEDULER_H_
 
@@ -120,21 +126,27 @@ class AdaptiveScheduler {
 
   /// Predicts the per-execution cost of `plan`'s component from the
   /// shape's observed history (when it has at least min_profile_runs
-  /// recorded executions) or the planner's static estimate.
+  /// recorded executions) or, like ColdPrediction, the planner's static
+  /// estimate. Counts the prediction in the scheduler.* metrics.
   CostPrediction Predict(const QueryPlan& plan,
                          const std::optional<obs::ShapeProfile>& observed) const;
 
-  /// Marginal-cost (epsilon, delta) allocation across components:
-  /// replaces the even eps/(2k) split with weights cbrt(cost_units),
-  /// preserving the product guarantee (sum of counting shares = eps/2,
-  /// see the header comment). Exact factors get a zero share,
-  /// existential estimated factors the fixed loose epsilon, delta is the
-  /// delta/n union bound — identical structure to SplitBudget, only the
-  /// epsilon weighting differs. Single counting components pass epsilon
-  /// through unchanged.
+  /// The prediction for a shape without history: the planner's static
+  /// cost estimate. The non-adaptive engine schedules every component
+  /// from it.
+  static CostPrediction ColdPrediction(const QueryPlan& plan);
+
+  /// (epsilon, delta) allocation across components. Exact factors get a
+  /// zero share; every estimated factor gets SplitBudget's share: the
+  /// delta/n union bound, the fixed loose epsilon for existential
+  /// factors, the full epsilon for a single counting factor and
+  /// eps/(2k) for k > 1. `weighted` (the adaptive scheduler) instead
+  /// splits the counting factors' eps/2 in proportion to cbrt(cost_units)
+  /// above a floor, which preserves the product guarantee (see the
+  /// header comment).
   std::vector<BudgetShare> SplitBudgets(
       double epsilon, double delta,
-      const std::vector<SchedulerComponent>& components) const;
+      const std::vector<SchedulerComponent>& components, bool weighted) const;
 
   /// Lanes to grant one component: 1 for exact strategies; for observed
   /// shapes, the configured lane count when the predicted wall time

@@ -6,7 +6,6 @@
 #include "automata/fpras.h"
 #include "counting/exact_count.h"
 #include "counting/fptras.h"
-#include "counting/sampler.h"
 
 namespace cqcount {
 namespace {
@@ -75,16 +74,7 @@ class FptrasExecutor : public StrategyExecutor {
     auto approx = ApproxCountAnswers(*ctx.query, *ctx.db, opts);
     if (!approx.ok()) return approx.status();
     ExecOutcome outcome;
-    outcome.estimate = approx->estimate;
-    outcome.exact = approx->exact;
-    outcome.converged = approx->converged;
-    outcome.partial = approx->partial;
-    outcome.lower_bound = approx->lower_bound;
-    outcome.upper_bound = approx->upper_bound;
-    outcome.stop_reason = approx->stop_reason;
-    outcome.rounds_executed = approx->rounds_executed;
-    outcome.completed_runs = approx->completed_runs;
-    outcome.total_runs = approx->total_runs;
+    static_cast<EstimateOutcome&>(outcome) = *approx;
     outcome.oracle_calls = approx->hom_queries + approx->edgefree_calls;
     outcome.estimator_calls = approx->edgefree_calls;
     // Surface the prepare/evaluate DP reuse: one bag-join cache serves
@@ -93,7 +83,6 @@ class FptrasExecutor : public StrategyExecutor {
     outcome.dp_cached_bag_rows = approx->dp_cached_bag_rows;
     outcome.dp_prepared_path = approx->dp_prepared_path;
     outcome.colouring_trials_per_call = approx->colouring_trials_per_call;
-    outcome.parallel = approx->parallel;
     return outcome;
   }
 
@@ -120,68 +109,9 @@ class AutomataFprasExecutor : public StrategyExecutor {
     auto fpras = FprasCountCq(*ctx.query, *ctx.db, opts);
     if (!fpras.ok()) return fpras.status();
     ExecOutcome outcome;
-    outcome.estimate = fpras->estimate;
-    outcome.exact = fpras->exact;
-    outcome.converged = fpras->converged;
-    outcome.partial = fpras->partial;
-    outcome.lower_bound = fpras->lower_bound;
-    outcome.upper_bound = fpras->upper_bound;
+    static_cast<EstimateOutcome&>(outcome) = *fpras;
     outcome.oracle_calls = fpras->membership_tests;
     outcome.estimator_calls = fpras->membership_tests;
-    outcome.parallel = fpras->parallel;
-    return outcome;
-  }
-};
-
-// Counting through the Section 6 sampling machinery: build the sampler's
-// oracle stack for (phi, D) and run its FPTRAS entry point. Requires at
-// least one free variable (the JVV descent has nothing to split on
-// otherwise).
-class SamplerExecutor : public StrategyExecutor {
- public:
-  Strategy strategy() const override { return Strategy::kSampler; }
-
-  StatusOr<ExecOutcome> Execute(const ExecContext& ctx) const override {
-    SamplerOptions opts;
-    opts.approx.epsilon = ctx.budget.epsilon;
-    opts.approx.delta = ctx.budget.delta;
-    opts.approx.seed = ctx.budget.seed;
-    opts.approx.objective = ctx.plan->objective;
-    opts.approx.exact_decomposition_limit = ctx.exact_decomposition_limit;
-    opts.approx.pool = ctx.pool;
-    opts.approx.intra_threads = ctx.intra_threads;
-    opts.approx.governor = ctx.governor;
-    if (ctx.max_oracle_calls > 0) {
-      opts.approx.dlm.max_oracle_calls =
-          std::min(opts.approx.dlm.max_oracle_calls, ctx.max_oracle_calls);
-    }
-    opts.approx.dlm.early_stop = ctx.adaptive.early_stop;
-    opts.approx.dlm.min_early_stop_runs = ctx.adaptive.min_early_stop_runs;
-    if (ctx.adaptive.per_call_failure > 0.0) {
-      opts.approx.per_call_failure_override = ctx.adaptive.per_call_failure;
-    }
-    const FWidthResult decomposition = InstantiatePlanDecomposition(ctx);
-    opts.approx.precomputed_decomposition = &decomposition;
-    auto sampler = AnswerSampler::Create(*ctx.query, *ctx.db, opts);
-    if (!sampler.ok()) return sampler.status();
-    auto approx =
-        (*sampler)->EstimateCount(ctx.budget.epsilon, ctx.budget.delta);
-    if (!approx.ok()) return approx.status();
-    ExecOutcome outcome;
-    outcome.estimate = approx->estimate;
-    outcome.exact = approx->exact;
-    outcome.converged = approx->converged;
-    outcome.partial = approx->partial;
-    outcome.lower_bound = approx->lower_bound;
-    outcome.upper_bound = approx->upper_bound;
-    outcome.stop_reason = approx->stop_reason;
-    outcome.rounds_executed = approx->rounds_executed;
-    outcome.completed_runs = approx->completed_runs;
-    outcome.total_runs = approx->total_runs;
-    outcome.oracle_calls = approx->hom_queries + approx->edgefree_calls;
-    outcome.estimator_calls = approx->edgefree_calls;
-    outcome.colouring_trials_per_call = approx->colouring_trials_per_call;
-    outcome.parallel = approx->parallel;
     return outcome;
   }
 };
@@ -214,7 +144,6 @@ const ExecutorRegistry& ExecutorRegistry::Default() {
     r->Register(std::make_unique<FptrasExecutor>(Strategy::kFptrasTreewidth));
     r->Register(std::make_unique<FptrasExecutor>(Strategy::kFptrasFhw));
     r->Register(std::make_unique<AutomataFprasExecutor>());
-    r->Register(std::make_unique<SamplerExecutor>());
     return r;
   }();
   return *registry;

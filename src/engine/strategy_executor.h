@@ -1,13 +1,14 @@
 // The uniform strategy-execution layer of the engine.
 //
-// Historically CountingEngine dispatched to the five estimator modules
-// through a hand-rolled switch, re-deriving each module's Options struct
-// (and its own epsilon/delta/seed plumbing) inline. This header replaces
-// that with one adapter boundary: every counting strategy implements
-// StrategyExecutor over a shared AccuracyBudget/ExecContext, and the
-// engine resolves strategies through an ExecutorRegistry. Adding a
-// strategy means adding one executor class and one Register call — the
-// engine, the compile pipeline and the provenance plumbing stay untouched.
+// Every counting strategy the planner can select — exact, fptras-tw,
+// fptras-fhw, automata-fpras — implements StrategyExecutor over a shared
+// AccuracyBudget/ExecContext, and the engine resolves strategies through
+// an ExecutorRegistry. An executor maps the context onto its module's
+// option struct and returns an ExecOutcome: the module's EstimateOutcome,
+// copied with one base-class assignment, plus the strategy's work
+// counters. The engine's ComponentResult derives from ExecOutcome, so
+// adding a strategy means adding one executor class and one Register
+// call; the engine and the JSON writers stay untouched.
 #ifndef CQCOUNT_ENGINE_STRATEGY_EXECUTOR_H_
 #define CQCOUNT_ENGINE_STRATEGY_EXECUTOR_H_
 
@@ -81,15 +82,14 @@ struct ExecContext {
   AdaptiveHints adaptive;
 };
 
-/// What every strategy reports back (estimate/exact/converged from the
-/// shared EstimateOutcome contract).
+/// What every strategy reports back: the module's EstimateOutcome plus
+/// the strategy's work counters. Every counter is lane-invariant.
 struct ExecOutcome : EstimateOutcome {
   /// Oracle work: hom-oracle calls plus estimator membership tests.
   uint64_t oracle_calls = 0;
-  /// Deterministic estimator probes only (DLM edge-free calls, automata
-  /// membership tests) — excludes the scheduling-dependent hom-query
-  /// tally. The adaptive scheduler's cost model reads ONLY this counter,
-  /// keeping its accuracy decisions lane-count-independent.
+  /// Estimator probes only (DLM edge-free calls, automata membership
+  /// tests), without the colour-coding hom queries. The adaptive
+  /// scheduler's budget weights read this counter.
   uint64_t estimator_calls = 0;
   /// Prepared-DP reuse across the DLM oracle calls of this execution
   /// (fptras strategies): trial decisions answered by the trial-reuse DP
@@ -102,13 +102,6 @@ struct ExecOutcome : EstimateOutcome {
   /// Colouring trials the EdgeFree simulation runs per oracle call
   /// (fptras strategies; 0 otherwise).
   uint64_t colouring_trials_per_call = 0;
-  /// Outer-median runs completed / scheduled by the estimator (differ
-  /// only on partial outcomes; 0/0 for strategies without run structure).
-  int completed_runs = 0;
-  int total_runs = 0;
-  /// Intra-query parallelism observability (lanes used, tasks spawned,
-  /// tasks executed by pool workers).
-  ParallelStats parallel;
 };
 
 /// One counting strategy, executable over the shared context.
@@ -143,8 +136,8 @@ class ExecutorRegistry {
   /// Registered strategies, in enum order.
   std::vector<Strategy> RegisteredStrategies() const;
 
-  /// The process-wide registry holding all five built-in strategies
-  /// (exact, fptras-tw, fptras-fhw, automata-fpras, sampler). Built once,
+  /// The process-wide registry holding the four built-in strategies
+  /// (exact, fptras-tw, fptras-fhw, automata-fpras). Built once,
   /// read-only afterwards: safe to share across threads.
   static const ExecutorRegistry& Default();
 

@@ -7,46 +7,6 @@
 namespace cqcount {
 namespace obs {
 
-std::string QueryProfile::ToJson() const {
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("phases");
-  json.BeginObject();
-  json.Key("parse_ms").Double(parse_millis);
-  json.Key("compile_ms").Double(compile_millis);
-  json.Key("plan_ms").Double(plan_millis);
-  json.Key("execute_ms").Double(execute_millis);
-  json.EndObject();
-  json.Key("plan_cache_hits").Int(plan_cache_hits);
-  json.Key("plan_cache_misses").Int(plan_cache_misses);
-  json.Key("guards_evaluated").Int(guards_evaluated);
-  json.Key("oracle_calls").Uint(oracle_calls);
-  json.Key("dp_prepared_decides").Uint(dp_prepared_decides);
-  json.Key("lanes").Int(lanes);
-  json.Key("tasks").Uint(tasks);
-  json.Key("worker_tasks").Uint(worker_tasks);
-  json.Key("components");
-  json.BeginArray();
-  for (const ComponentProfile& c : components) {
-    json.BeginObject();
-    json.Key("shape_key").String(c.shape_key);
-    json.Key("strategy").String(c.strategy);
-    json.Key("exec_ms").Double(c.exec_millis);
-    json.Key("plan_cache_hit").Bool(c.plan_cache_hit);
-    json.Key("executed").Bool(c.executed);
-    json.Key("oracle_calls").Uint(c.oracle_calls);
-    json.Key("dp_prepared_decides").Uint(c.dp_prepared_decides);
-    json.Key("colouring_trials_per_call").Uint(c.colouring_trials_per_call);
-    json.Key("lanes").Int(c.lanes);
-    json.Key("tasks").Uint(c.tasks);
-    json.Key("worker_tasks").Uint(c.worker_tasks);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  return json.Take();
-}
-
 void ShapeProfile::Observe(double exec_millis, uint64_t oracle_calls,
                            uint64_t estimator_calls, double estimate,
                            bool converged) {

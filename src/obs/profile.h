@@ -1,60 +1,27 @@
-// Per-query execution profiles (the "P" of the telemetry layer).
+// Execution profiles (the "P" of the telemetry layer).
 //
-// A QueryProfile aggregates one Count()/CountBatch-item execution: phase
-// durations (parse, compile, plan, execute), plan-cache outcomes, oracle
-// work and lane utilization, with a per-component breakdown. It rides on
-// EngineResult, serialises to JSON for `count --json`, and feeds the
-// per-shape ShapeProfile the plan cache accumulates — the observed
-// cost/variance substrate the adaptive accuracy scheduler consumes.
+// A QueryProfile holds the phase durations of one Count()/CountBatch-item
+// execution. It rides on EngineResult, whose ToJson() derives the rest of
+// the `"profile"` object (plan-cache outcomes, oracle work, lane
+// utilization, per-component breakdown) from the result's own component
+// records. The plan cache accumulates a per-shape ShapeProfile across
+// executions — the observed cost/variance substrate the adaptive accuracy
+// scheduler consumes.
 #ifndef CQCOUNT_OBS_PROFILE_H_
 #define CQCOUNT_OBS_PROFILE_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace cqcount {
 namespace obs {
 
-/// One component's slice of a query execution.
-struct ComponentProfile {
-  std::string shape_key;
-  std::string strategy;
-  double exec_millis = 0.0;
-  bool plan_cache_hit = false;
-  bool executed = true;
-  uint64_t oracle_calls = 0;
-  uint64_t dp_prepared_decides = 0;
-  uint64_t colouring_trials_per_call = 0;
-  /// Lane utilization: lanes granted, tasks spawned, tasks run by pool
-  /// workers (the rest ran on the calling thread).
-  int lanes = 1;
-  uint64_t tasks = 0;
-  uint64_t worker_tasks = 0;
-};
-
-/// The whole execution, one per Count()/batch item.
+/// Phase durations of one execution (wall-clock milliseconds).
 struct QueryProfile {
-  /// Phase durations (wall-clock milliseconds).
   double parse_millis = 0.0;
   double compile_millis = 0.0;
   double plan_millis = 0.0;
   double execute_millis = 0.0;
-  /// Plan-cache outcomes across components.
-  int plan_cache_hits = 0;
-  int plan_cache_misses = 0;
-  int guards_evaluated = 0;
-  /// Oracle work and trial counts, summed over components.
-  uint64_t oracle_calls = 0;
-  uint64_t dp_prepared_decides = 0;
-  /// Lane utilization, aggregated over components.
-  int lanes = 1;
-  uint64_t tasks = 0;
-  uint64_t worker_tasks = 0;
-  std::vector<ComponentProfile> components;
-
-  /// One JSON object (the "profile" value of `count --json`).
-  std::string ToJson() const;
 };
 
 /// Observed execution history of one canonical shape, accumulated in the
@@ -68,12 +35,11 @@ struct ShapeProfile {
   double min_exec_millis = 0.0;
   double max_exec_millis = 0.0;
   uint64_t total_oracle_calls = 0;
-  /// Deterministic estimator probes (DLM edge-free calls / membership
-  /// tests) — excludes strategy-specific hom-query work. The scheduler's
-  /// budget split reads ONLY this counter; trials budgeting additionally
-  /// reads the oracle-call tally (itself lane-invariant and fixed-seed
-  /// reproducible), so adaptive results stay reproducible at every lane
-  /// count; wall-clock fields drive scheduling-only decisions (lane
+  /// Estimator probes (DLM edge-free calls / membership tests), without
+  /// the colour-coding hom queries. The scheduler's budget split reads
+  /// this counter and trials budgeting reads the oracle-call tally; both
+  /// are lane-invariant, so adaptive results stay reproducible at every
+  /// lane count. Wall-clock fields drive scheduling-only decisions (lane
   /// grants).
   uint64_t total_estimator_calls = 0;
   uint64_t converged_runs = 0;
@@ -90,11 +56,10 @@ struct ShapeProfile {
     return runs == 0 ? 0.0 : static_cast<double>(total_estimator_calls) /
                                  static_cast<double>(runs);
   }
-  /// Mean oracle calls per execution — includes strategy-specific work
-  /// the estimator-call counter excludes (colour-coding hom queries).
-  /// Lane-invariant and fixed-seed reproducible (the benches pin this),
-  /// so trials budgeting may read it without breaking the determinism
-  /// contract.
+  /// Mean oracle calls per execution — includes the colour-coding hom
+  /// queries the estimator-call counter excludes. Lane-invariant and
+  /// fixed-seed reproducible, so trials budgeting may read it without
+  /// breaking the determinism contract.
   double MeanOracleCalls() const {
     return runs == 0 ? 0.0 : static_cast<double>(total_oracle_calls) /
                                  static_cast<double>(runs);

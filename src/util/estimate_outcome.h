@@ -1,11 +1,12 @@
-// The convergence/cap contract shared by every estimator in the stack.
+// The result contract shared by every estimator in the stack.
 //
-// DlmResult, ApproxCountResult, FprasResult, AcjrResult and the engine's
-// ExecOutcome historically each re-declared the same estimate/exact/
-// converged triple; they now all derive from EstimateOutcome so the
-// strategy-executor layer (and the engine provenance plumbing) can treat
-// any estimator result uniformly. ParallelStats rides along: every layer
-// that fans work out on the executor reports the same three numbers.
+// DlmResult, ApproxCountResult, FprasResult, AcjrResult, the engine's
+// ExecOutcome and ComponentResult all derive from EstimateOutcome: the
+// estimate, how it was reached (exact / converged / partial interval /
+// stop reason), the outer-median run tally and the lane statistics. Each
+// layer hands the record up with one base-class assignment and adds only
+// its own counters, so a new field here reaches `count --json` without
+// touching the layers in between.
 #ifndef CQCOUNT_UTIL_ESTIMATE_OUTCOME_H_
 #define CQCOUNT_UTIL_ESTIMATE_OUTCOME_H_
 
@@ -52,6 +53,24 @@ inline const char* StopReasonName(StopReason reason) {
   return "none";
 }
 
+/// Intra-query parallelism observability (informational: the numbers
+/// describe scheduling, never the estimate).
+struct ParallelStats {
+  /// Lanes the estimate was partitioned across (1 = inline execution).
+  int lanes = 1;
+  /// Parallel task units spawned (index-space partitions).
+  uint64_t tasks = 0;
+  /// Task units executed by pool workers (the rest ran on the calling
+  /// thread, including help-drained nested work).
+  uint64_t worker_tasks = 0;
+
+  void Merge(const ParallelStats& other) {
+    if (other.lanes > lanes) lanes = other.lanes;
+    tasks += other.tasks;
+    worker_tasks += other.worker_tasks;
+  }
+};
+
 /// What every estimate reports: the value and how it was reached.
 struct EstimateOutcome {
   /// The (epsilon, delta)-estimate (exact value when `exact`).
@@ -78,24 +97,15 @@ struct EstimateOutcome {
   /// Adaptive refinement rounds executed, summed over the runs that fed
   /// the result (0 for exact resolutions).
   int rounds_executed = 0;
-};
-
-/// Intra-query parallelism observability (informational: the numbers
-/// describe scheduling, never the estimate).
-struct ParallelStats {
-  /// Lanes the estimate was partitioned across (1 = inline execution).
-  int lanes = 1;
-  /// Parallel task units spawned (index-space partitions).
-  uint64_t tasks = 0;
-  /// Task units executed by pool workers (the rest ran on the calling
-  /// thread, including help-drained nested work).
-  uint64_t worker_tasks = 0;
-
-  void Merge(const ParallelStats& other) {
-    if (other.lanes > lanes) lanes = other.lanes;
-    tasks += other.tasks;
-    worker_tasks += other.worker_tasks;
-  }
+  /// Outer-median runs that ran to completion / that were scheduled.
+  /// Differ only on partial results (interrupted runs are discarded; the
+  /// anytime interval brackets the full median over all scheduled runs).
+  /// 0/0 for computations without run structure.
+  int completed_runs = 0;
+  int total_runs = 0;
+  /// Intra-query parallelism observability (lanes, tasks spawned, tasks
+  /// run by pool workers).
+  ParallelStats parallel;
 };
 
 }  // namespace cqcount

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+
 #include "app/graph_gen.h"
 #include "decomposition/elimination_order.h"
 #include "decomposition/width_measures.h"
 #include "query/parser.h"
 #include "test_util.h"
+#include "util/executor.h"
 
 namespace cqcount {
 namespace {
@@ -82,6 +87,7 @@ TEST(ColourCodingTest, NoDisequalitiesMeansSingleHomQuery) {
   parts.parts = {Bitset(4, true)};
   EXPECT_FALSE(oracle.IsEdgeFree(parts));
   EXPECT_EQ(hom->num_calls(), 1u);
+  EXPECT_EQ(oracle.hom_queries(), 1u);
 }
 
 TEST(ColourCodingTest, TrialsScaleWithDisequalities) {
@@ -108,6 +114,102 @@ TEST(ColourCodingTest, EmptyPartShortCircuits) {
   parts.parts = {Bitset(3, false)};
   EXPECT_TRUE(oracle.IsEdgeFree(parts));
   EXPECT_EQ(hom->num_calls(), 0u);
+}
+
+// A hom oracle for `ans(x, y) :- E(x, y), x != y` whose trial verdict is
+// a fixed function of the colouring: a witness iff x's red mask holds 0, 1
+// and 2. With `stall`, the first witness any lane finds blocks until
+// another lane has found a second one — the schedule in which an early
+// exit on a shared flag lets trials past the first witness run.
+class StallingHomOracle : public HomOracle {
+ public:
+  explicit StallingHomOracle(bool stall) : stall_(stall) {}
+
+  bool Decide(const VarDomains&) override { return true; }
+  using HomOracle::Prepare;
+  std::unique_ptr<PreparedHom> Prepare(const VarDomains&, std::vector<int>,
+                                       HomContext*) override {
+    return std::make_unique<Prepared>(this);
+  }
+  std::unique_ptr<HomContext> CreateContext() override {
+    return std::make_unique<HomContext>();
+  }
+  bool SupportsConcurrentDecides() const override { return true; }
+
+  /// True once a stalled witness was released by a second witness (not
+  /// by the timeout).
+  bool released_by_witness() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return released_;
+  }
+
+ private:
+  class Prepared : public PreparedHom {
+   public:
+    explicit Prepared(StallingHomOracle* owner) : owner_(owner) {}
+    bool Decide(const std::vector<DomainRestriction>& extra) override {
+      return owner_->Trial(extra);
+    }
+    bool Decide(const std::vector<DomainRestriction>& extra,
+                HomContext&) override {
+      return owner_->Trial(extra);
+    }
+
+   private:
+    StallingHomOracle* owner_;
+  };
+
+  bool Trial(const std::vector<DomainRestriction>& extra) {
+    RecordPreparedDecide();
+    const Bitset& x = *extra[0].mask;  // Endpoint vars are sorted: x first.
+    const bool witness = x.Test(0) && x.Test(1) && x.Test(2);
+    if (!witness || !stall_) return witness;
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++witnesses_ == 1) {
+      released_ = cv_.wait_for(lock, std::chrono::seconds(10),
+                               [&] { return witnesses_ > 1; });
+    } else {
+      cv_.notify_all();
+    }
+    return witness;
+  }
+
+  const bool stall_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int witnesses_ = 0;
+  bool released_ = false;
+};
+
+// The hom-query tally is the one-lane loop's work — the trials up to and
+// including the first witness — even when a stalled lane lets another
+// lane run past it. Deterministic on any CPU count: the stall is a wait,
+// not a race.
+TEST(ColourCodingTest, HomQueryTallyIsLaneInvariantUnderStalls) {
+  Query q = Parse("ans(x, y) :- E(x, y), x != y.");
+  const uint32_t universe = 8;
+  PartiteSubset parts;
+  parts.parts = {Bitset(universe, true), Bitset(universe, true)};
+  ColourCodingOptions opts;
+  opts.per_call_failure = 1e-12;  // 112 trials: a dozen witnesses.
+
+  StallingHomOracle inline_hom(/*stall=*/false);
+  ColourCodingEdgeFreeOracle one_lane(q, &inline_hom, universe, opts);
+  const bool one_lane_verdict = one_lane.IsEdgeFree(parts);
+  ASSERT_FALSE(one_lane_verdict);
+  ASSERT_LT(one_lane.hom_queries(), one_lane.trials_per_call());
+
+  Executor pool(2);
+  opts.pool = &pool;
+  opts.lanes = 2;
+  StallingHomOracle stalling_hom(/*stall=*/true);
+  ColourCodingEdgeFreeOracle two_lanes(q, &stalling_hom, universe, opts);
+  EXPECT_EQ(two_lanes.IsEdgeFree(parts), one_lane_verdict);
+  ASSERT_TRUE(stalling_hom.released_by_witness());
+  // Trials past the first witness did run (the stall guarantees a second
+  // witness was decided), but they are not charged.
+  EXPECT_GT(stalling_hom.num_calls(), one_lane.hom_queries());
+  EXPECT_EQ(two_lanes.hom_queries(), one_lane.hom_queries());
 }
 
 TEST(DecideAnySolutionTest, BooleanQueries) {

@@ -78,7 +78,7 @@ TEST(BudgetSplitTest, CountingSharesSumToHalfEpsilonWithFloors) {
   const double epsilon = 0.3;
   const double delta = 0.06;
   std::vector<BudgetShare> shares =
-      scheduler.SplitBudgets(epsilon, delta, components);
+      scheduler.SplitBudgets(epsilon, delta, components, /*weighted=*/true);
   ASSERT_EQ(shares.size(), components.size());
 
   double sum = 0.0;
@@ -105,7 +105,7 @@ TEST(BudgetSplitTest, SingleCountingComponentKeepsFullEpsilon) {
   components[0].cost.cost_units = 100.0;
   components[1].estimated = false;  // Exact factor: no budget share.
   std::vector<BudgetShare> shares =
-      scheduler.SplitBudgets(0.25, 0.1, components);
+      scheduler.SplitBudgets(0.25, 0.1, components, /*weighted=*/true);
   // Matches SplitBudget's single-component pass-through: halving would
   // double the sampling work for nothing.
   EXPECT_DOUBLE_EQ(shares[0].epsilon, 0.25);
@@ -120,10 +120,56 @@ TEST(BudgetSplitTest, EvenCostsReduceToEvenSplit) {
     c.estimated = true;
     c.cost.cost_units = 777.0;
   }
-  std::vector<BudgetShare> shares = scheduler.SplitBudgets(0.4, 0.2, components);
+  std::vector<BudgetShare> shares =
+      scheduler.SplitBudgets(0.4, 0.2, components, /*weighted=*/true);
   for (const BudgetShare& share : shares) {
     EXPECT_NEAR(share.epsilon, 0.4 / (2.0 * 4.0), 1e-12);
   }
+}
+
+// Without weights the split must be SplitBudget's bit for bit (the
+// non-adaptive engine runs on it, and replays that call SplitBudget
+// directly compare estimates bitwise). Equal weights through the
+// weighted formula would not do: its floor arithmetic rounds differently.
+TEST(BudgetSplitTest, UnweightedSplitIsSplitBudgetBitwise) {
+  AdaptiveScheduler scheduler;
+  int mismatches = 0;
+  std::string first_mismatch;
+  for (size_t k = 1; k <= 8; ++k) {
+    // k counting factors, optionally followed by one existential and one
+    // exact factor.
+    for (bool extras : {false, true}) {
+      std::vector<SchedulerComponent> components(k + (extras ? 2 : 0));
+      for (size_t i = 0; i < components.size(); ++i) {
+        components[i].estimated = i < k + 1;
+        components[i].existential = i == k;
+        components[i].cost.cost_units = 1.0 + 97.0 * static_cast<double>(i);
+      }
+      const size_t total = extras ? k + 1 : k;
+      for (int step = 1; step < 1000; ++step) {
+        const double epsilon = step / 1000.0;
+        const double delta = 0.05 + step / 4000.0;
+        const std::vector<BudgetShare> shares = scheduler.SplitBudgets(
+            epsilon, delta, components, /*weighted=*/false);
+        for (size_t i = 0; i < components.size(); ++i) {
+          BudgetShare expected;  // Exact factors: zero share.
+          if (components[i].estimated) {
+            expected = SplitBudget(epsilon, delta, k, total,
+                                   components[i].existential);
+          }
+          if (shares[i].epsilon != expected.epsilon ||
+              shares[i].delta != expected.delta) {
+            if (mismatches++ == 0) {
+              first_mismatch = "k=" + std::to_string(k) +
+                               " eps=" + std::to_string(epsilon) +
+                               " component=" + std::to_string(i);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "first mismatch: " << first_mismatch;
 }
 
 TEST(LaneGateTest, ObservedWallTimeReplacesStaticCostGate) {

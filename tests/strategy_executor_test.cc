@@ -46,17 +46,16 @@ Database Social(uint32_t n, uint64_t seed) {
   return SocialNetworkDb(n, 5.0, 0.5, rng);
 }
 
-TEST(ExecutorRegistryTest, DefaultRegistersAllFiveStrategies) {
+TEST(ExecutorRegistryTest, DefaultRegistersAllFourStrategies) {
   const ExecutorRegistry& registry = ExecutorRegistry::Default();
   const Strategy all[] = {Strategy::kExact, Strategy::kFptrasTreewidth,
-                          Strategy::kFptrasFhw, Strategy::kAutomataFpras,
-                          Strategy::kSampler};
+                          Strategy::kFptrasFhw, Strategy::kAutomataFpras};
   for (Strategy strategy : all) {
     const StrategyExecutor* executor = registry.Find(strategy);
     ASSERT_NE(executor, nullptr) << StrategyName(strategy);
     EXPECT_EQ(executor->strategy(), strategy);
   }
-  EXPECT_EQ(registry.RegisteredStrategies().size(), 5u);
+  EXPECT_EQ(registry.RegisteredStrategies().size(), 4u);
 }
 
 TEST(ExecutorRegistryTest, RegisterReplacesByStrategy) {
@@ -125,26 +124,6 @@ TEST(StrategyExecutorTest, AutomataFprasRunsOnPureCq) {
   // Loose sanity bound: the FPRAS ran with epsilon 0.15; allow slack for
   // the delta failure mass instead of asserting the exact interval.
   EXPECT_NEAR(outcome->estimate, exact, 0.5 * exact + 1.0);
-}
-
-TEST(StrategyExecutorTest, SamplerEstimatesThroughJvvMachinery) {
-  Fixture f("ans(x) :- F(x, y).", Social(25, 4));
-  auto outcome = ExecutorRegistry::Default()
-                     .Find(Strategy::kSampler)
-                     ->Execute(f.Context(0.3, 0.3));
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  const double exact =
-      static_cast<double>(ExactCountAnswersBruteForce(f.query, f.db));
-  EXPECT_NEAR(outcome->estimate, exact, 0.5 * exact + 1.0);
-}
-
-TEST(StrategyExecutorTest, SamplerRejectsQueriesWithoutFreeVariables) {
-  Fixture f("ans() :- F(x, y).", Social(25, 5));
-  auto outcome = ExecutorRegistry::Default()
-                     .Find(Strategy::kSampler)
-                     ->Execute(f.Context());
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -4,9 +4,10 @@
 //
 // This is the contract stated in obs/trace.h: spans read clocks, metrics
 // do bulk adds at deterministic boundaries, and neither ever touches RNG
-// state or merge order. (cc.nondet.hom_queries is the one documented
-// exception — a scheduling-dependent WORK counter, marked by its
-// `.nondet.` name segment — and is deliberately absent here.)
+// state or merge order. The oracle-call tallies include the colour-coding
+// hom queries: each EdgeFree call is charged the trials up to its first
+// witness, the same at every lane count (cc.nondet.hom_queries keeps its
+// historical name only for the readers that look it up).
 #include <gtest/gtest.h>
 
 #include <optional>
