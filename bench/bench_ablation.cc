@@ -1,4 +1,6 @@
-// EXP-ABL: ablations of the design choices DESIGN.md calls out.
+// EXP-ABL: ablations of three FPTRAS design choices (dlm_counter.h
+// documents the estimator's exact phase and stratified splits; Lemma 48
+// motivates the fhw objective).
 //
 //  (a) DLM estimator: stratified box splitting vs sample-doubling only
 //      (same oracle, same epsilon target) — splits should reach the

@@ -9,6 +9,8 @@
 
 #include "hom/bag_solutions.h"
 #include "obs/trace.h"
+#include "util/cancel.h"
+#include "util/executor.h"
 #include "util/math_util.h"
 #include "util/random.h"
 
@@ -523,6 +525,8 @@ StatusOr<AcjrResult> AcjrCountAnswers(const Query& q, const Database& db,
         "Theorem 16 applies to pure conjunctive queries");
   }
   Status s = q.CheckAgainstDatabase(db);
+  if (!s.ok()) return s;
+  s = opts.ValidateAccuracy();
   if (!s.ok()) return s;
   if (opts.sketch_size < 1) {
     return Status::InvalidArgument(

@@ -2,12 +2,12 @@
 // hypertreewidth (Theorem 16), specialised from the Arenas-Croquevielle-
 // Jayaram-Riveros #TA FPRAS (Lemma 51) to the Lemma 52 automata.
 //
-// Structure (DESIGN.md section 4.3): every accepted input of the Lemma 52
-// automaton has the decomposition tree's shape, and a run determines its
-// labels, so |L_N(A)| = number of distinct projections of consistent
-// bag-solution families. Bottom-up over the nice decomposition, each
-// (node, bag solution) carries a size estimate N and a bounded uniform
-// sample sketch of its partial-answer language:
+// Structure (the Lemma 52 automaton, counted as in Lemma 51): every
+// accepted input of the automaton has the decomposition tree's shape, and
+// a run determines its labels, so |L_N(A)| = number of distinct
+// projections of consistent bag-solution families. Bottom-up over the
+// nice decomposition, each (node, bag solution) carries a size estimate N
+// and a bounded uniform sample sketch of its partial-answer language:
 //   - leaf:       N = 1 (the empty labelling),
 //   - introduce:  copy from the projected child state (free introductions
 //                 extend every sample deterministically),
@@ -28,39 +28,29 @@
 #include "decomposition/nice_decomposition.h"
 #include "query/query.h"
 #include "relational/structure.h"
-#include "util/cancel.h"
 #include "util/estimate_outcome.h"
-#include "util/executor.h"
 #include "util/status.h"
 
 namespace cqcount {
 
-/// Tuning for the estimator.
-struct AcjrOptions {
-  /// Target relative error.
-  double epsilon = 0.15;
-  /// Target failure probability.
-  double delta = 0.25;
+/// Tuning for the estimator. The EstimateInputs base carries (epsilon,
+/// delta) (defaults 0.15 / 0.25), the sampling seed (default 0xACE5),
+/// the lanes and the governor. Every (node, state) cell draws from its
+/// own stream Rng(DeriveSeed(seed, {node, state})), so the per-node
+/// state loops fan across lanes with bit-identical results. The governor
+/// is polled at node boundaries of the bottom-up pass; the sketch DP has
+/// no salvageable intermediate answer, so an interruption always yields
+/// the typed status (never a partial estimate).
+struct AcjrOptions : EstimateInputs {
+  AcjrOptions()
+      : EstimateInputs{.epsilon = 0.15, .delta = 0.25, .seed = 0xACE5ULL} {}
+
   /// Samples kept per (node, state) sketch.
   int sketch_size = 64;
   /// Cap on Karp-Luby draws per union estimate.
   int max_union_samples = 4096;
   /// Rejection-retry cap when sampling a union near-uniformly.
   int max_rejection_retries = 32;
-  /// Seed for all sampling. Every (node, state) cell draws from its own
-  /// derived stream Rng(DeriveSeed(seed, {node, state})), so the per-node
-  /// state loops may fan across worker lanes with bit-identical results
-  /// at any thread count.
-  uint64_t seed = 0xACE5ULL;
-  /// Worker pool for intra-estimate parallelism (not owned; null =
-  /// inline) and the lane count the state loops partition across.
-  Executor* pool = nullptr;
-  int intra_threads = 1;
-  /// Cooperative governance (not owned; null = ungoverned). Polled at node
-  /// boundaries of the bottom-up pass; the sketch DP has no salvageable
-  /// intermediate answer, so an interruption yields the typed
-  /// CANCELLED/DEADLINE_EXCEEDED status (never a partial estimate).
-  const ResourceGovernor* governor = nullptr;
 };
 
 /// Estimation result (estimate/exact/converged from EstimateOutcome; exact

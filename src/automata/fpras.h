@@ -3,7 +3,8 @@
 //
 // Pipeline: nice tree decomposition with small fhw (Lemma 43) -> bag
 // solutions (Lemma 48) -> counting automaton (Lemma 52) semantics ->
-// ACJR-style sketch estimation (Lemma 51 stand-in, DESIGN.md 4.3).
+// ACJR-style sketch estimation (Lemma 51 stand-in; acjr_estimator.h
+// describes the sketch DP).
 #ifndef CQCOUNT_AUTOMATA_FPRAS_H_
 #define CQCOUNT_AUTOMATA_FPRAS_H_
 
@@ -17,7 +18,7 @@ namespace cqcount {
 
 /// Options for FprasCountCq.
 struct FprasOptions {
-  /// Estimator tuning (epsilon / delta live here).
+  /// Estimator inputs (epsilon, delta, seed, lanes, governor) and tuning.
   AcjrOptions acjr;
   /// Decomposition objective; fractional hypertreewidth is the Theorem 16
   /// regime, treewidth reproduces the ACJR (hypertreewidth) scope.

@@ -10,6 +10,8 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/cancel.h"
+#include "util/executor.h"
 #include "util/failpoint.h"
 #include "util/math_util.h"
 #include "util/random.h"
@@ -929,10 +931,8 @@ StatusOr<DlmResult> DlmCountEdges(const std::vector<uint32_t>& part_sizes,
   if (part_sizes.empty()) {
     return Status::InvalidArgument("DlmCountEdges requires l >= 1 parts");
   }
-  if (opts.epsilon <= 0.0 || opts.epsilon >= 1.0 || opts.delta <= 0.0 ||
-      opts.delta >= 1.0) {
-    return Status::InvalidArgument("epsilon and delta must lie in (0, 1)");
-  }
+  Status valid = opts.ValidateAccuracy();
+  if (!valid.ok()) return valid;
   Estimator estimator(part_sizes, oracle, opts);
   StatusOr<DlmResult> result = estimator.Run();
   if (result.ok()) {

@@ -1,8 +1,9 @@
 // Approximate edge counting with an EdgeFree oracle (the Theorem 17
 // interface of Dell-Lapinskas-Meeks [15]).
 //
-// Internals (DESIGN.md section 4.1): the l-partite product space is
-// recursively bisected into "boxes" (products of per-part index ranges).
+// Internals (README "Parallel estimation & determinism model" covers the
+// parallel partition): the l-partite product space is recursively
+// bisected into "boxes" (products of per-part index ranges).
 //  1. Exact phase: the space is pre-partitioned into a fixed number of
 //     sub-boxes, each enumerated edge-by-edge with a deterministic count
 //     cap (O(sum_i log|V_i|) oracle calls per edge); if the summed count
@@ -37,19 +38,22 @@
 #include <vector>
 
 #include "counting/partite_hypergraph.h"
-#include "util/cancel.h"
 #include "util/estimate_outcome.h"
-#include "util/executor.h"
 #include "util/status.h"
 
 namespace cqcount {
 
-/// Tuning for the DLM-style estimator.
-struct DlmOptions {
-  /// Target relative error.
-  double epsilon = 0.1;
-  /// Target failure probability.
-  double delta = 0.1;
+/// Tuning for the DLM-style estimator. The EstimateInputs base carries
+/// (epsilon, delta), the sampler seed (default 0xD1CE), the lanes and
+/// the governor. The governor is polled at frontier-expansion
+/// iterations, exact-phase wave boundaries, adaptive round/slice
+/// boundaries and run boundaries, so a quiescent governor never perturbs
+/// the arithmetic; on expiry the estimator answers from the completed
+/// runs (DlmResult::partial + interval), or returns the typed status when
+/// no run completed.
+struct DlmOptions : EstimateInputs {
+  DlmOptions() : EstimateInputs{.seed = 0xD1CEULL} {}
+
   /// Switch from exact enumeration to estimation past this many edges.
   uint64_t exact_enumeration_budget = 1024;
   /// Maximum number of boxes the edge set is partitioned into.
@@ -66,22 +70,6 @@ struct DlmOptions {
   /// `converged = false`). Split deterministically across the adaptive
   /// runs, so cap outcomes are identical at every thread count.
   uint64_t max_oracle_calls = 20'000'000;
-  /// Seed for the samplers.
-  uint64_t seed = 0xD1CEULL;
-  /// Worker pool for intra-estimate parallelism (not owned; null = run
-  /// everything inline on the calling thread).
-  Executor* pool = nullptr;
-  /// Lanes the estimate is partitioned across (<= 1 = inline). Purely a
-  /// scheduling knob: the estimate is bit-identical for every value.
-  int intra_threads = 1;
-  /// Cooperative governance (not owned; null = ungoverned). Polled at
-  /// deterministic boundaries only — frontier-expansion iterations,
-  /// exact-phase wave boundaries, adaptive round/slice boundaries and run
-  /// boundaries — so a quiescent governor never perturbs the arithmetic.
-  /// On expiry/cancellation the estimator returns an anytime answer from
-  /// the completed runs (DlmResult::partial + interval), or a typed
-  /// CANCELLED/DEADLINE_EXCEEDED status when no run completed.
-  const ResourceGovernor* governor = nullptr;
   /// Opt-in adaptive early termination of the outer-median run schedule
   /// (the accuracy scheduler's knob; off = bit-identical to the full
   /// schedule). When armed, runs execute strictly in index order (their

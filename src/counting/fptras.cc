@@ -74,10 +74,8 @@ StatusOr<ApproxCountResult> ApproxCountAnswers(const Query& q,
   if (!valid.ok()) return valid;
   valid = q.CheckAgainstDatabase(db);
   if (!valid.ok()) return valid;
-  if (opts.epsilon <= 0.0 || opts.epsilon >= 1.0 || opts.delta <= 0.0 ||
-      opts.delta >= 1.0) {
-    return Status::InvalidArgument("epsilon and delta must lie in (0, 1)");
-  }
+  valid = opts.ValidateAccuracy();
+  if (!valid.ok()) return valid;
   if (db.universe_size() == 0) {
     ApproxCountResult r;
     r.exact = true;
@@ -105,14 +103,10 @@ StatusOr<ApproxCountResult> ApproxCountAnswers(const Query& q,
   if (!prepare_fp.ok()) return prepare_fp;
 
   // Split delta between the estimator and the oracle simulation
-  // (Lemma 22's union bound): per-call failure delta/(2 * max calls).
-  const double delta_estimator = opts.delta / 2.0;
+  // (Lemma 22's union bound): half to the estimator, half spread over its
+  // oracle calls.
   ColourCodingOptions cc;
-  cc.per_call_failure =
-      opts.per_call_failure_override > 0.0
-          ? opts.per_call_failure_override
-          : opts.delta /
-                (2.0 * static_cast<double>(opts.dlm.max_oracle_calls));
+  cc.per_call_failure = opts.PerCallFailure();
   cc.seed = opts.seed ^ 0x9E3779B97F4A7C15ULL;
   cc.pool = opts.pool;
   cc.lanes = opts.intra_threads;
@@ -149,12 +143,8 @@ StatusOr<ApproxCountResult> ApproxCountAnswers(const Query& q,
   result.colouring_trials_per_call = oracle.trials_per_call();
 
   DlmOptions dlm = opts.dlm;
-  dlm.epsilon = opts.epsilon;
-  dlm.delta = delta_estimator;
-  dlm.seed = opts.seed;
-  dlm.pool = opts.pool;
-  dlm.intra_threads = opts.intra_threads;
-  dlm.governor = opts.governor;
+  static_cast<EstimateInputs&>(dlm) = opts;
+  dlm.delta = opts.delta / 2.0;  // The estimator's half of the split.
   std::vector<uint32_t> part_sizes(q.num_free(), db.universe_size());
   auto dlm_result = [&] {
     obs::Span span("fptras.dlm");

@@ -17,51 +17,48 @@
 #include "query/query.h"
 #include "relational/structure.h"
 #include "util/estimate_outcome.h"
-#include "util/executor.h"
 #include "util/status.h"
 
 namespace cqcount {
 
-/// Options for ApproxCountAnswers.
-struct ApproxOptions {
-  /// Target relative error (epsilon of the (epsilon, delta) guarantee).
-  double epsilon = 0.1;
-  /// Target failure probability.
-  double delta = 0.1;
-  /// Seed controlling all randomness (colourings, sampling).
-  uint64_t seed = 0xC0FFEEULL;
+/// Options for ApproxCountAnswers. The EstimateInputs base carries
+/// (epsilon, delta), the seed of all randomness (colourings, sampling),
+/// the lanes and the governor. The lanes fan the DLM estimation —
+/// sampling runs, exact-phase sub-boxes and colouring trials — across
+/// per-lane forks of the oracle stack (seed tree: base seed -> component
+/// -> run -> box/stratum -> sample, with colourings keyed by (seed,
+/// subset, trial)). The governor reaches the DLM estimator and the
+/// colour-coding oracle; on expiry the pipeline yields the estimator's
+/// anytime answer (partial + interval) or its typed status.
+struct ApproxOptions : EstimateInputs {
   /// Decomposition objective: kTreewidth for the bounded-arity Theorem 5
   /// regime, kFractionalHypertreewidth for the unbounded-arity Theorem 13
-  /// regime (DESIGN.md section 4.2).
+  /// regime (the Hom oracle runs the same DP over fhw-optimised bags, see
+  /// DecompositionHomOracle).
   WidthObjective objective = WidthObjective::kTreewidth;
   /// Exact-width search is used for hypergraphs up to this many variables.
   int exact_decomposition_limit = 14;
   /// Per-EdgeFree-call failure probability for the colour-coding layer.
-  /// 0 = automatic (delta split over the estimator's oracle-call budget,
-  /// the paper's union bound). Benches use a fixed small value to trade a
-  /// negligible extra failure mass for far fewer colouring trials.
+  /// 0 = automatic (see PerCallFailure). Benches use a fixed small value
+  /// to trade a negligible extra failure mass for far fewer colouring
+  /// trials.
   double per_call_failure_override = 0.0;
-  /// Estimator tuning (its epsilon/delta/seed fields are overridden).
+  /// Estimator tuning (its EstimateInputs base is overridden by this
+  /// record's).
   DlmOptions dlm;
   /// Precomputed decomposition of H(phi): when non-null the pipeline skips
   /// its own ComputeDecomposition call (the engine's warm plan-cache path).
   /// Must be valid for the query's hypergraph and outlive the call.
   const FWidthResult* precomputed_decomposition = nullptr;
-  /// Worker pool for intra-query parallelism (not owned; null = inline).
-  /// Fans the DLM estimation — sampling runs, exact-phase sub-boxes and
-  /// colouring trials — across `intra_threads` lanes, each driving its
-  /// own fork of the oracle stack. Estimates are bit-identical at every
-  /// (pool, intra_threads) configuration; see the determinism note in
-  /// dlm_counter.h and README "Parallel estimation & determinism model"
-  /// (seed tree: base seed -> component -> run -> box/stratum -> sample,
-  /// with colourings keyed by (seed, subset, trial)).
-  Executor* pool = nullptr;
-  int intra_threads = 1;
-  /// Cooperative governance (not owned; null = ungoverned). Threaded into
-  /// the DLM estimator and the colour-coding oracle; on expiry the
-  /// pipeline yields the estimator's anytime answer (partial + interval)
-  /// or its typed CANCELLED/DEADLINE_EXCEEDED status.
-  const ResourceGovernor* governor = nullptr;
+
+  /// The colour-coding layer's per-call failure probability: the
+  /// override when set, else delta split over the estimator's oracle-call
+  /// budget, delta / (2 * dlm.max_oracle_calls) (Lemma 22's union bound).
+  double PerCallFailure() const {
+    return per_call_failure_override > 0.0
+               ? per_call_failure_override
+               : delta / (2.0 * static_cast<double>(dlm.max_oracle_calls));
+  }
 };
 
 /// Result of an approximate answer count (estimate/exact/converged from

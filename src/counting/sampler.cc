@@ -84,12 +84,7 @@ AnswerSampler::AnswerSampler(const Query& q, const Database& db,
   hom_ = std::make_unique<DecompositionHomOracle>(q, db,
                                                   width.decomposition);
   ColourCodingOptions cc;
-  cc.per_call_failure =
-      opts.approx.per_call_failure_override > 0.0
-          ? opts.approx.per_call_failure_override
-          : opts.approx.delta /
-                (2.0 *
-                 static_cast<double>(opts.approx.dlm.max_oracle_calls));
+  cc.per_call_failure = opts.approx.PerCallFailure();
   cc.seed = opts.approx.seed ^ 0x1234567ULL;
   cc.governor = opts.approx.governor;
   oracle_ = std::make_unique<ColourCodingEdgeFreeOracle>(
@@ -178,12 +173,13 @@ StatusOr<Tuple> AnswerSampler::SampleOne() {
     sizes.reserve(b.size());
     for (const auto& [lo, hi] : b) sizes.push_back(hi - lo);
     DlmOptions dlm = opts_.approx.dlm;
-    dlm.epsilon = opts_.descent_epsilon;
-    dlm.delta = opts_.descent_delta;
-    dlm.seed = seed;
-    dlm.pool = lanes > 1 ? opts_.approx.pool : nullptr;
-    dlm.intra_threads = lanes;
-    dlm.governor = opts_.approx.governor;
+    static_cast<EstimateInputs&>(dlm) = {
+        .epsilon = opts_.descent_epsilon,
+        .delta = opts_.descent_delta,
+        .seed = seed,
+        .pool = lanes > 1 ? opts_.approx.pool : nullptr,
+        .intra_threads = lanes,
+        .governor = opts_.approx.governor};
     auto result = DlmCountEdges(sizes, restricted, dlm);
     if (!result.ok()) return result.status();
     return result->estimate;

@@ -15,6 +15,7 @@
 #include "relational/database_io.h"
 #include "relational/segment.h"
 #include "util/failpoint.h"
+#include "util/random.h"
 #include "util/timer.h"
 
 namespace cqcount {
@@ -411,16 +412,16 @@ std::vector<CountingEngine::ComponentSchedule> CountingEngine::Schedule(
   return schedule;
 }
 
-Status CountingEngine::ValidateRequest(const CountRequest& request) const {
+StatusOr<CountingEngine::ParsedRequest> CountingEngine::ParseRequest(
+    const CountRequest& request) const {
   if (request.database.empty()) {
     return Status::InvalidArgument("database name must be non-empty");
   }
-  // Accuracy overrides: 0 means "engine default"; anything else must be a
-  // finite value strictly inside (0, 1). NaN fails every comparison, so
-  // it cannot slip through as "unset" (the historical `epsilon > 0` test
-  // silently swallowed NaN).
+  // Accuracy overrides: 0 means "engine default"; anything else must lie
+  // strictly inside (0, 1). NaN fails the range test, so it cannot slip
+  // through as "unset".
   auto valid_accuracy = [](double v) {
-    return v == 0.0 || (std::isfinite(v) && v > 0.0 && v < 1.0);
+    return v == 0.0 || InOpenUnitInterval(v);
   };
   if (!valid_accuracy(request.epsilon)) {
     return Status::InvalidArgument(
@@ -438,7 +439,29 @@ Status CountingEngine::ValidateRequest(const CountRequest& request) const {
         " bytes exceeds the engine's max_query_bytes (" +
         std::to_string(opts_.max_query_bytes) + ")");
   }
-  return Status::Ok();
+  ParsedRequest parsed;
+  parsed.db = FindDatabase(request.database);
+  if (parsed.db.db == nullptr) {
+    return Status::NotFound("no database registered as '" + request.database +
+                            "'");
+  }
+  WallTimer parse_timer;
+  auto query = [&] {
+    obs::Span span("engine.parse");
+    return ParseQuery(request.query);
+  }();
+  parsed.parse_millis = parse_timer.Millis();
+  if (!query.ok()) return query.status();
+  if (query->num_vars() > opts_.max_query_vars) {
+    return Status::InvalidArgument(
+        "query has " + std::to_string(query->num_vars()) +
+        " variables, exceeding the engine's max_query_vars (" +
+        std::to_string(opts_.max_query_vars) + ")");
+  }
+  Status compatible = query->CheckAgainstDatabase(*parsed.db.db);
+  if (!compatible.ok()) return compatible;
+  parsed.query = *std::move(query);
+  return parsed;
 }
 
 StatusOr<EngineResult> CountingEngine::ExecutePlanned(
@@ -495,7 +518,6 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
   result.adaptive = adaptive;
   const std::vector<ComponentSchedule> schedule =
       Schedule(planned, epsilon, delta, adaptive, request.force_exact);
-  const ExecutorRegistry& registry = ExecutorRegistry::Default();
 
   double product = 1.0;
   bool all_exact = true;
@@ -536,37 +558,36 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
     result.width = std::max(result.width, cr.width);
 
     if (guards_hold && !interrupted) {
-      const StrategyExecutor* executor = registry.Find(cr.strategy);
-      if (executor == nullptr) {
-        return Status::Internal(std::string("no executor registered for ") +
-                                StrategyName(cr.strategy));
-      }
+      const int lanes = schedule[i].lanes;
       ExecContext ctx;
+      // Single-component queries keep the request seed verbatim, so the
+      // engine path is bitwise identical to the direct pipeline; factored
+      // queries give every component its own derived stream.
+      static_cast<EstimateInputs&>(ctx) = {
+          .epsilon = share.epsilon,
+          .delta = share.delta,
+          .seed = k_total == 1 ? base_seed
+                               : DeriveSeed(base_seed, static_cast<uint64_t>(i)),
+          .pool = lanes > 1 ? pool_.get() : nullptr,
+          .intra_threads = lanes,
+          .governor = governor};
       ctx.query = &component.query;
       ctx.db = &db;
       ctx.plan = &plan;
       ctx.shape = &component.shape;
-      // Single-component queries keep the request seed verbatim, so the
-      // engine path is bitwise identical to the direct pipeline; factored
-      // queries give every component its own derived stream.
-      ctx.budget.epsilon = share.epsilon;
-      ctx.budget.delta = share.delta;
-      ctx.budget.seed =
-          k_total == 1 ? base_seed : DeriveSeed(base_seed, static_cast<uint64_t>(i));
-      ctx.exact_decomposition_limit = opts_.plan.exact_decomposition_limit;
-      const int lanes = schedule[i].lanes;
-      ctx.pool = lanes > 1 ? pool_.get() : nullptr;
-      ctx.intra_threads = lanes;
-      ctx.governor = governor;
-      ctx.max_oracle_calls = request.max_oracle_calls;
+      // The request's oracle-call cap tightens (never widens) the
+      // estimator's own safety valve.
+      if (request.max_oracle_calls > 0) {
+        ctx.dlm.max_oracle_calls =
+            std::min(ctx.dlm.max_oracle_calls, request.max_oracle_calls);
+      }
       if (adaptive) {
-        ctx.adaptive.early_stop = true;
-        ctx.adaptive.min_early_stop_runs =
-            scheduler_.options().min_early_stop_runs;
-        ctx.adaptive.per_call_failure =
+        ctx.dlm.early_stop = true;
+        ctx.dlm.min_early_stop_runs = scheduler_.options().min_early_stop_runs;
+        ctx.per_call_failure_override =
             scheduler_.PerCallFailure(share.delta, cost);
       }
-      auto outcome = executor->Execute(ctx);
+      auto outcome = ExecuteStrategy(cr.strategy, ctx);
       if (!outcome.ok()) {
         // A typed governance status means the checkpoint fired before any
         // unit of this component completed: the component stays
@@ -683,43 +704,16 @@ StatusOr<EngineResult> CountingEngine::Count(const CountRequest& request) {
     metrics.count_errors.Increment();
     return fp;
   }
-  Status valid = ValidateRequest(request);
-  if (!valid.ok()) {
+  auto parsed = ParseRequest(request);
+  if (!parsed.ok()) {
     metrics.count_errors.Increment();
-    return valid;
+    return parsed.status();
   }
-  RegisteredDatabase db = FindDatabase(request.database);
-  if (db.db == nullptr) {
-    metrics.count_errors.Increment();
-    return Status::NotFound("no database registered as '" + request.database +
-                            "'");
-  }
-  WallTimer parse_timer;
-  auto query = [&] {
-    obs::Span span("engine.parse");
-    return ParseQuery(request.query);
-  }();
-  const double parse_millis = parse_timer.Millis();
-  if (!query.ok()) {
-    metrics.count_errors.Increment();
-    return query.status();
-  }
-  if (query->num_vars() > opts_.max_query_vars) {
-    metrics.count_errors.Increment();
-    return Status::InvalidArgument(
-        "query has " + std::to_string(query->num_vars()) +
-        " variables, exceeding the engine's max_query_vars (" +
-        std::to_string(opts_.max_query_vars) + ")");
-  }
-  Status compatible = query->CheckAgainstDatabase(*db.db);
-  if (!compatible.ok()) {
-    metrics.count_errors.Increment();
-    return compatible;
-  }
+  const RegisteredDatabase& db = parsed->db;
 
   WallTimer plan_timer;
   PlannedQuery planned =
-      CompileAndPlan(*query, request.database, db.generation, *db.db);
+      CompileAndPlan(parsed->query, request.database, db.generation, *db.db);
   const double plan_millis = plan_timer.Millis();
 
   // Always-active governor: with no budget and an uncancelled token it can
@@ -745,7 +739,7 @@ StatusOr<EngineResult> CountingEngine::Count(const CountRequest& request) {
   }
   if (result->partial) metrics.partial_results.Increment();
   result->plan_millis = plan_millis;
-  result->profile.parse_millis = parse_millis;
+  result->profile.parse_millis = parsed->parse_millis;
   return result;
 }
 
@@ -768,17 +762,16 @@ StatusOr<EngineResult> CountingEngine::CountExact(const std::string& query,
 
 StatusOr<Explanation> CountingEngine::Explain(const std::string& query,
                                               const std::string& database) {
-  RegisteredDatabase db = FindDatabase(database);
-  if (db.db == nullptr) {
-    return Status::NotFound("no database registered as '" + database + "'");
-  }
-  auto q = ParseQuery(query);
-  if (!q.ok()) return q.status();
-  Status compatible = q->CheckAgainstDatabase(*db.db);
-  if (!compatible.ok()) return compatible;
+  CountRequest request;
+  request.query = query;
+  request.database = database;
+  auto parsed = ParseRequest(request);
+  if (!parsed.ok()) return parsed.status();
+  const Query& q = parsed->query;
+  const RegisteredDatabase& db = parsed->db;
 
   WallTimer timer;
-  PlannedQuery planned = CompileAndPlan(*q, database, db.generation, *db.db);
+  PlannedQuery planned = CompileAndPlan(q, database, db.generation, *db.db);
   Explanation out;
   out.plan_millis = timer.Millis();
 
@@ -797,7 +790,7 @@ StatusOr<Explanation> CountingEngine::Explain(const std::string& query,
 
   const Query& nq = compiled.normalized;
   std::ostringstream text;
-  text << "query: " << q->ToString() << "\n"
+  text << "query: " << q.ToString() << "\n"
        << "kind: " << QueryKindName(nq.Kind()) << "  vars: " << nq.num_vars()
        << " (" << nq.num_free() << " free)"
        << "  ||phi||: " << nq.PhiSize() << "\n";

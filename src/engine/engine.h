@@ -10,8 +10,9 @@
 //   count as edges) -> plan each component independently (Figure-1
 //   classification, cached in a sharded LRU keyed by the component's
 //   canonical shape, so two different queries sharing a component shape
-//   reuse one sub-plan) -> execute each component through the
-//   StrategyExecutor registry -> multiply the per-component counts,
+//   reuse one sub-plan) -> execute each component through
+//   ExecuteStrategy, whose ExecContext is the estimators' shared input
+//   record (EstimateInputs) -> multiply the per-component counts,
 //   splitting the requested (epsilon, delta) across the factors so the
 //   product still meets the guarantee (see compile/compiled_query.h).
 //
@@ -38,6 +39,7 @@
 #include "query/query.h"
 #include "relational/structure.h"
 #include "util/cancel.h"
+#include "util/executor.h"
 #include "util/status.h"
 
 namespace cqcount {
@@ -294,7 +296,8 @@ class CountingEngine {
 
   /// Compiles and plans without executing: rewrite-pass effects, the
   /// per-component Figure-1 verdicts, chosen strategies, decomposition
-  /// shapes and cost estimates.
+  /// shapes and cost estimates. Rejects what Count would reject before
+  /// planning (same guard rails).
   StatusOr<Explanation> Explain(const std::string& query,
                                 const std::string& database);
 
@@ -371,10 +374,19 @@ class CountingEngine {
                                           bool adaptive,
                                           bool force_exact) const;
 
-  /// Request-shape validation shared by Count and CountBatch: accuracy
-  /// overrides must be finite and in (0, 1), the database name non-empty,
-  /// the query text within the engine's size guard rails.
-  Status ValidateRequest(const CountRequest& request) const;
+  /// A request that passed validation: its database and parsed query.
+  struct ParsedRequest {
+    RegisteredDatabase db;
+    Query query;
+    double parse_millis = 0.0;
+  };
+
+  /// The request guard rails shared by Count (and so CountBatch) and
+  /// Explain: the database name must be non-empty and registered,
+  /// accuracy overrides 0 or in (0, 1), the query text within
+  /// max_query_bytes; the parsed query within max_query_vars and
+  /// compatible with the database.
+  StatusOr<ParsedRequest> ParseRequest(const CountRequest& request) const;
 
   StatusOr<EngineResult> ExecutePlanned(const PlannedQuery& planned,
                                         const Database& db,

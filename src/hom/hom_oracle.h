@@ -125,7 +125,8 @@ class HomOracle {
 
 /// Polynomial-time oracle via tree-decomposition DP (Theorem 31 engine; the
 /// same engine serves the unbounded-arity case over an fhw-optimised
-/// decomposition, standing in for Theorem 36 — see DESIGN.md section 4.2).
+/// decomposition, standing in for Theorem 36 — README "Hot path & cost
+/// model" describes the DP's prepare/evaluate split).
 class DecompositionHomOracle : public HomOracle {
  public:
   DecompositionHomOracle(const Query& q, const Database& db,

@@ -1,18 +1,63 @@
-// The result contract shared by every estimator in the stack.
+// The input and result contracts shared by every estimator in the stack.
 //
-// DlmResult, ApproxCountResult, FprasResult, AcjrResult, the engine's
-// ExecOutcome and ComponentResult all derive from EstimateOutcome: the
-// estimate, how it was reached (exact / converged / partial interval /
-// stop reason), the outer-median run tally and the lane statistics. Each
-// layer hands the record up with one base-class assignment and adds only
-// its own counters, so a new field here reaches `count --json` without
-// touching the layers in between.
+// Inputs: ExecContext, ApproxOptions, DlmOptions and AcjrOptions derive
+// from EstimateInputs — the (epsilon, delta) target, the seed, the worker
+// pool and lane count, and the governor. Each layer hands them down with
+// one base-class assignment and adds only its own tuning.
+//
+// Results: DlmResult, ApproxCountResult, FprasResult, AcjrResult, the
+// engine's ExecOutcome and ComponentResult all derive from
+// EstimateOutcome: the estimate, how it was reached (exact / converged /
+// partial interval / stop reason), the outer-median run tally and the
+// lane statistics. Each layer hands the record up with one base-class
+// assignment and adds only its own counters, so a new field here reaches
+// `count --json` without touching the layers in between.
 #ifndef CQCOUNT_UTIL_ESTIMATE_OUTCOME_H_
 #define CQCOUNT_UTIL_ESTIMATE_OUTCOME_H_
 
 #include <cstdint>
 
+#include "util/status.h"
+
 namespace cqcount {
+
+class Executor;
+class ResourceGovernor;
+
+/// True when `v` lies strictly inside (0, 1). Written as the positive
+/// range test, so NaN fails it.
+inline bool InOpenUnitInterval(double v) { return v > 0.0 && v < 1.0; }
+
+/// What every estimate takes: the accuracy target, the randomness, and
+/// how the work may run.
+struct EstimateInputs {
+  /// Target relative error of the (epsilon, delta) guarantee.
+  double epsilon = 0.1;
+  /// Target failure probability.
+  double delta = 0.1;
+  /// Seed controlling all randomness of the estimate.
+  uint64_t seed = 0xC0FFEEULL;
+  /// Worker pool for intra-estimate parallelism (not owned; null =
+  /// inline) and the lanes the estimate may partition across (<= 1 =
+  /// inline). Purely scheduling: fixed-seed estimates are bit-identical
+  /// at every (pool, intra_threads) configuration (README "Parallel
+  /// estimation & determinism model").
+  Executor* pool = nullptr;
+  int intra_threads = 1;
+  /// Cooperative governance (not owned; null = ungoverned), polled at
+  /// deterministic boundaries only. On expiry or cancellation an
+  /// estimator returns its anytime partial answer, or the governor's
+  /// typed CANCELLED/DEADLINE_EXCEEDED status when it has none.
+  const ResourceGovernor* governor = nullptr;
+
+  /// INVALID_ARGUMENT unless epsilon and delta both lie in (0, 1).
+  Status ValidateAccuracy() const {
+    if (!InOpenUnitInterval(epsilon) || !InOpenUnitInterval(delta)) {
+      return Status::InvalidArgument("epsilon and delta must lie in (0, 1)");
+    }
+    return Status::Ok();
+  }
+};
 
 /// Why an estimator stopped scheduling work. kNone covers computations
 /// without a run/round schedule (exact results, trivial instances); every

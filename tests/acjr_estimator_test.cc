@@ -67,6 +67,20 @@ TEST(AcjrTest, RejectsExtendedQueries) {
   EXPECT_FALSE(AcjrCountAnswers(q, db, MakeNice(q), {}).ok());
 }
 
+TEST(AcjrTest, RejectsOutOfRangeAccuracy) {
+  Query q = Parse("ans(x) :- E(x, y).");
+  Database db = GraphToDatabase(PathGraph(3));
+  const NiceTreeDecomposition nice = MakeNice(q);
+  AcjrOptions opts;
+  ASSERT_TRUE(AcjrCountAnswers(q, db, nice, opts).ok());
+  for (const EstimateInputs& bad : testing_util::BadAccuracyInputs()) {
+    static_cast<EstimateInputs&>(opts) = bad;
+    EXPECT_EQ(AcjrCountAnswers(q, db, nice, opts).status().code(),
+              StatusCode::kInvalidArgument)
+        << "epsilon " << bad.epsilon << " delta " << bad.delta;
+  }
+}
+
 TEST(AcjrTest, BooleanQuery) {
   Query q = Parse("ans() :- E(x, y).");
   Database db = GraphToDatabase(PathGraph(2));

@@ -92,6 +92,12 @@ TEST(DlmCounterTest, InvalidParametersRejected) {
   opts.delta = 1.5;
   EXPECT_FALSE(DlmCountEdges({2}, oracle, opts).ok());
   EXPECT_FALSE(DlmCountEdges({}, oracle, {}).ok());
+  for (const EstimateInputs& bad : testing_util::BadAccuracyInputs()) {
+    static_cast<EstimateInputs&>(opts) = bad;
+    EXPECT_EQ(DlmCountEdges({2}, oracle, opts).status().code(),
+              StatusCode::kInvalidArgument)
+        << "epsilon " << bad.epsilon << " delta " << bad.delta;
+  }
 }
 
 TEST(DlmCounterTest, ZeroSizedPartMeansZeroEdges) {

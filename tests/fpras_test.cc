@@ -43,6 +43,19 @@ TEST(FprasTest, RejectsDcqAndEcq) {
   EXPECT_FALSE(FprasCountCq(ecq, db, opts).ok());
 }
 
+TEST(FprasTest, RejectsOutOfRangeAccuracy) {
+  Database db = GraphToDatabase(PathGraph(3));
+  Query q = Parse("ans(x) :- E(x, y).");
+  FprasOptions opts;
+  ASSERT_TRUE(FprasCountCq(q, db, opts).ok());
+  for (const EstimateInputs& bad : testing_util::BadAccuracyInputs()) {
+    static_cast<EstimateInputs&>(opts.acjr) = bad;
+    EXPECT_EQ(FprasCountCq(q, db, opts).status().code(),
+              StatusCode::kInvalidArgument)
+        << "epsilon " << bad.epsilon << " delta " << bad.delta;
+  }
+}
+
 TEST(FprasTest, LargerDatabaseStaysAccurate) {
   // The FPRAS's reason to exist: N too big for brute force over
   // solutions but fine for the extension-based exact counter.

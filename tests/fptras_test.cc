@@ -82,6 +82,12 @@ TEST(FptrasTest, RejectsInvalidParameters) {
   ApproxOptions opts = TestOptions(1);
   opts.epsilon = 2.0;
   EXPECT_FALSE(ApproxCountAnswers(q, db, opts).ok());
+  for (const EstimateInputs& bad : testing_util::BadAccuracyInputs()) {
+    static_cast<EstimateInputs&>(opts) = bad;
+    EXPECT_EQ(ApproxCountAnswers(q, db, opts).status().code(),
+              StatusCode::kInvalidArgument)
+        << "epsilon " << bad.epsilon << " delta " << bad.delta;
+  }
 }
 
 TEST(FptrasTest, RejectsSignatureMismatch) {

@@ -105,6 +105,12 @@ TEST_F(GovernanceTest, ValidationRejectsOversizedQueryText) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("max_query_bytes"),
             std::string::npos);
+  // Explain applies the same guard rail before planning.
+  auto explained = engine.Explain(request.query, "g");
+  ASSERT_FALSE(explained.ok());
+  EXPECT_EQ(explained.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(explained.status().message().find("max_query_bytes"),
+            std::string::npos);
 }
 
 TEST_F(GovernanceTest, ValidationRejectsTooManyVariables) {
@@ -116,6 +122,11 @@ TEST_F(GovernanceTest, ValidationRejectsTooManyVariables) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("max_query_vars"),
+            std::string::npos);
+  auto explained = engine.Explain("ans(x) :- F(x, y), F(y, z).", "g");
+  ASSERT_FALSE(explained.ok());
+  EXPECT_EQ(explained.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(explained.status().message().find("max_query_vars"),
             std::string::npos);
 }
 

@@ -4,6 +4,7 @@
 #ifndef CQCOUNT_TESTS_TEST_UTIL_H_
 #define CQCOUNT_TESTS_TEST_UTIL_H_
 
+#include <cmath>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "query/query.h"
 #include "relational/structure.h"
 #include "util/bitset.h"
+#include "util/estimate_outcome.h"
 #include "util/random.h"
 
 namespace cqcount {
@@ -25,6 +27,18 @@ inline Bitset MaskOf(std::initializer_list<bool> bits) {
     ++i;
   }
   return mask;
+}
+
+/// Out-of-range accuracy targets every estimator entry point must reject
+/// with INVALID_ARGUMENT: NaN, 0, 1 and -1 as epsilon, then as delta, of
+/// otherwise default inputs.
+inline std::vector<EstimateInputs> BadAccuracyInputs() {
+  std::vector<EstimateInputs> bad;
+  for (double v : {std::nan(""), 0.0, 1.0, -1.0}) {
+    bad.emplace_back().epsilon = v;
+    bad.emplace_back().delta = v;
+  }
+  return bad;
 }
 
 /// Knobs for RandomQuery.
