@@ -6,7 +6,7 @@
 //               via SegmentWriter (never materialised in memory), then
 //               measures the mmap open cost (microseconds, O(1) in row
 //               count) against the linear cost of registering the same
-//               data in memory (stage + canonicalise + zone maps).
+//               data in memory (stage + canonicalise).
 //   kernels     scalar-vs-SIMD bandwidth of the two scan kernels the
 //               estimators lean on — the strided linear lower-bound
 //               scan behind NarrowRange/GroupEnd and the word-parallel
@@ -96,7 +96,8 @@ OpenEntry MeasureOpen(uint64_t rows) {
   }
 
   // The in-memory cost of the same data: stage (rows arrive pre-sorted,
-  // as a bulk loader would deliver them), canonicalise, build zone maps.
+  // as a bulk loader would deliver them) and canonicalise, which is what
+  // RegisterDatabase does with an in-memory database.
   timer.Reset();
   {
     Relation rel(2);
@@ -106,7 +107,6 @@ OpenEntry MeasureOpen(uint64_t rows) {
       dst[1] = static_cast<Value>(i % kSplit);
     }
     rel.Canonicalize();
-    rel.BuildZoneMaps();
     entry.inmemory_register_ms = timer.Millis();
   }
   std::remove(kSegPath);

@@ -53,8 +53,6 @@ REQUIRED_METRICS = (
     "scheduler.early_stops",
     "scheduler.runs_saved",
     "storage.segment_opens",
-    "storage.zone_probes",
-    "storage.zone_prunes",
 )
 
 # Typed stop reasons an estimator execution may report (util/

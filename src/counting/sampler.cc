@@ -89,25 +89,6 @@ AnswerSampler::AnswerSampler(const Query& q, const Database& db,
   cc.governor = opts.approx.governor;
   oracle_ = std::make_unique<ColourCodingEdgeFreeOracle>(
       q, hom_.get(), db.universe_size(), cc);
-  // Zone-map pruning: every positive atom that places a free variable at
-  // some column is a necessary condition on that variable's value — if
-  // the relation's zone maps prove no row has a column value inside the
-  // descent box's range for the variable, the box holds no answers and
-  // its sub-count is exactly 0 (sound: zone maps are exact per-block
-  // bounds; only positive atoms constrain this way). Pruning never
-  // touches RNG state — descent seeds are drawn by the caller before the
-  // sub-counts run — so samples are bit-identical with pruning on or off.
-  for (const Atom& atom : q.atoms()) {
-    if (atom.negated || !db.HasRelation(atom.relation)) continue;
-    const ZoneMaps* zones = db.relation(atom.relation).zone_maps();
-    if (zones == nullptr) continue;
-    for (size_t p = 0; p < atom.vars.size(); ++p) {
-      if (atom.vars[p] < q.num_free()) {
-        zone_probes_.push_back(
-            {zones, static_cast<int>(p), atom.vars[p]});
-      }
-    }
-  }
 }
 
 StatusOr<std::unique_ptr<AnswerSampler>> AnswerSampler::Create(
@@ -143,31 +124,6 @@ StatusOr<Tuple> AnswerSampler::SampleOne() {
   auto count_box = [&](const std::vector<std::pair<uint32_t, uint32_t>>& b,
                        uint64_t seed, EdgeFreeOracle* base,
                        int lanes) -> StatusOr<double> {
-    // Zone-map pruning: a provably empty box counts 0 without spending
-    // any oracle budget (and without advancing any RNG — the seed was
-    // drawn by the caller).
-    if (!zone_probes_.empty()) {
-      static obs::Counter& zone_probes_metric =
-          obs::MetricRegistry::Global().GetCounter(
-              "storage.zone_probes",
-              "zone-map emptiness probes before sub-counts");
-      static obs::Counter& zone_prunes_metric =
-          obs::MetricRegistry::Global().GetCounter(
-              "storage.zone_prunes",
-              "sub-box counts skipped because zone maps proved them empty");
-      uint64_t probes = 0;
-      for (const ZoneProbe& probe : zone_probes_) {
-        ++probes;
-        if (!probe.zones->MaybeHasValueInRange(
-                probe.col, b[static_cast<size_t>(probe.var)].first,
-                b[static_cast<size_t>(probe.var)].second)) {
-          zone_probes_metric.Add(probes);
-          zone_prunes_metric.Increment();
-          return 0.0;
-        }
-      }
-      zone_probes_metric.Add(probes);
-    }
     BoxRestrictedOracle restricted(base, n, b);
     std::vector<uint32_t> sizes;
     sizes.reserve(b.size());

@@ -6,7 +6,9 @@
 // probability proportional to their (approximately counted) answer
 // sub-counts — the Jerrum-Valiant-Vazirani counting-to-sampling direction.
 // Sub-counts that resolve exactly (the estimator's enumeration fast path)
-// make the descent exactly proportional.
+// make the descent exactly proportional. Every sub-count reads only the
+// relations' canonical rows; an empty half resolves to exactly 0 in that
+// fast path, so no storage-side pruning is needed.
 #ifndef CQCOUNT_COUNTING_SAMPLER_H_
 #define CQCOUNT_COUNTING_SAMPLER_H_
 
@@ -67,15 +69,6 @@ class AnswerSampler {
   // Oracle forks for evaluating the two halves of a descent level
   // concurrently (created lazily, reused across samples).
   std::vector<std::unique_ptr<EdgeFreeOracle>> descent_forks_;
-  // Zone-map pruning hooks: positive atoms that pin a free variable to a
-  // relation column whose zone maps can refute a descent box outright
-  // (see SampleOne). Empty when the database carries no zone maps.
-  struct ZoneProbe {
-    const ZoneMaps* zones;  // Owned by the database relation.
-    int col;                // Column of the relation.
-    int var;                // Free variable (< num_free) at that column.
-  };
-  std::vector<ZoneProbe> zone_probes_;
   double width_ = 0.0;
   Rng rng_;
 };

@@ -273,12 +273,10 @@ Status CountingEngine::RegisterDatabase(const std::string& name, Database db) {
   // Canonicalise now, while the database is still exclusively owned:
   // afterwards every const access is genuinely read-only (the flat
   // storage has no lazy-sort mutation), so the shared snapshot is safe
-  // for concurrent batch workers. Zone maps are built here too (a no-op
-  // for mmap'd segment relations, which carry theirs from the file), so
-  // both storage backends prune identically and estimates stay
-  // bit-identical between them.
+  // for concurrent batch workers. Mmap'd segment relations are born
+  // canonical, so both storage backends read the same rows in the same
+  // order and estimates stay bit-identical between them.
   db.Canonicalize();
-  db.BuildZoneMaps();
   auto shared = std::make_shared<const Database>(std::move(db));
   std::unique_lock<std::shared_mutex> lock(db_mu_);
   RegisteredDatabase& entry = databases_[name];
@@ -291,8 +289,8 @@ Status CountingEngine::RegisterDatabase(const std::string& name, Database db) {
 
 Status CountingEngine::RegisterDatabaseFile(const std::string& name,
                                             const std::string& path) {
-  // Segment files mmap in O(1) (no copy, no sort — canonical order and
-  // zone maps are format invariants); text files parse and canonicalise.
+  // Segment files mmap in O(1) (no copy, no sort — canonical order is a
+  // format invariant); text files parse and canonicalise.
   // Cold-open cost is recorded either way so `stats` shows what
   // registration paid per backend.
   static obs::Counter& cold_opens = obs::MetricRegistry::Global().GetCounter(

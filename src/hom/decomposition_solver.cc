@@ -440,12 +440,20 @@ bool DecompositionSolver::EnsureBagRowCache() {
   }
 
   const int num_nodes = td_.num_nodes();
+  const size_t universe = db_.universe_size();
   bag_rows_.assign(num_nodes, FlatTuples());
   uint64_t total = 0;
   for (int t = 0; t < num_nodes; ++t) {
     FlatTuples rows(static_cast<int>(td_.bags[t].size()));
     bool within_cap = true;
     joiners_[t].Enumerate(nullptr, [&](const Tuple& tup) {
+      // Values are certified < universe at load, but a segment opened
+      // without the data audit can still carry a corrupt data page; drop
+      // such rows (as ExistTable::Build does) before they index the
+      // per-value column arrays below.
+      for (Value v : tup) {
+        if (v >= universe) return true;
+      }
       if (total >= opts_.max_cached_bag_rows) {
         within_cap = false;
         return false;
@@ -469,7 +477,6 @@ bool DecompositionSolver::EnsureBagRowCache() {
   // cache and fall back to the monolithic DP past it (a huge sparse
   // universe is also the regime where per-call O(universe) masks are
   // the real cost anyway).
-  const size_t universe = db_.universe_size();
   uint64_t index_entries = 0;
   for (int t = 0; t < num_nodes; ++t) {
     index_entries += static_cast<uint64_t>(bag_rows_[t].width()) *

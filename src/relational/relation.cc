@@ -25,24 +25,14 @@ bool IsCanonicalOrder(const std::vector<Value>& data, size_t rows,
 }  // namespace
 
 Relation Relation::FromMappedSpan(int arity, size_t rows, const Value* data,
-                                  ZoneMaps zones,
                                   std::shared_ptr<const void> keepalive) {
   assert(arity >= 1);
   Relation r(arity);
   r.num_rows_ = rows;
   r.mapped_ = data;
   r.keepalive_ = std::move(keepalive);
-  r.zones_ = std::move(zones);
   r.dirty_ = false;  // Canonical order is a segment-format invariant.
   return r;
-}
-
-void Relation::BuildZoneMaps() {
-  assert(!dirty_ && "BuildZoneMaps on a non-canonical Relation");
-  if (!zones_.empty() || mapped_ != nullptr || num_rows_ == 0 || arity_ == 0) {
-    return;
-  }
-  zones_ = ZoneMaps::Build(base(), arity_, num_rows_);
 }
 
 Relation::Relation(int arity, std::vector<Value> rows) : arity_(arity) {

@@ -39,8 +39,6 @@
 #include <utility>
 #include <vector>
 
-#include "relational/zone_maps.h"
-
 namespace cqcount {
 
 /// A universe element. Universes are dense: {0, .., N-1}.
@@ -241,10 +239,9 @@ class Relation {
   /// Adopts a borrowed, already-canonical (sorted, duplicate-free,
   /// row-major) buffer of `rows` tuples — the mmap'd segment backend.
   /// `keepalive` pins the mapping (all relations of one segment share
-  /// it); `zones` carries the segment's precomputed zone maps. The
-  /// relation is born canonical and immutable: mutating stagers assert.
+  /// it). The relation is born canonical and immutable: mutating stagers
+  /// assert.
   static Relation FromMappedSpan(int arity, size_t rows, const Value* data,
-                                 ZoneMaps zones,
                                  std::shared_ptr<const void> keepalive);
 
   /// True when reads resolve to a borrowed mmap'd span rather than the
@@ -257,18 +254,6 @@ class Relation {
     assert(!dirty_ && "read access to a non-canonical Relation");
     return mapped_ != nullptr ? mapped_ : data_.data();
   }
-
-  /// Zone maps over this relation's rows, or nullptr when none were
-  /// built/loaded. Present on mapped relations (segments store them) and
-  /// on in-memory relations after BuildZoneMaps().
-  const ZoneMaps* zone_maps() const {
-    return zones_.empty() ? nullptr : &zones_;
-  }
-
-  /// Builds zone maps in place for an in-memory canonical relation (no-op
-  /// when already present, mapped, or empty). Not thread-safe against
-  /// concurrent readers; call once at registration time.
-  void BuildZoneMaps();
 
   int arity() const { return arity_; }
   /// Number of tuples. Before Canonicalize() this counts staged rows,
@@ -423,7 +408,6 @@ class Relation {
   // segment mapping shared by all its relations). Null for owned storage.
   const Value* mapped_ = nullptr;
   std::shared_ptr<const void> keepalive_;
-  ZoneMaps zones_;  // Empty unless built (owned) or loaded (segment).
 };
 
 }  // namespace cqcount

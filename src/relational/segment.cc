@@ -12,7 +12,6 @@
 
 #include "obs/metrics.h"
 #include "relational/database_io.h"
-#include "relational/zone_maps.h"
 
 namespace cqcount {
 namespace {
@@ -22,6 +21,16 @@ constexpr char kEndMagic[8] = {'C', 'Q', 'S', 'E', 'G', 'E', 'N', 'D'};
 constexpr uint32_t kVersion = 1;
 constexpr uint64_t kDataAlign = 4096;  // Page-align relation data blocks.
 constexpr uint64_t kMinorAlign = 64;   // Zone blocks and the directory.
+
+// Zone blocks: rows are cut into blocks of kZoneBlockRows tuples (the last
+// block may be short), and for block b and column c the relation's zone
+// block holds the column's min at entry (b*arity + c)*2 and its max at the
+// entry after it. The header records the block size; the format fixes it.
+constexpr uint64_t kZoneBlockRows = 1024;
+
+uint64_t ZoneEntryCount(uint64_t arity, uint64_t rows) {
+  return (rows + kZoneBlockRows - 1) / kZoneBlockRows * arity * 2;
+}
 
 // On-disk structs. Fields are naturally aligned and the format is
 // host-endian (an operational cache, not an interchange format).
@@ -87,11 +96,6 @@ struct StorageMetrics {
   obs::Gauge& pages_resident = obs::MetricRegistry::Global().GetGauge(
       "storage.pages_resident",
       "resident pages of the last-audited segment mapping (mincore)");
-  obs::Counter& zone_probes = obs::MetricRegistry::Global().GetCounter(
-      "storage.zone_probes", "zone-map emptiness probes before sub-counts");
-  obs::Counter& zone_prunes = obs::MetricRegistry::Global().GetCounter(
-      "storage.zone_prunes",
-      "sub-box counts skipped because zone maps proved them empty");
 
   static StorageMetrics& Get() {
     static StorageMetrics* metrics = new StorageMetrics();
@@ -230,7 +234,7 @@ Status SegmentWriter::AppendRow(const Value* row) {
         im.rel_name);
   }
   // Zone accumulation: extend on block boundary, else fold min/max.
-  const size_t block = static_cast<size_t>(im.rows / ZoneMaps::kBlockRows);
+  const size_t block = static_cast<size_t>(im.rows / kZoneBlockRows);
   if (block * arity * 2 >= im.zone_entries.size()) {
     for (size_t c = 0; c < arity; ++c) {
       im.zone_entries.push_back(row[c]);
@@ -313,7 +317,7 @@ Status SegmentWriter::Finish() {
   FileHeader header{};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.version = kVersion;
-  header.zone_block_rows = static_cast<uint32_t>(ZoneMaps::kBlockRows);
+  header.zone_block_rows = static_cast<uint32_t>(kZoneBlockRows);
   header.universe_size = im.universe_size;
   header.relation_count = static_cast<uint32_t>(im.directory.size());
   header.directory_offset = directory_offset;
@@ -386,7 +390,7 @@ StatusOr<std::shared_ptr<const SegmentView>> SegmentView::Open(
     return Invalid(path,
                    "unsupported version " + std::to_string(header.version));
   }
-  if (header.zone_block_rows != ZoneMaps::kBlockRows) {
+  if (header.zone_block_rows != kZoneBlockRows) {
     return Invalid(path, "zone block size mismatch");
   }
   if (header.file_bytes != len) {
@@ -445,8 +449,7 @@ StatusOr<std::shared_ptr<const SegmentView>> SegmentView::Open(
       return Invalid(path, "row count exceeds file capacity for " + rel.name);
     }
     const uint64_t data_bytes = entry.rows * entry.arity * sizeof(Value);
-    const uint64_t zone_values =
-        ZoneMaps::EntryCount(rel.arity, static_cast<size_t>(entry.rows));
+    const uint64_t zone_values = ZoneEntryCount(entry.arity, entry.rows);
     const uint64_t zone_bytes = zone_values * sizeof(Value);
     if (entry.data_offset % sizeof(Value) != 0 ||
         entry.data_offset < sizeof(FileHeader) ||
@@ -477,8 +480,8 @@ StatusOr<std::shared_ptr<const SegmentView>> SegmentView::Open(
   }
   for (const RelationEntry& rel : view->relations_) {
     const uint64_t zone_values =
-        ZoneMaps::EntryCount(rel.arity, static_cast<size_t>(rel.rows));
-    // Zone maps are exact per-block bounds, so this O(blocks) walk
+        ZoneEntryCount(static_cast<uint64_t>(rel.arity), rel.rows);
+    // Zone blocks are exact per-block bounds, so this O(blocks) walk
     // certifies every value is inside the universe without touching the
     // O(rows) data pages.
     for (uint64_t z = 1; z < zone_values; z += 2) {
@@ -548,12 +551,10 @@ StatusOr<Database> OpenSegmentDatabase(const std::string& path,
   }
   Database db(static_cast<uint32_t>(view->universe_size()));
   for (const SegmentView::RelationEntry& rel : view->relations()) {
-    ZoneMaps zones = ZoneMaps::Borrow(rel.zones, rel.arity,
-                                      static_cast<size_t>(rel.rows));
     Status s = db.AdoptRelation(
         rel.name,
         Relation::FromMappedSpan(rel.arity, static_cast<size_t>(rel.rows),
-                                 rel.data, std::move(zones), view));
+                                 rel.data, view));
     if (!s.ok()) return s;
   }
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(

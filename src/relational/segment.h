@@ -10,8 +10,9 @@
 //                           uint32 values, row-major, canonical sort
 //                           order (sorted, duplicate-free — the Relation
 //                           invariant, preserved on disk)
-//                           zone block   (64 B-aligned): per-block
-//                           per-column min/max (ZoneMaps layout)
+//                           zone block   (64 B-aligned): for each block
+//                           of 1024 rows (the last may be short) and
+//                           each column, that column's min then max
 //   directory_offset        relation_count * DirEntry (64 B each):
 //                           name, arity, rows, data/zone offsets
 //   tail                    Trailer (32 B): data checksum, directory
@@ -24,14 +25,17 @@
 // integrity-checked at every open because the O(1) universe
 // certification trusts zone maxima in place of the data pages; the data
 // checksum covers only the O(rows) data pages and is opt-in via
-// verify_data_checksum. All integers are little-endian host format; the
+// verify_data_checksum. Without that audit a corrupt data page can still
+// hold a value at or past the universe, so code that indexes arrays by
+// value drops such rows. All integers are little-endian host format; the
 // format is an operational cache, not an archival interchange format.
 //
 // A SegmentView owns the mapping; OpenSegmentDatabase wraps each
 // relation in a Relation::FromMappedSpan that shares the view, so the
-// Database reads identically to an in-memory one (same canonical order,
-// same zone maps => bit-identical estimates) while costing no load time
-// and no resident memory beyond what queries actually touch.
+// Database reads identically to an in-memory one (same canonical order
+// => bit-identical estimates) while costing no load time and no resident
+// memory beyond what queries actually touch. Zone blocks serve only the
+// universe check at open; nothing reads them afterwards.
 #ifndef CQCOUNT_RELATIONAL_SEGMENT_H_
 #define CQCOUNT_RELATIONAL_SEGMENT_H_
 
@@ -103,7 +107,9 @@ class SegmentView {
     int arity = 0;
     uint64_t rows = 0;
     const Value* data = nullptr;   // rows*arity values, canonical order.
-    const Value* zones = nullptr;  // ZoneMaps::EntryCount(arity, rows).
+    // Per block b and column c: min at zones[(b*arity + c)*2], max at the
+    // next entry; ceil(rows / 1024) * arity * 2 values, null when empty.
+    const Value* zones = nullptr;
   };
 
   static StatusOr<std::shared_ptr<const SegmentView>> Open(

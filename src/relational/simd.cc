@@ -43,18 +43,6 @@ size_t ScalarLinearUpperBound(const Value* base, size_t stride, size_t n,
   return i;
 }
 
-void ScalarMinMax(const Value* base, size_t stride, size_t n, Value* min_out,
-                  Value* max_out) {
-  Value mn = base[0], mx = base[0];
-  for (size_t i = 1; i < n; ++i) {
-    const Value v = base[i * stride];
-    if (v < mn) mn = v;
-    if (v > mx) mx = v;
-  }
-  *min_out = mn;
-  *max_out = mx;
-}
-
 uint64_t ScalarProbeStampsBlock(const uint32_t* stamps, size_t space,
                                 uint32_t epoch, const Value* rows,
                                 size_t width, const int* cols,
@@ -76,49 +64,6 @@ uint64_t ScalarProbeStampsBlock(const uint32_t* stamps, size_t space,
 }
 
 #if CQCOUNT_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// SSE2 kernels. SSE2 is baseline on x86-64; the contiguous (stride 1) scans
-// vectorise, strided scans fall back to scalar (no gather before AVX2).
-// ---------------------------------------------------------------------------
-
-__attribute__((target("sse2"))) size_t Sse2LinearLowerBound(
-    const Value* base, size_t stride, size_t n, Value v) {
-  if (stride != 1) return ScalarLinearLowerBound(base, stride, n, v);
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(kSignBias));
-  const __m128i vv = _mm_xor_si128(_mm_set1_epi32(static_cast<int>(v)), bias);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i keys = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(base + i)), bias);
-    // Lane bit set while key < v; the first clear lane is the bound.
-    const int lt = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(keys, vv)));
-    if (lt != 0xF) return i + static_cast<size_t>(__builtin_ctz(~lt & 0xF));
-  }
-  for (; i < n; ++i) {
-    if (base[i] >= v) return i;
-  }
-  return n;
-}
-
-__attribute__((target("sse2"))) size_t Sse2LinearUpperBound(
-    const Value* base, size_t stride, size_t n, Value v) {
-  if (stride != 1) return ScalarLinearUpperBound(base, stride, n, v);
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(kSignBias));
-  const __m128i vv = _mm_xor_si128(_mm_set1_epi32(static_cast<int>(v)), bias);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i keys = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(base + i)), bias);
-    // Lane bit set where key > v; the first set lane is the bound.
-    const int gt = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(keys, vv)));
-    if (gt != 0) return i + static_cast<size_t>(__builtin_ctz(gt));
-  }
-  for (; i < n; ++i) {
-    if (base[i] > v) return i;
-  }
-  return n;
-}
 
 // ---------------------------------------------------------------------------
 // AVX2 kernels: 8-lane scans; strided access and the stamp probe use
@@ -239,50 +184,6 @@ __attribute__((target("avx2"))) size_t Avx2LinearUpperBound(
   return n;
 }
 
-__attribute__((target("avx2"))) void Avx2MinMax(const Value* base,
-                                                size_t stride, size_t n,
-                                                Value* min_out,
-                                                Value* max_out) {
-  if (n < 16) {
-    ScalarMinMax(base, stride, n, min_out, max_out);
-    return;
-  }
-  __m256i mn = _mm256_set1_epi32(-1);  // All ones: unsigned max.
-  __m256i mx = _mm256_setzero_si256();
-  size_t i = 0;
-  if (stride == 1) {
-    for (; i + 8 <= n; i += 8) {
-      const __m256i keys =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + i));
-      mn = _mm256_min_epu32(mn, keys);
-      mx = _mm256_max_epu32(mx, keys);
-    }
-  } else {
-    const __m256i idx = Avx2StrideIndices(stride);
-    for (; i + 8 <= n; i += 8) {
-      const __m256i keys = _mm256_i32gather_epi32(
-          reinterpret_cast<const int*>(base + i * stride), idx, 4);
-      mn = _mm256_min_epu32(mn, keys);
-      mx = _mm256_max_epu32(mx, keys);
-    }
-  }
-  alignas(32) Value lanes_mn[8], lanes_mx[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes_mn), mn);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes_mx), mx);
-  Value best_mn = lanes_mn[0], best_mx = lanes_mx[0];
-  for (int l = 1; l < 8; ++l) {
-    if (lanes_mn[l] < best_mn) best_mn = lanes_mn[l];
-    if (lanes_mx[l] > best_mx) best_mx = lanes_mx[l];
-  }
-  for (; i < n; ++i) {
-    const Value v = base[i * stride];
-    if (v < best_mn) best_mn = v;
-    if (v > best_mx) best_mx = v;
-  }
-  *min_out = best_mn;
-  *max_out = best_mx;
-}
-
 __attribute__((target("avx2"))) uint64_t Avx2ProbeStampsBlock(
     const uint32_t* stamps, size_t space, uint32_t epoch, const Value* rows,
     size_t width, const int* cols, const uint32_t* radix, size_t ncols,
@@ -334,7 +235,6 @@ Level DetectMaxLevel() {
 #if CQCOUNT_SIMD_X86
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return Level::kSse2;
 #endif
   return Level::kScalar;
 }
@@ -347,7 +247,6 @@ Level LevelFromEnv(Level max_level) {
   if (s == "scalar" || s == "off" || s == "0" || s == "none") {
     return Level::kScalar;
   }
-  if (s == "sse2") return MinLevel(Level::kSse2, max_level);
   if (s == "avx2") return MinLevel(Level::kAvx2, max_level);
   return max_level;  // Unknown value: ignore rather than crash.
 }
@@ -363,8 +262,6 @@ const char* LevelName(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse2:
-      return "sse2";
     case Level::kAvx2:
       return "avx2";
   }
@@ -390,7 +287,6 @@ size_t LinearLowerBoundStridedAt(Level level, const Value* base,
                                  size_t stride, size_t n, Value v) {
 #if CQCOUNT_SIMD_X86
   if (level == Level::kAvx2) return Avx2LinearLowerBound(base, stride, n, v);
-  if (level == Level::kSse2) return Sse2LinearLowerBound(base, stride, n, v);
 #else
   (void)level;
 #endif
@@ -401,7 +297,6 @@ size_t LinearUpperBoundStridedAt(Level level, const Value* base,
                                  size_t stride, size_t n, Value v) {
 #if CQCOUNT_SIMD_X86
   if (level == Level::kAvx2) return Avx2LinearUpperBound(base, stride, n, v);
-  if (level == Level::kSse2) return Sse2LinearUpperBound(base, stride, n, v);
 #else
   (void)level;
 #endif
@@ -445,24 +340,6 @@ size_t UpperBoundStrided(const Value* base, size_t stride, size_t n,
   }
   return lo + LinearUpperBoundStridedAt(ActiveLevel(), base + lo * stride,
                                         stride, hi - lo, v);
-}
-
-void MinMaxStridedAt(Level level, const Value* base, size_t stride, size_t n,
-                     Value* min_out, Value* max_out) {
-#if CQCOUNT_SIMD_X86
-  if (level == Level::kAvx2) {
-    Avx2MinMax(base, stride, n, min_out, max_out);
-    return;
-  }
-#else
-  (void)level;
-#endif
-  ScalarMinMax(base, stride, n, min_out, max_out);
-}
-
-void MinMaxStrided(const Value* base, size_t stride, size_t n, Value* min_out,
-                   Value* max_out) {
-  MinMaxStridedAt(ActiveLevel(), base, stride, n, min_out, max_out);
 }
 
 uint64_t ProbeStampsBlockAt(Level level, const uint32_t* stamps,

@@ -2,14 +2,14 @@
 //
 // Dispatch model
 // --------------
-// Every kernel exists at three levels — scalar, SSE2, AVX2 — and all
-// levels compute EXACTLY the same result (these are exact integer
-// algorithms, not approximations), so the level is purely a speed knob
-// and estimates stay bit-identical whichever path runs. The active level
-// is resolved once per process from CPU capability (via
-// __builtin_cpu_supports) clamped by the CQCOUNT_SIMD environment
-// variable ("scalar"/"off", "sse2", "avx2"); tests and benches can pin a
-// level explicitly with SetLevelForTesting or call the *At entry points.
+// Every kernel exists at two levels — scalar and AVX2 — and both compute
+// EXACTLY the same result (these are exact integer algorithms, not
+// approximations), so the level is purely a speed knob and estimates stay
+// bit-identical whichever path runs. The active level is resolved once
+// per process from CPU capability (via __builtin_cpu_supports) clamped by
+// the CQCOUNT_SIMD environment variable ("scalar"/"off", "avx2"); tests
+// and benches can pin a level explicitly with SetLevelForTesting or call
+// the *At entry points.
 //
 // The binary stays portable: AVX2 code is compiled per-function with
 // __attribute__((target("avx2"))) instead of a global -mavx2, so nothing
@@ -25,7 +25,6 @@
 //   - LinearLowerBoundStridedAt / LinearUpperBoundStridedAt: the raw
 //     linear-scan building blocks, exposed so tests and benches can
 //     compare levels at full scan bandwidth.
-//   - MinMaxStrided: one column's min/max (zone-map construction).
 //   - ProbeStampsBlock: up to 64 mixed-radix epoch-stamp existence
 //     probes at once, returning a survivor bitmask (the semijoin
 //     word-parallel probe in the decomposition solver).
@@ -40,16 +39,16 @@ namespace simd {
 
 using Value = uint32_t;
 
-enum class Level : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class Level : int { kScalar = 0, kAvx2 = 1 };
 
-/// Human-readable level name ("scalar", "sse2", "avx2").
+/// Human-readable level name ("scalar", "avx2").
 const char* LevelName(Level level);
 
 /// Highest level this CPU supports (compile-target and cpuid gated).
 Level MaxSupportedLevel();
 
 /// The level dispatch uses: MaxSupportedLevel() clamped by CQCOUNT_SIMD
-/// ("scalar"/"off"/"0" -> scalar, "sse2", "avx2") and by
+/// ("scalar"/"off"/"0" -> scalar, "avx2") and by
 /// SetLevelForTesting. Resolved once, then constant-time.
 Level ActiveLevel();
 
@@ -74,12 +73,6 @@ size_t LinearLowerBoundStridedAt(Level level, const Value* base,
                                  size_t stride, size_t n, Value v);
 size_t LinearUpperBoundStridedAt(Level level, const Value* base,
                                  size_t stride, size_t n, Value v);
-
-/// Min and max of base[i*stride] over i in [0, n); n must be > 0.
-void MinMaxStrided(const Value* base, size_t stride, size_t n,
-                   Value* min_out, Value* max_out);
-void MinMaxStridedAt(Level level, const Value* base, size_t stride,
-                     size_t n, Value* min_out, Value* max_out);
 
 /// Word-parallel existence probe over an epoch-stamped table of `space`
 /// slots: for each row r in [0, n) (n <= 64) computes the mixed-radix

@@ -61,12 +61,6 @@ Status Structure::AdoptRelation(const std::string& name, Relation relation) {
   return Status::Ok();
 }
 
-void Structure::BuildZoneMaps() {
-  for (auto& [name, rel] : relations_) {
-    if (rel.canonical()) rel.BuildZoneMaps();
-  }
-}
-
 void Structure::Canonicalize() {
   for (auto& [name, rel] : relations_) rel.Canonicalize();
 }

@@ -48,10 +48,11 @@ class Structure {
   /// prior declaration fail.
   Status AdoptRelation(const std::string& name, Relation relation);
 
-  /// Builds zone maps on every canonical in-memory relation (mapped
-  /// relations already carry theirs). Idempotent; called by the engine at
-  /// registration so both storage backends prune identically.
-  void BuildZoneMaps();
+  /// Does nothing: relations carry no zone maps, and segment files keep
+  /// their zone blocks only for the universe check at open. It stays only
+  /// because perfbench's replay (perfbench/main.cc) calls it; delete it
+  /// once that call goes.
+  void BuildZoneMaps() {}
 
   /// Canonicalises every relation (sort + dedup). Must be called after
   /// the last AddFact and before the structure is read by the query

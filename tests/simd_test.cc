@@ -1,6 +1,6 @@
 // Cross-level equivalence tests for the SIMD kernels (relational/simd.h).
 //
-// Every kernel has scalar / SSE2 / AVX2 implementations that must compute
+// Every kernel has scalar and AVX2 implementations that must compute
 // EXACTLY the same answer — the engine's bit-identical-estimates contract
 // rests on this. These tests pit each supported level against the scalar
 // reference on randomized inputs, plus directed edge cases (v == 0 and
@@ -22,7 +22,6 @@ namespace {
 
 std::vector<Level> SupportedLevels() {
   std::vector<Level> levels = {Level::kScalar};
-  if (MaxSupportedLevel() >= Level::kSse2) levels.push_back(Level::kSse2);
   if (MaxSupportedLevel() >= Level::kAvx2) levels.push_back(Level::kAvx2);
   return levels;
 }
@@ -65,7 +64,6 @@ std::vector<Value> SortedStridedKeys(Rng& rng, size_t n, size_t stride,
 
 TEST(SimdTest, LevelNamesAndDetection) {
   EXPECT_STREQ(LevelName(Level::kScalar), "scalar");
-  EXPECT_STREQ(LevelName(Level::kSse2), "sse2");
   EXPECT_STREQ(LevelName(Level::kAvx2), "avx2");
   EXPECT_GE(MaxSupportedLevel(), Level::kScalar);
   EXPECT_LE(ActiveLevel(), MaxSupportedLevel());
@@ -193,31 +191,6 @@ TEST(SimdTest, Stride2SecondColumnScanToBufferEndStaysInBounds) {
         EXPECT_EQ(LinearUpperBoundStridedAt(level, base, 2, n, v), want_hi)
             << "level=" << LevelName(level) << " n=" << n << " v=" << v;
       }
-    }
-  }
-}
-
-TEST(SimdTest, MinMaxMatchesReferenceAcrossLevels) {
-  Rng rng(4242);
-  for (int trial = 0; trial < 100; ++trial) {
-    const size_t stride = 1 + rng.UniformInt(4);
-    const size_t n = 1 + rng.UniformInt(400);
-    std::vector<Value> keys(n * stride);
-    for (Value& v : keys) {
-      // Spread across the full 32-bit range, including sign-bit values.
-      v = static_cast<Value>(rng.UniformInt(1u << 30)) * 4u +
-          static_cast<Value>(rng.UniformInt(4));
-    }
-    Value want_min = keys[0], want_max = keys[0];
-    for (size_t i = 0; i < n; ++i) {
-      want_min = std::min(want_min, keys[i * stride]);
-      want_max = std::max(want_max, keys[i * stride]);
-    }
-    for (Level level : SupportedLevels()) {
-      Value mn = 0, mx = 0;
-      MinMaxStridedAt(level, keys.data(), stride, n, &mn, &mx);
-      EXPECT_EQ(mn, want_min) << "level=" << LevelName(level) << " n=" << n;
-      EXPECT_EQ(mx, want_max) << "level=" << LevelName(level) << " n=" << n;
     }
   }
 }

@@ -1,8 +1,8 @@
 // Storage-backend determinism: the engine's estimates must be bitwise
 // identical whether a database is registered in-memory or opened from a
 // packed mmap'd segment, whichever SIMD level the kernels run at, and at
-// every intra-query lane count. The segment preserves canonical order and
-// zone maps exactly, the SIMD kernels are exact algorithms, and lane
+// every intra-query lane count. The segment preserves canonical order
+// exactly, the SIMD kernels are exact algorithms, and lane
 // scheduling derives per-task seeds deterministically — so any drift here
 // is a real bug, not noise.
 #include <gtest/gtest.h>
@@ -135,9 +135,6 @@ TEST_F(StorageBackendTest, MappedMatchesInMemoryBitwiseAtEveryLaneCount) {
 
 TEST_F(StorageBackendTest, SimdLevelsAgreeBitwiseOnBothBackends) {
   std::vector<simd::Level> levels = {simd::Level::kScalar};
-  if (simd::MaxSupportedLevel() >= simd::Level::kSse2) {
-    levels.push_back(simd::Level::kSse2);
-  }
   if (simd::MaxSupportedLevel() >= simd::Level::kAvx2) {
     levels.push_back(simd::Level::kAvx2);
   }
@@ -162,29 +159,6 @@ TEST_F(StorageBackendTest, SimdLevelsAgreeBitwiseOnBothBackends) {
       EXPECT_EQ(mapped.oracle_calls[i], ref_mapped.oracle_calls[i])
           << "level=" << simd::LevelName(levels[li]) << " run " << i;
     }
-  }
-}
-
-TEST_F(StorageBackendTest, ZoneMapPruningDoesNotChangeEstimates) {
-  // In-memory registration builds zone maps at RegisterDatabase; a raw
-  // Database evaluated through the sampler path without registration has
-  // none. Pruned and unpruned engines must agree bitwise because pruning
-  // only short-circuits boxes whose sub-count is provably zero and seeds
-  // are drawn before box evaluation.
-  CountingEngine with_zones = MakeEngine(1);
-  ASSERT_TRUE(with_zones.RegisterDatabase("db", BuildDatabase()).ok());
-  CountingEngine mapped_engine = MakeEngine(1);
-  ASSERT_TRUE(mapped_engine.RegisterDatabaseFile("db", path_).ok());
-
-  for (const std::string& q : Queries()) {
-    CountRequest request;
-    request.query = q;
-    request.database = "db";
-    auto a = with_zones.Count(request);
-    auto b = mapped_engine.Count(request);
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a->estimate, b->estimate) << q;
-    EXPECT_EQ(a->oracle_calls, b->oracle_calls) << q;
   }
 }
 
