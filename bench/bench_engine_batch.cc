@@ -174,16 +174,16 @@ int Run(const std::string& json_path) {
   // (c) pool serialization probe. CPU-bound batch scaling is capped by
   // hardware_concurrency (1 on single-core runners), so this isolates the
   // executor itself: sleep-bound tasks scale with threads unless a shared
-  // lock serialises dispatch/completion. The help-draining ParallelFor
-  // has the CALLER claim tasks too, so an N-thread pool runs N+1 lanes:
-  // expect 8 tasks at 1t in ~4 sleeps (2 lanes) and at 4t in ~2 sleeps
-  // (5 lanes, ceil(8/5)).
+  // lock serialises dispatch/completion. The CALLER is lane 0 and claims
+  // tasks too, so the probe gives an N-thread pool N+1 lanes: expect 8
+  // tasks at 1t in ~4 sleeps (2 lanes) and at 4t in ~2 sleeps (5 lanes,
+  // ceil(8/5)).
   constexpr int kProbeTasks = 8;
   constexpr int kProbeSleepMs = 25;
   auto probe = [&](int threads) {
     Executor pool(threads);
     WallTimer timer;
-    pool.ParallelFor(kProbeTasks, [&](size_t) {
+    pool.ParallelForLanes(kProbeTasks, threads + 1, [&](int, size_t) {
       std::this_thread::sleep_for(std::chrono::milliseconds(kProbeSleepMs));
     });
     return timer.Millis();

@@ -14,6 +14,7 @@
 // so perf PRs cannot silently change answers.
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,7 @@ PreparedPoint MeasurePrepared(const char* name, const std::string& text,
   FWidthResult width = ComputeDecomposition(h, WidthObjective::kTreewidth);
   DecompositionSolver monolithic(q, db, width.decomposition);
   DecompositionSolver prepared_solver(q, db, width.decomposition);
+  std::unique_ptr<SolverEvalContext> ctx = prepared_solver.CreateEvalContext();
   const std::vector<int> endpoints = EndpointVars(q);
 
   PreparedPoint point;
@@ -99,7 +101,7 @@ PreparedPoint MeasurePrepared(const char* name, const std::string& text,
   {
     VarDomains warm_base;
     warm_base.allowed.resize(q.num_vars());
-    PreparedDp warm = prepared_solver.Prepare(warm_base, endpoints);
+    PreparedDp warm = prepared_solver.Prepare(warm_base, endpoints, *ctx);
     benchmark_do_not_optimize(warm.Decide({}));
   }
   auto run = [&](bool use_prepared) {
@@ -113,7 +115,7 @@ PreparedPoint MeasurePrepared(const char* name, const std::string& text,
       }
       std::vector<Bitset> masks(endpoints.size());
       if (use_prepared) {
-        PreparedDp dp = prepared_solver.Prepare(base, endpoints);
+        PreparedDp dp = prepared_solver.Prepare(base, endpoints, *ctx);
         std::vector<DomainRestriction> extra;
         for (int trial = 0; trial < trials; ++trial) {
           extra.clear();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "decomposition/width_measures.h"
+#include "engine/plan.h"
 #include "query/parser.h"
 
 using namespace cqcount;
@@ -20,41 +21,18 @@ static void Classify(const std::string& text) {
                 query.status().ToString().c_str());
     return;
   }
+  // The planner's verdict and widths, plus an adaptive-width upper bound
+  // (the Theorem 13 parameter) the planner does not compute.
+  const Classification cls = ClassifyQuery(*query, PlanOptions{});
   Hypergraph h = query->BuildHypergraph();
-  const int arity = h.Arity();
-  auto tw = ExactTreewidth(h, 16);
-  auto fhw = ExactFhw(h, 13);
   auto aw_ub = AdaptiveWidthUpperBound(h, 13);
-  const char* kind = query->Kind() == QueryKind::kCq    ? "CQ"
-                     : query->Kind() == QueryKind::kDcq ? "DCQ"
-                                                        : "ECQ";
-  std::printf("%s\n  kind=%s  arity=%d", text.c_str(), kind, arity);
-  if (tw.ok()) std::printf("  tw=%.0f", tw->width);
-  if (fhw.ok()) std::printf("  fhw=%.2f", fhw->width);
+  const char* kind = cls.kind == QueryKind::kCq    ? "CQ"
+                     : cls.kind == QueryKind::kDcq ? "DCQ"
+                                                   : "ECQ";
+  std::printf("%s\n  kind=%s  arity=%d  tw<=%.0f  fhw<=%.2f", text.c_str(),
+              kind, h.Arity(), cls.treewidth, cls.fhw);
   if (aw_ub.ok()) std::printf("  aw<=%.2f", *aw_ub);
-  std::printf("\n  => ");
-
-  const double tw_v = tw.ok() ? tw->width : 1e9;
-  const double fhw_v = fhw.ok() ? fhw->width : 1e9;
-  if (tw_v <= 4 && arity <= 3) {
-    std::printf("Theorem 5: FPTRAS (bounded treewidth & arity).");
-    if (query->Kind() == QueryKind::kCq) {
-      std::printf(" Theorem 16: FPRAS (pure CQ).");
-    } else {
-      std::printf(" No FPRAS unless NP = RP (Observation 10).");
-    }
-  } else if (fhw_v <= 4 && query->Kind() != QueryKind::kEcq) {
-    if (query->Kind() == QueryKind::kCq) {
-      std::printf("Theorem 16: FPRAS (bounded fhw CQ).");
-    } else {
-      std::printf("Theorem 13: FPTRAS (bounded adaptive width DCQ).");
-    }
-  } else {
-    std::printf(
-        "width looks unbounded in this family: Observations 9/15 rule "
-        "out an FPTRAS under rETH.");
-  }
-  std::printf("\n\n");
+  std::printf("\n  => %s\n\n", cls.verdict.c_str());
 }
 
 int main(int argc, char** argv) {

@@ -45,7 +45,6 @@
 
 #include "automata/fpras.h"
 #include "counting/sampler.h"
-#include "decomposition/width_measures.h"
 #include "engine/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -160,27 +159,16 @@ int main(int argc, char** argv) {
                    query.status().ToString().c_str());
       return 1;
     }
-    Hypergraph h = query->BuildHypergraph();
-    FWidthResult tw =
-        ComputeDecomposition(h, WidthObjective::kTreewidth, 16);
-    FWidthResult fhw = ComputeDecomposition(
-        h, WidthObjective::kFractionalHypertreewidth, 13);
-    const char* kind = query->Kind() == QueryKind::kCq    ? "CQ"
-                       : query->Kind() == QueryKind::kDcq ? "DCQ"
-                                                          : "ECQ";
+    // The planner's own classification: for a connected query this is
+    // the verdict `explain` prints.
+    const Classification cls = ClassifyQuery(*query, PlanOptions{});
+    const char* kind = cls.kind == QueryKind::kCq    ? "CQ"
+                       : cls.kind == QueryKind::kDcq ? "DCQ"
+                                                     : "ECQ";
     std::printf("kind=%s arity=%d tw<=%.0f fhw<=%.2f ||phi||=%llu\n", kind,
-                h.Arity(), tw.width, fhw.width,
-                static_cast<unsigned long long>(query->PhiSize()));
-    if (tw.width <= 4) {
-      std::printf("Theorem 5 FPTRAS applies%s\n",
-                  query->Kind() == QueryKind::kCq
-                      ? "; Theorem 16 FPRAS applies"
-                      : "; no FPRAS unless NP=RP (Obs 10)");
-    } else if (fhw.width <= 4 && query->Kind() != QueryKind::kEcq) {
-      std::printf("Theorem 13 FPTRAS applies (unbounded-arity regime)\n");
-    } else {
-      std::printf("widths look unbounded: Observations 9/15 wall\n");
-    }
+                query->BuildHypergraph().Arity(), cls.treewidth, cls.fhw,
+                static_cast<unsigned long long>(cls.phi_size));
+    std::printf("%s\n", cls.verdict.c_str());
     return 0;
   }
 

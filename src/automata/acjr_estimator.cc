@@ -382,7 +382,7 @@ class AcjrEngine {
 
     MeanVarAccumulator acc;
     const int min_samples = 16;
-    for (int s = 0; s < opts_.max_union_samples; ++s) {
+    for (int s = 0; s < kAcjrMaxUnionSamples; ++s) {
       int j = -1;
       const TupleView x = draw(&j);
       const int count = CountContaining(c, candidates, x, scratch);
@@ -392,7 +392,7 @@ class AcjrEngine {
         const double half_width = z_node_ * std::sqrt(acc.mean_variance());
         if (half_width <= epsilon_node_ * std::max(acc.mean(), 1e-12)) break;
       }
-      if (s + 1 == opts_.max_union_samples) {
+      if (s + 1 == kAcjrMaxUnionSamples) {
         converged_ok_.store(false, std::memory_order_relaxed);
       }
     }
@@ -403,7 +403,7 @@ class AcjrEngine {
     sketch.reserve(opts_.sketch_size);
     for (int s = 0; s < opts_.sketch_size; ++s) {
       bool accepted = false;
-      for (int retry = 0; retry < opts_.max_rejection_retries; ++retry) {
+      for (int retry = 0; retry < kAcjrMaxRejectionRetries; ++retry) {
         int j = -1;
         const TupleView x = draw(&j);
         const int count = CountContaining(c, candidates, x, scratch);

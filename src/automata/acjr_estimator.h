@@ -47,11 +47,12 @@ struct AcjrOptions : EstimateInputs {
 
   /// Samples kept per (node, state) sketch.
   int sketch_size = 64;
-  /// Cap on Karp-Luby draws per union estimate.
-  int max_union_samples = 4096;
-  /// Rejection-retry cap when sampling a union near-uniformly.
-  int max_rejection_retries = 32;
 };
+
+/// Cap on Karp-Luby draws per union estimate.
+inline constexpr int kAcjrMaxUnionSamples = 4096;
+/// Rejection-retry cap when sampling a union near-uniformly.
+inline constexpr int kAcjrMaxRejectionRetries = 32;
 
 /// Estimation result (estimate/exact/converged from EstimateOutcome; exact
 /// means no union estimation was needed — quantifier-free query).

@@ -58,8 +58,7 @@ CompiledQuery CompileQuery(const Query& q, const CompileOptions& opts) {
   CompiledQuery compiled;
   {
     obs::Span span("compile.normalize");
-    NormalizedQuery normalized =
-        NormalizeQuery(q, opts.dedup_atoms, opts.prune_variables);
+    NormalizedQuery normalized = NormalizeQuery(q);
     compiled.normalized = std::move(normalized.query);
     compiled.guards = std::move(normalized.guards);
     compiled.stats = normalized.stats;

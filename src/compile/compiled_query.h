@@ -27,11 +27,9 @@
 
 namespace cqcount {
 
-/// Pipeline gates. All on by default; benches and tests disable factoring
-/// to measure the monolithic baseline.
+/// Pipeline gates. The rewrite passes always run; benches and tests
+/// disable factoring to measure the monolithic baseline.
 struct CompileOptions {
-  bool dedup_atoms = true;
-  bool prune_variables = true;
   /// When false, the whole normalized query becomes one component even if
   /// its Gaifman graph is disconnected.
   bool factor_components = true;

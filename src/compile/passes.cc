@@ -13,8 +13,7 @@ bool GuardHolds(const NullaryGuard& guard, const Database& db) {
   return guard.negated ? !non_empty : non_empty;
 }
 
-NormalizedQuery NormalizeQuery(const Query& q, bool dedup_atoms,
-                               bool prune_variables) {
+NormalizedQuery NormalizeQuery(const Query& q) {
   NormalizedQuery out;
 
   // Pass 1+2 over the atom list: drop duplicates, lift nullary guards.
@@ -23,8 +22,7 @@ NormalizedQuery NormalizeQuery(const Query& q, bool dedup_atoms,
     obs::Span span("pass.dedup_and_guards");
     std::set<std::pair<bool, std::pair<std::string, std::vector<int>>>> seen;
     for (const Atom& atom : q.atoms()) {
-      if (dedup_atoms &&
-          !seen.insert({atom.negated, {atom.relation, atom.vars}}).second) {
+      if (!seen.insert({atom.negated, {atom.relation, atom.vars}}).second) {
         ++out.stats.atoms_deduped;
         continue;
       }
@@ -48,8 +46,7 @@ NormalizedQuery NormalizeQuery(const Query& q, bool dedup_atoms,
   }
   out.var_map.assign(q.num_vars(), -1);
   for (int v = 0; v < q.num_vars(); ++v) {
-    const bool keep = v < q.num_free() || used[v] || !prune_variables;
-    if (keep) {
+    if (v < q.num_free() || used[v]) {
       out.var_map[v] = out.query.AddVariable(q.var_name(v));
     } else {
       ++out.stats.variables_pruned;

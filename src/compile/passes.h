@@ -65,11 +65,8 @@ struct NormalizedQuery {
   PassStats stats;
 };
 
-/// Runs the rewrite passes described above. `dedup_atoms` / `prune_variables`
-/// gate passes 1 and 3 (guard extraction always runs: downstream layers do
-/// not handle arity-0 atoms).
-NormalizedQuery NormalizeQuery(const Query& q, bool dedup_atoms = true,
-                               bool prune_variables = true);
+/// Runs the three rewrite passes described above.
+NormalizedQuery NormalizeQuery(const Query& q);
 
 }  // namespace cqcount
 

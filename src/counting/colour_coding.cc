@@ -115,8 +115,7 @@ ColourCodingEdgeFreeOracle::ColourCodingEdgeFreeOracle(
       trials_per_call_(
           NumTrials(q.disequalities().size(), opts.per_call_failure)),
       opts_(opts),
-      hom_ctx_(hom->SupportsConcurrentDecides() ? hom->CreateContext()
-                                                : nullptr),
+      hom_ctx_(hom->CreateContext()),
       hom_queries_(std::make_shared<std::atomic<uint64_t>>(0)) {
   overlays_.push_back(std::make_unique<TrialOverlay>(q));
 }
@@ -139,7 +138,6 @@ ColourCodingEdgeFreeOracle::ColourCodingEdgeFreeOracle(
 ColourCodingEdgeFreeOracle::~ColourCodingEdgeFreeOracle() = default;
 
 std::unique_ptr<EdgeFreeOracle> ColourCodingEdgeFreeOracle::Fork() {
-  if (!hom_->SupportsConcurrentDecides()) return nullptr;
   std::unique_ptr<HomContext> ctx = hom_->CreateContext();
   if (ctx == nullptr) return nullptr;
   return std::unique_ptr<EdgeFreeOracle>(
@@ -254,8 +252,11 @@ bool DecideAnySolution(const Query& q, HomOracle* hom, uint32_t universe_size,
     return hom->Decide(base_domains);
   }
   TrialOverlay overlay(q);
+  // Null for oracles without a concurrent path; kept alive for the whole
+  // trial loop otherwise.
+  std::unique_ptr<HomContext> ctx = hom->CreateContext();
   std::unique_ptr<PreparedHom> prepared =
-      hom->Prepare(base_domains, overlay.endpoint_vars());
+      hom->Prepare(base_domains, overlay.endpoint_vars(), ctx.get());
   const uint64_t trials = NumTrials(disequalities.size(), delta);
   for (uint64_t trial = 0; trial < trials; ++trial) {
     const std::vector<DomainRestriction>& extra =

@@ -60,7 +60,7 @@ struct ColourCodingOptions {
   uint64_t seed = 0x5EEDC01DULL;
   /// Worker pool for fanning one call's colouring trials across lanes
   /// (not owned; null = run trials inline). Only used when the Hom oracle
-  /// supports concurrent decides.
+  /// hands out contexts.
   Executor* pool = nullptr;
   /// Lanes the trial loop may be partitioned across (<= 1 = inline).
   int lanes = 1;
@@ -113,8 +113,8 @@ class ColourCodingEdgeFreeOracle : public EdgeFreeOracle {
   uint32_t universe_;
   uint64_t trials_per_call_;
   ColourCodingOptions opts_;
-  // Per-oracle Hom evaluation context (null for oracles whose Hom oracle
-  // has no concurrent path: they use the oracle's default context).
+  // Per-oracle Hom evaluation context (null for Hom oracles without a
+  // concurrent path, which prepare on a null context).
   std::unique_ptr<HomContext> hom_ctx_;
   // Reusable per-trial endpoint-mask builder (only the <= 2|Delta|
   // disequality endpoint domains change across trials). Index 0 serves

@@ -894,14 +894,14 @@ std::vector<StatusOr<EngineResult>> CountingEngine::CountBatch(
     results[i] = Count(request);
   };
   // Exactly `num_threads` concurrent evaluations: the calling thread is
-  // lane 0, so an N-lane batch uses the caller plus N-1 pool workers
-  // (ParallelFor's "caller + all workers" shape would run N+1).
+  // lane 0, so an N-lane batch uses the caller plus N-1 pool workers, and
+  // one lane runs every item on the caller in index order.
   auto run_lanes = [&](Executor& pool, int lanes) {
     pool.ParallelForLanes(requests.size(), lanes,
                           [&](int, size_t i) { run_item(i); });
   };
   if (num_threads == 1) {
-    for (size_t i = 0; i < requests.size(); ++i) run_item(i);
+    run_lanes(*pool_, 1);
   } else if (num_threads <= 0 || num_threads == pool_->num_threads()) {
     run_lanes(*pool_, pool_->num_threads());
   } else {

@@ -5,6 +5,8 @@
 #include <map>
 #include <sstream>
 
+#include "compile/passes.h"
+
 namespace cqcount {
 namespace {
 
@@ -266,6 +268,57 @@ TreeDecomposition InstantiateDecomposition(
   return out;
 }
 
+namespace {
+
+// The Figure-1 verdict from the two widths of H(phi).
+Classification Classify(const Query& q, double treewidth, double fhw) {
+  Classification cls;
+  cls.kind = q.Kind();
+  cls.treewidth = treewidth;
+  cls.fhw = fhw;
+  cls.phi_size = q.PhiSize();
+  cls.num_free = q.num_free();
+  cls.num_vars = q.num_vars();
+  cls.fptras_bounded_arity = treewidth <= kTreewidthThreshold;
+  cls.fptras_unbounded_arity =
+      fhw <= kFhwThreshold && cls.kind != QueryKind::kEcq;
+  cls.fpras = cls.kind == QueryKind::kCq && fhw <= kFhwThreshold;
+
+  std::ostringstream verdict;
+  if (cls.fptras_bounded_arity) {
+    verdict << "Theorem 5 FPTRAS applies (tw " << treewidth << ")";
+  } else if (cls.fptras_unbounded_arity) {
+    verdict << "Theorem 13 FPTRAS applies (fhw " << fhw
+            << ", unbounded-arity regime)";
+  } else {
+    verdict << "widths look unbounded: Observations 9/15 wall";
+  }
+  // Every FPTRAS verdict also settles the FPRAS question: Theorem 16 for
+  // pure CQs of small fhw, Observation 10 otherwise.
+  if (cls.fptras_bounded_arity || cls.fptras_unbounded_arity) {
+    verdict << (cls.fpras ? "; Theorem 16 FPRAS applies"
+                          : "; no FPRAS unless NP=RP (Obs 10)");
+  }
+  cls.verdict = verdict.str();
+  return cls;
+}
+
+}  // namespace
+
+Classification ClassifyQuery(const Query& q, const PlanOptions& opts) {
+  // The planner only ever sees normalized queries (guards lifted out,
+  // duplicate atoms merged), so classify that form too.
+  const Query normalized = NormalizeQuery(q).query;
+  const Hypergraph h = CanonicalHypergraph(
+      normalized, CanonicalQueryShape(normalized).to_canonical);
+  const int limit = opts.exact_decomposition_limit;
+  return Classify(
+      normalized,
+      ComputeDecomposition(h, WidthObjective::kTreewidth, limit).width,
+      ComputeDecomposition(h, WidthObjective::kFractionalHypertreewidth, limit)
+          .width);
+}
+
 QueryPlan BuildQueryPlan(const Query& q, const CanonicalShape& shape,
                          const Database& db, const PlanOptions& opts) {
   QueryPlan plan;
@@ -278,33 +331,8 @@ QueryPlan BuildQueryPlan(const Query& q, const CanonicalShape& shape,
   FWidthResult fhw =
       ComputeDecomposition(h, WidthObjective::kFractionalHypertreewidth,
                            opts.exact_decomposition_limit);
-
-  Classification& cls = plan.classification;
-  cls.kind = q.Kind();
-  cls.treewidth = tw.width;
-  cls.fhw = fhw.width;
-  cls.phi_size = q.PhiSize();
-  cls.num_free = q.num_free();
-  cls.num_vars = q.num_vars();
-  cls.fptras_bounded_arity = tw.width <= opts.treewidth_threshold;
-  cls.fptras_unbounded_arity =
-      fhw.width <= opts.fhw_threshold && cls.kind != QueryKind::kEcq;
-  cls.fpras = cls.kind == QueryKind::kCq && fhw.width <= opts.fhw_threshold;
-
-  std::ostringstream verdict;
-  if (cls.fptras_bounded_arity) {
-    verdict << "Theorem 5 FPTRAS applies (tw " << tw.width << ")";
-    verdict << (cls.fpras ? "; Theorem 16 FPRAS applies"
-                          : "; no FPRAS unless NP=RP (Obs 10)");
-  } else if (cls.fptras_unbounded_arity) {
-    verdict << "Theorem 13 FPTRAS applies (fhw " << fhw.width
-            << ", unbounded-arity regime)";
-  } else if (cls.fpras) {
-    verdict << "Theorem 16 FPRAS applies (fhw " << fhw.width << ")";
-  } else {
-    verdict << "widths look unbounded: Observations 9/15 wall";
-  }
-  cls.verdict = verdict.str();
+  plan.classification = Classify(q, tw.width, fhw.width);
+  const Classification& cls = plan.classification;
 
   // Cost model (coarse): brute force enumerates ~n^vars assignments;
   // the decomposition pipelines cost ~n^(width+1) per oracle call times a
@@ -321,7 +349,7 @@ QueryPlan BuildQueryPlan(const Query& q, const CanonicalShape& shape,
     plan.objective = WidthObjective::kTreewidth;
     plan.decomposition = tw;
     plan.cost_estimate = exact_cost;
-  } else if (cls.fpras && tw.width > opts.treewidth_threshold) {
+  } else if (cls.fpras && !cls.fptras_bounded_arity) {
     // Pure CQ beyond the bounded-arity regime: the counting-automaton
     // FPRAS is the only tractable route (Theorem 16).
     plan.strategy = Strategy::kAutomataFpras;

@@ -72,14 +72,16 @@ struct CanonicalShape {
 /// encode the full query structure, not just a hash).
 CanonicalShape CanonicalQueryShape(const Query& q);
 
-/// Planner thresholds (Figure-1 boundaries plus cost heuristics).
+/// Figure-1 boundaries: treewidth at or below kTreewidthThreshold selects
+/// the Theorem 5 FPTRAS; fhw at or below kFhwThreshold selects the
+/// Theorem 13 / 16 regimes.
+inline constexpr double kTreewidthThreshold = 4.0;
+inline constexpr double kFhwThreshold = 4.0;
+
+/// Planner knobs (decomposition search and cost heuristics).
 struct PlanOptions {
   /// Exact-width search is used for hypergraphs up to this many variables.
   int exact_decomposition_limit = 14;
-  /// Treewidth at or below this selects the Theorem 5 FPTRAS.
-  double treewidth_threshold = 4.0;
-  /// Fhw at or below this selects the Theorem 13 / 16 regimes.
-  double fhw_threshold = 4.0;
   /// Brute-force exact counting is selected below this estimated cost
   /// (roughly: tuples enumerated).
   double exact_cost_limit = 1e6;
@@ -102,6 +104,13 @@ struct QueryPlan {
   /// Universe size the cost estimate was computed against.
   uint32_t planned_universe = 0;
 };
+
+/// Classifies q per Figure 1 without a database. It normalizes q as the
+/// compile pipeline does (NormalizeQuery: nullary guards lifted out,
+/// duplicate atoms merged, unused variables pruned), then runs both width
+/// searches on the canonical hypergraph exactly as BuildQueryPlan runs
+/// them, so the plan of a connected q carries the same classification.
+Classification ClassifyQuery(const Query& q, const PlanOptions& opts);
 
 /// Builds a plan for (q, db): classifies the shape per Figure 1, selects a
 /// strategy, and computes the decomposition the strategy needs. `shape` must

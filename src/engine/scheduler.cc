@@ -122,7 +122,7 @@ int AdaptiveScheduler::PlanLanes(Strategy strategy, const CostPrediction& cost,
     // Observed wall time replaces the static cost-unit constant: grant
     // lanes only when the estimate has been seen to run long enough to
     // amortise fan-out setup.
-    return cost.millis >= opts_.min_fanout_millis ? lanes : 1;
+    return cost.millis >= kMinFanoutMillis ? lanes : 1;
   }
   return cost.cost_units >= static_min_cost ? lanes : 1;
 }
@@ -134,7 +134,7 @@ double AdaptiveScheduler::PerCallFailure(double delta,
   }
   const double predicted =
       std::max(cost.oracle_calls, 1.0) * opts_.trials_safety_factor;
-  return std::min(delta / (2.0 * predicted), opts_.max_per_call_failure);
+  return std::min(delta / (2.0 * predicted), kMaxPerCallFailure);
 }
 
 void RecordAdaptiveOutcome(StopReason stop_reason, int completed_runs,

@@ -52,6 +52,16 @@
 
 namespace cqcount {
 
+/// Floor on the adaptive per-call failure probability's inverse: the
+/// per-call failure is capped at this value so trial counts never
+/// collapse entirely (ceil(ln 1/1e-3) ~ 7 trials minimum).
+inline constexpr double kMaxPerCallFailure = 1e-3;
+/// Observed mean execution time that justifies intra-query lanes
+/// (replaces the static intra_query_min_cost gate on warm shapes):
+/// fan-out setup costs ~sub-ms, so only estimates observed to run at
+/// least this long get workers.
+inline constexpr double kMinFanoutMillis = 5.0;
+
 /// Tuning for the adaptive scheduler (EngineOptions::scheduler).
 struct SchedulerOptions {
   /// Observed executions a shape needs before predictions switch from
@@ -61,15 +71,6 @@ struct SchedulerOptions {
   /// predicted calls): the union bound stays intact as long as the
   /// execution issues at most `factor` times the predicted call count.
   double trials_safety_factor = 8.0;
-  /// Floor on the adaptive per-call failure probability's inverse: the
-  /// per-call failure is capped at this value so trial counts never
-  /// collapse entirely (ceil(ln 1/1e-3) ~ 7 trials minimum).
-  double max_per_call_failure = 1e-3;
-  /// Observed mean execution time that justifies intra-query lanes
-  /// (replaces the static intra_query_min_cost gate on warm shapes):
-  /// fan-out setup costs ~sub-ms, so only estimates observed to run at
-  /// least this long get workers.
-  double min_fanout_millis = 5.0;
   /// Every counting component keeps at least this fraction of its even
   /// share: eps_i >= floor_fraction * (eps/2)/k. Guards against one
   /// hugely expensive component starving the rest to useless targets.
@@ -150,7 +151,7 @@ class AdaptiveScheduler {
 
   /// Lanes to grant one component: 1 for exact strategies; for observed
   /// shapes, the configured lane count when the predicted wall time
-  /// clears min_fanout_millis (the dynamic replacement for the static
+  /// clears kMinFanoutMillis (the dynamic replacement for the static
   /// cost gate); cold shapes fall back to the static
   /// `cost >= static_min_cost` gate.
   int PlanLanes(Strategy strategy, const CostPrediction& cost,
@@ -158,7 +159,7 @@ class AdaptiveScheduler {
                 double static_min_cost) const;
 
   /// Adaptive colour-coding per-call failure budget: delta / (2 *
-  /// safety * predicted calls), capped at max_per_call_failure. Returns
+  /// safety * predicted calls), capped at kMaxPerCallFailure. Returns
   /// 0 (keep the module's worst-case default) when the prediction has no
   /// observed call count.
   double PerCallFailure(double delta, const CostPrediction& cost) const;

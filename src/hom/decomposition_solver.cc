@@ -518,14 +518,6 @@ std::unique_ptr<SolverEvalContext> DecompositionSolver::CreateEvalContext() {
   return std::unique_ptr<SolverEvalContext>(new SolverEvalContext());
 }
 
-SolverEvalContext::Impl& DecompositionSolver::DefaultContext() {
-  std::lock_guard<std::mutex> lock(default_ctx_mu_);
-  if (default_ctx_ == nullptr) {
-    default_ctx_ = std::unique_ptr<SolverEvalContext>(new SolverEvalContext());
-  }
-  return *default_ctx_->impl_;
-}
-
 DecompositionSolver::DpStats DecompositionSolver::dp_stats() const {
   DpStats stats;
   stats.prepare_calls = stat_prepare_calls_.load(std::memory_order_relaxed);
@@ -537,19 +529,9 @@ DecompositionSolver::DpStats DecompositionSolver::dp_stats() const {
 }
 
 PreparedDp DecompositionSolver::Prepare(const VarDomains& base,
-                                        const std::vector<int>& overlay_vars) {
-  return PrepareOn(DefaultContext(), base, overlay_vars);
-}
-
-PreparedDp DecompositionSolver::Prepare(const VarDomains& base,
                                         const std::vector<int>& overlay_vars,
                                         SolverEvalContext& ctx) {
-  return PrepareOn(*ctx.impl_, base, overlay_vars);
-}
-
-PreparedDp DecompositionSolver::PrepareOn(
-    SolverEvalContext::Impl& sc, const VarDomains& base,
-    const std::vector<int>& overlay_vars) {
+  SolverEvalContext::Impl& sc = *ctx.impl_;
   sc.generation =
       prepare_generation_.fetch_add(1, std::memory_order_relaxed) + 1;
   PreparedDp prepared(this, &sc, sc.generation);

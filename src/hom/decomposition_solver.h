@@ -42,8 +42,8 @@
 //     static tables) is read-only during trials, so trials of a single
 //     PreparedDp may ALSO fan out: each lane passes its own context to
 //     Decide and uses only that context's trial scratch.
-// The legacy single-threaded API (Prepare/Decide without a context) runs
-// on a solver-owned default context.
+// Every caller of Prepare holds its own context (one per worker lane);
+// the solver owns none.
 #ifndef CQCOUNT_HOM_DECOMPOSITION_SOLVER_H_
 #define CQCOUNT_HOM_DECOMPOSITION_SOLVER_H_
 
@@ -116,8 +116,7 @@ class PreparedDp {
 ///
 /// Thread-compatible: the construction state and the bag-row cache are
 /// shared and immutable (the cache build is internally synchronised);
-/// concurrent callers must each use their own SolverEvalContext (the
-/// context-free API serialises on the solver's default context).
+/// concurrent callers must each use their own SolverEvalContext.
 class DecompositionSolver {
  public:
   /// Observability of the prepare/evaluate split (plumbed up into engine
@@ -163,16 +162,12 @@ class DecompositionSolver {
   /// concurrently.
   std::unique_ptr<SolverEvalContext> CreateEvalContext();
 
-  /// Builds a prepared decision instance on the solver's default context:
-  /// `base` (the V_i restrictions of one EdgeFree call) is fixed; each
-  /// PreparedDp::Decide overlays masks on `overlay_vars` only (the
-  /// disequality endpoints). `base` is only read during this call. At
-  /// most one live PreparedDp per context.
-  PreparedDp Prepare(const VarDomains& base,
-                     const std::vector<int>& overlay_vars);
-
-  /// Context-scoped Prepare: chains on distinct contexts may run
-  /// concurrently (the bag-row cache is shared and immutable).
+  /// Builds a prepared decision instance on `ctx`: `base` (the V_i
+  /// restrictions of one EdgeFree call) is fixed; each PreparedDp::Decide
+  /// overlays masks on `overlay_vars` only (the disequality endpoints).
+  /// `base` is only read during this call. At most one live PreparedDp
+  /// per context; chains on distinct contexts may run concurrently (the
+  /// bag-row cache is shared and immutable).
   PreparedDp Prepare(const VarDomains& base,
                      const std::vector<int>& overlay_vars,
                      SolverEvalContext& ctx);
@@ -194,16 +189,11 @@ class DecompositionSolver {
   // Returns false when the row cap was exceeded (cache disabled).
   bool EnsureBagRowCache();
 
-  PreparedDp PrepareOn(SolverEvalContext::Impl& ctx, const VarDomains& base,
-                       const std::vector<int>& overlay_vars);
-
   // One prepared trial decision: call state from `ctx`, trial scratch
   // from `trial` (== &ctx for the single-threaded path).
   bool DecidePrepared(SolverEvalContext::Impl& ctx,
                       SolverEvalContext::Impl& trial, uint64_t generation,
                       const std::vector<DomainRestriction>& extra);
-
-  SolverEvalContext::Impl& DefaultContext();
 
   const Query& query_;
   const Database& db_;
@@ -234,9 +224,6 @@ class DecompositionSolver {
     std::vector<uint32_t> starts;  // universe_size + 1 offsets.
   };
   std::vector<std::vector<ColIndex>> bag_col_index_;
-  // Default evaluation context backing the context-free API.
-  std::unique_ptr<SolverEvalContext> default_ctx_;
-  std::mutex default_ctx_mu_;  // Guards lazy creation only.
   std::atomic<uint64_t> prepare_generation_{0};
   Options opts_;
   // Aggregated DpStats counters (atomic: contexts update concurrently).

@@ -1,6 +1,7 @@
 #include "hom/hom_oracle.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 #include <utility>
 
@@ -59,13 +60,13 @@ class DecompositionPreparedHom : public PreparedHom {
       : owner_(owner), prepared_(std::move(prepared)) {}
 
   bool Decide(const std::vector<DomainRestriction>& extra) override {
-    owner_->RecordPreparedDecide();
+    owner_->RecordDecide();
     return prepared_.Decide(extra);
   }
 
   bool Decide(const std::vector<DomainRestriction>& extra,
               HomContext& lane) override {
-    owner_->RecordPreparedDecide();
+    owner_->RecordDecide();
     return prepared_.Decide(extra,
                             static_cast<DecompositionHomContext&>(lane).ctx());
   }
@@ -91,8 +92,10 @@ BagJoiner::Options FullJoinOptions() {
 
 }  // namespace
 
-std::unique_ptr<PreparedHom> HomOracle::Prepare(
-    const VarDomains& base, std::vector<int> overlay_vars) {
+std::unique_ptr<PreparedHom> HomOracle::Prepare(const VarDomains& base,
+                                               std::vector<int> overlay_vars,
+                                               HomContext* ctx) {
+  (void)ctx;
   // num_vars is unknown at this level; size the domain vector to cover
   // the largest overlaid variable. Variables beyond the vector are
   // unrestricted by VarDomains::Allows' contract.
@@ -104,14 +107,8 @@ std::unique_ptr<PreparedHom> HomOracle::Prepare(
 }
 
 std::unique_ptr<PreparedHom> DecompositionHomOracle::Prepare(
-    const VarDomains& base, std::vector<int> overlay_vars) {
-  return std::make_unique<DecompositionPreparedHom>(
-      this, solver_.Prepare(base, overlay_vars));
-}
-
-std::unique_ptr<PreparedHom> DecompositionHomOracle::Prepare(
     const VarDomains& base, std::vector<int> overlay_vars, HomContext* ctx) {
-  if (ctx == nullptr) return Prepare(base, std::move(overlay_vars));
+  assert(ctx != nullptr);
   auto& dctx = static_cast<DecompositionHomContext&>(*ctx);
   return std::make_unique<DecompositionPreparedHom>(
       this, solver_.Prepare(base, overlay_vars, dctx.ctx()));

@@ -8,23 +8,26 @@
 //
 // Two calling conventions:
 //   - Decide(domains): one-shot decision, full domain set.
-//   - Prepare(base, overlay_vars) -> PreparedHom: the trial-reuse path.
-//     The colour-coding loop fixes the V_i part restrictions once per
-//     EdgeFree call and then varies only the <= 2|Delta| disequality
+//   - Prepare(base, overlay_vars, ctx) -> PreparedHom: the trial-reuse
+//     path. The colour-coding loop fixes the V_i part restrictions once
+//     per EdgeFree call and then varies only the <= 2|Delta| disequality
 //     endpoint domains per trial; PreparedHom lets the oracle hoist all
 //     base-dependent work out of the trial loop. The decomposition oracle
 //     backs it with the solver's prepare/evaluate DP split; any other
 //     oracle gets a correct default that copies/restores just the
 //     endpoint domains around a plain Decide.
 //
-// Concurrency: oracles that SupportsConcurrentDecides() hand out opaque
-// HomContexts. A Prepare/Decide chain bound to one context never touches
-// another context's mutable state, so worker lanes holding distinct
-// contexts may prepare and decide concurrently against one oracle (the
-// decomposition oracle maps contexts onto SolverEvalContexts; the shared
-// bag-join row cache is immutable). Within a single prepared call, trials
-// may also fan out: Decide(extra, lane) evaluates with the lane context's
-// trial scratch against the prepared (read-only) call state.
+// Concurrency: the caller holds the context. An oracle with a concurrent
+// path hands out opaque HomContexts from CreateContext(), and every
+// Prepare on it names one; a Prepare/Decide chain bound to one context
+// never touches another context's mutable state, so worker lanes holding
+// distinct contexts may prepare and decide concurrently against one
+// oracle (the decomposition oracle maps contexts onto SolverEvalContexts;
+// the shared bag-join row cache is immutable). Within a single prepared
+// call, trials may also fan out: Decide(extra, lane) evaluates with the
+// lane context's trial scratch against the prepared (read-only) call
+// state. An oracle whose CreateContext() returns null has no concurrent
+// path: its Prepare takes a null context and runs sequentially.
 #ifndef CQCOUNT_HOM_HOM_ORACLE_H_
 #define CQCOUNT_HOM_HOM_ORACLE_H_
 
@@ -63,9 +66,9 @@ class PreparedHom {
   virtual bool Decide(const std::vector<DomainRestriction>& extra) = 0;
 
   /// Lane-concurrent variant: evaluates the trial with `lane`'s scratch.
-  /// Distinct lanes may call concurrently when the owning oracle
-  /// SupportsConcurrentDecides(); the default forwards to Decide (only
-  /// correct sequentially).
+  /// Distinct lanes may call concurrently when the owning oracle hands
+  /// out contexts; the default forwards to Decide (only correct
+  /// sequentially).
   virtual bool Decide(const std::vector<DomainRestriction>& extra,
                       HomContext& lane) {
     (void)lane;
@@ -82,44 +85,28 @@ class HomOracle {
   virtual bool Decide(const VarDomains& domains) = 0;
 
   /// Prepares repeated decisions over fixed `base` domains with per-trial
-  /// overlays on `overlay_vars`. The default implementation copies and
-  /// restores only the overlaid domains around Decide; oracles with a
-  /// cheaper incremental path override this.
-  virtual std::unique_ptr<PreparedHom> Prepare(const VarDomains& base,
-                                               std::vector<int> overlay_vars);
-
-  /// Context-scoped Prepare: chains on distinct contexts may run
-  /// concurrently when SupportsConcurrentDecides(). The default ignores
-  /// the context (sequential oracles).
+  /// overlays on `overlay_vars`, on `ctx` — a context from this oracle's
+  /// CreateContext(), null only when that returns null. The default
+  /// ignores the context and copies and restores only the overlaid
+  /// domains around Decide; oracles with a cheaper incremental path
+  /// override this.
   virtual std::unique_ptr<PreparedHom> Prepare(const VarDomains& base,
                                                std::vector<int> overlay_vars,
-                                               HomContext* ctx) {
-    (void)ctx;
-    return Prepare(base, std::move(overlay_vars));
-  }
+                                               HomContext* ctx);
 
   /// Mints per-worker state for concurrent use; null when the oracle has
   /// no concurrent path (callers must then serialise).
   virtual std::unique_ptr<HomContext> CreateContext() { return nullptr; }
-
-  /// True when Prepare/Decide chains on distinct contexts are safe to run
-  /// concurrently.
-  virtual bool SupportsConcurrentDecides() const { return false; }
 
   /// Number of decisions served so far (plain and prepared).
   uint64_t num_calls() const {
     return num_calls_.load(std::memory_order_relaxed);
   }
 
-  /// Internal: lets PreparedHom implementations attribute their decisions
-  /// to the owning oracle's call counter.
-  void RecordPreparedDecide() {
-    num_calls_.fetch_add(1, std::memory_order_relaxed);
-  }
-
- protected:
+  /// Counts one decision, plain or prepared, towards num_calls().
   void RecordDecide() { num_calls_.fetch_add(1, std::memory_order_relaxed); }
 
+ private:
   std::atomic<uint64_t> num_calls_{0};
 };
 
@@ -138,9 +125,8 @@ class DecompositionHomOracle : public HomOracle {
     return solver_.Decide(&domains);
   }
 
-  /// Prepared decisions run on the solver's trial-reuse DP.
-  std::unique_ptr<PreparedHom> Prepare(
-      const VarDomains& base, std::vector<int> overlay_vars) override;
+  /// Prepared decisions run on the solver's trial-reuse DP, on the
+  /// solver context `ctx` (never null) wraps.
   std::unique_ptr<PreparedHom> Prepare(const VarDomains& base,
                                        std::vector<int> overlay_vars,
                                        HomContext* ctx) override;
@@ -148,7 +134,6 @@ class DecompositionHomOracle : public HomOracle {
   /// Contexts wrap independent SolverEvalContexts; the solver's bag-join
   /// cache is shared and immutable, so concurrent chains are safe.
   std::unique_ptr<HomContext> CreateContext() override;
-  bool SupportsConcurrentDecides() const override { return true; }
 
   /// Prepare/evaluate observability for engine provenance.
   DecompositionSolver::DpStats dp_stats() const { return solver_.dp_stats(); }

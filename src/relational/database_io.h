@@ -1,6 +1,6 @@
 // Plain-text database serialisation.
 //
-// Format (whitespace separated, '#' starts a comment line):
+// Format (whitespace separated, '#' starts a comment):
 //   universe 100
 //   relation R 2
 //   0 1
@@ -9,6 +9,10 @@
 //   relation S 1
 //   5
 //   end
+// The text is untrusted: ParseDatabase rejects with INVALID_ARGUMENT and
+// the line number anything but one `universe` line before the first
+// relation, unsigned decimal sizes and values below 2^32, arities of at
+// most kMaxRelationArity, and lines with nothing after their last value.
 #ifndef CQCOUNT_RELATIONAL_DATABASE_IO_H_
 #define CQCOUNT_RELATIONAL_DATABASE_IO_H_
 

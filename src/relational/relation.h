@@ -44,6 +44,10 @@ namespace cqcount {
 /// A universe element. Universes are dense: {0, .., N-1}.
 using Value = uint32_t;
 
+/// Largest relation arity the database readers (text and `.seg` packs)
+/// accept.
+inline constexpr uint64_t kMaxRelationArity = uint64_t{1} << 20;
+
 /// An owned tuple of universe elements (boxed; used at API boundaries and
 /// for staging — the storage layer itself is flat).
 using Tuple = std::vector<Value>;

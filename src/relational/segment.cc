@@ -438,7 +438,7 @@ StatusOr<std::shared_ptr<const SegmentView>> SegmentView::Open(
     if (entry.arity == 0) {
       return Invalid(path, "arity-0 relation not representable: " + rel.name);
     }
-    if (entry.arity > (uint64_t{1} << 20)) {
+    if (entry.arity > kMaxRelationArity) {
       return Invalid(path, "implausible arity for " + rel.name);
     }
     rel.arity = static_cast<int>(entry.arity);

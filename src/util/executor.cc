@@ -1,6 +1,7 @@
 #include "util/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <utility>
 
@@ -10,17 +11,14 @@
 namespace cqcount {
 namespace {
 
-// Registry mirrors of the pool's own atomic counters (aggregated across
-// every pool in the process) plus a live queue-depth gauge; fed per task
-// at submit/dequeue, which is far coarser than any sampling loop.
+// Registry counters aggregated across every pool in the process, plus a
+// live queue-depth gauge; fed per helper closure at submit/dequeue, which
+// is far coarser than any sampling loop.
 struct ExecutorMetrics {
   obs::Counter& submitted = obs::MetricRegistry::Global().GetCounter(
       "executor.tasks_submitted", "Closures submitted to any worker pool");
   obs::Counter& executed = obs::MetricRegistry::Global().GetCounter(
       "executor.tasks_executed", "Closures executed by pool worker threads");
-  obs::Counter& help_runs = obs::MetricRegistry::Global().GetCounter(
-      "executor.help_runs",
-      "Closures executed by threads help-draining inside Wait/ParallelFor*");
   obs::Counter& lane_loops = obs::MetricRegistry::Global().GetCounter(
       "executor.lane_loops",
       "ParallelForLanes invocations (one lane-partitioned index space)");
@@ -58,8 +56,8 @@ Executor::~Executor() {
 
 void Executor::Submit(std::function<void()> task) {
   // Fault-injection site: degrades a spawn to inline execution on the
-  // caller (the task completes before Submit returns, so in_flight and
-  // Wait() semantics stay consistent — no leaked lane state).
+  // caller (the helper lane runs before Submit returns, so no lane state
+  // leaks past the call).
   if (failpoint::ShouldFail("executor.spawn")) {
     task();
     return;
@@ -67,53 +65,10 @@ void Executor::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push(std::move(task));
-    ++in_flight_;
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
   ExecutorMetrics::Get().submitted.Increment();
   ExecutorMetrics::Get().queue_depth.Add(1);
   work_cv_.notify_one();
-  // Wake Wait()ers too: they help-drain, so new work concerns them.
-  idle_cv_.notify_all();
-}
-
-void Executor::FinishTask() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (--in_flight_ == 0) idle_cv_.notify_all();
-}
-
-bool Executor::RunOneQueuedTask() {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop();
-  }
-  help_runs_.fetch_add(1, std::memory_order_relaxed);
-  ExecutorMetrics::Get().help_runs.Increment();
-  ExecutorMetrics::Get().queue_depth.Add(-1);
-  task();
-  FinishTask();
-  return true;
-}
-
-void Executor::Wait() {
-  for (;;) {
-    if (RunOneQueuedTask()) continue;
-    std::unique_lock<std::mutex> lock(mu_);
-    if (in_flight_ == 0) return;
-    if (!queue_.empty()) continue;  // Raced with a Submit: drain it.
-    idle_cv_.wait(lock,
-                  [this] { return in_flight_ == 0 || !queue_.empty(); });
-    if (in_flight_ == 0) return;
-  }
-}
-
-void Executor::ParallelFor(size_t num_tasks,
-                           const std::function<void(size_t)>& task) {
-  ParallelForLanes(num_tasks, num_threads() + 1,
-                   [&task](int, size_t i) { task(i); });
 }
 
 Executor::LaneStats Executor::ParallelForLanes(
@@ -184,14 +139,6 @@ Executor::LaneStats Executor::ParallelForLanes(
   return stats;
 }
 
-Executor::StatsSnapshot Executor::stats() const {
-  StatsSnapshot snapshot;
-  snapshot.submitted = submitted_.load(std::memory_order_relaxed);
-  snapshot.executed = executed_.load(std::memory_order_relaxed);
-  snapshot.help_runs = help_runs_.load(std::memory_order_relaxed);
-  return snapshot;
-}
-
 void Executor::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -202,11 +149,9 @@ void Executor::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    executed_.fetch_add(1, std::memory_order_relaxed);
     ExecutorMetrics::Get().executed.Increment();
     ExecutorMetrics::Get().queue_depth.Add(-1);
     task();
-    FinishTask();
   }
 }
 

@@ -1,22 +1,20 @@
 // Worker thread pool shared by batch execution and intra-query estimation.
 //
 // The executor stays deliberately dumb — a fixed set of worker threads
-// draining a FIFO of closures — but its waiting primitives are structured
-// so that tasks may themselves fan out on the same pool:
+// draining a FIFO of closures — and has one way in, ParallelForLanes:
 //
-//  - ParallelFor/ParallelForLanes are SELF-DRIVING: the calling thread
-//    is lane 0 of the claim loop, so the caller alone completes the
-//    whole index space when the pool is saturated. A full pool of tasks
-//    that each fan out sub-tasks therefore cannot deadlock (the classic
-//    nested-submit hang: every worker blocked in a wait while the
-//    sub-tasks sit in the queue). Wait() additionally HELP-DRAINS,
-//    running queued tasks while it blocks.
-//  - ParallelForLanes() partitions an index space across a bounded number
-//    of "lanes". Lane l is a single claim-loop (one thread at a time), so
-//    per-lane scratch state (RNG-free oracle contexts, epoch-stamped
-//    tables) needs no locking. Indices are claimed dynamically, which is
-//    safe for determinism as long as the work done for index i depends
-//    only on i (counter-derived seeds), never on the claiming lane.
+//  - It partitions an index space across a bounded number of "lanes".
+//    Lane l is a single claim-loop (one thread at a time), so per-lane
+//    scratch state (RNG-free oracle contexts, epoch-stamped tables) needs
+//    no locking. Indices are claimed dynamically, which is safe for
+//    determinism as long as the work done for index i depends only on i
+//    (counter-derived seeds), never on the claiming lane.
+//  - It is SELF-DRIVING: the calling thread is lane 0 of the claim loop,
+//    so the caller alone completes the whole index space when the pool
+//    is saturated. A full pool of lanes that each fan out again therefore
+//    cannot deadlock (the classic nested-submit hang: every worker
+//    blocked in a wait while the sub-tasks sit in the queue). Each call
+//    waits only for its own indices.
 //
 // Determinism of results is achieved one level up: every unit of work
 // derives its own RNG stream from a counter path via DeriveSeed (see
@@ -25,7 +23,6 @@
 #ifndef CQCOUNT_UTIL_EXECUTOR_H_
 #define CQCOUNT_UTIL_EXECUTOR_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -38,31 +35,16 @@
 
 namespace cqcount {
 
-/// A fixed-size worker pool executing submitted closures FIFO.
+/// A fixed-size worker pool running lane-partitioned index spaces.
 class Executor {
  public:
   explicit Executor(int num_threads);
+  /// Runs every still-queued lane closure (each finds its index space
+  /// exhausted and returns), then joins the workers.
   ~Executor();
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
-
-  /// Enqueues `task` for execution on some worker.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted to the pool (by anyone) has
-  /// finished, helping to drain the queue while waiting. For waiting on
-  /// just your own tasks — and for ANY wait from inside a pool task (a
-  /// running task counts as in-flight, so a global Wait from within one
-  /// can never return) — use ParallelFor/ParallelForLanes instead.
-  void Wait();
-
-  /// Runs tasks 0..num_tasks-1 through `task(i)` on the pool (the calling
-  /// thread participates) and waits for exactly those tasks. Safe to call
-  /// from several threads sharing one pool, and from inside pool tasks:
-  /// each call tracks its own completion, and the caller's claim loop
-  /// keeps it live on a saturated pool.
-  void ParallelFor(size_t num_tasks, const std::function<void(size_t)>& task);
 
   /// How a lane-partitioned loop's indices were executed (informational;
   /// the split depends on scheduling, the results must not).
@@ -78,41 +60,26 @@ class Executor {
   /// task of lane l runs at any time, and lane 0 is always the calling
   /// thread — so a task may freely use per-lane mutable scratch. Indices
   /// are claimed dynamically: the work for index i must depend only on i,
-  /// not on the lane, for deterministic results. Waits for all indices,
-  /// help-draining the pool queue (nesting-safe).
+  /// not on the lane, for deterministic results. One lane runs every
+  /// index on the caller in index order. Returns once every index has
+  /// run. Safe to call from several threads sharing one pool and from
+  /// inside a running task: the caller's own claim loop keeps the call
+  /// live on a saturated pool.
   LaneStats ParallelForLanes(size_t num_tasks, int num_lanes,
                              const std::function<void(int, size_t)>& task);
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Monotonic counters over the pool's lifetime (informational).
-  struct StatsSnapshot {
-    uint64_t submitted = 0;
-    /// Tasks executed by pool workers.
-    uint64_t executed = 0;
-    /// Tasks executed by threads help-draining inside Wait/ParallelFor*.
-    uint64_t help_runs = 0;
-  };
-  StatsSnapshot stats() const;
-
  private:
+  /// Enqueues one helper lane's closure for some worker.
+  void Submit(std::function<void()> task);
   void WorkerLoop();
-  /// Runs one queued task on the calling thread (help-draining). Returns
-  /// false when the queue was empty.
-  bool RunOneQueuedTask();
-  void FinishTask();
 
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
   std::queue<std::function<void()>> queue_;
-  size_t in_flight_ = 0;
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
-
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> executed_{0};
-  std::atomic<uint64_t> help_runs_{0};
 };
 
 }  // namespace cqcount

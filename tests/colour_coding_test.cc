@@ -126,15 +126,14 @@ class StallingHomOracle : public HomOracle {
   explicit StallingHomOracle(bool stall) : stall_(stall) {}
 
   bool Decide(const VarDomains&) override { return true; }
-  using HomOracle::Prepare;
   std::unique_ptr<PreparedHom> Prepare(const VarDomains&, std::vector<int>,
-                                       HomContext*) override {
+                                       HomContext* ctx) override {
+    EXPECT_NE(ctx, nullptr);
     return std::make_unique<Prepared>(this);
   }
   std::unique_ptr<HomContext> CreateContext() override {
     return std::make_unique<HomContext>();
   }
-  bool SupportsConcurrentDecides() const override { return true; }
 
   /// True once a stalled witness was released by a second witness (not
   /// by the timeout).
@@ -160,7 +159,7 @@ class StallingHomOracle : public HomOracle {
   };
 
   bool Trial(const std::vector<DomainRestriction>& extra) {
-    RecordPreparedDecide();
+    RecordDecide();
     const Bitset& x = *extra[0].mask;  // Endpoint vars are sorted: x first.
     const bool witness = x.Test(0) && x.Test(1) && x.Test(2);
     if (!witness || !stall_) return witness;

@@ -177,6 +177,72 @@ TEST(EngineTest, FprasStrategyRunsForPureCqs) {
   EXPECT_NE(result->verdict.find("FPRAS"), std::string::npos);
 }
 
+TEST(EngineTest, WidePureCqVerdictNamesTheFprasItRuns) {
+  // A 6-ary atom: tw 5 puts the query outside the Theorem 5 regime, fhw 1
+  // inside Theorem 16's, so the planner runs the automaton FPRAS and the
+  // verdict has to say so.
+  Database db(30);
+  ASSERT_TRUE(db.DeclareRelation("Event", 6).ok());
+  Rng rng(61);
+  for (int i = 0; i < 90; ++i) {
+    Tuple t;
+    for (int k = 0; k < 6; ++k) {
+      t.push_back(static_cast<Value>(rng.UniformInt(30)));
+    }
+    ASSERT_TRUE(db.AddFact("Event", std::move(t)).ok());
+  }
+  db.Canonicalize();
+  CountingEngine engine;
+  ASSERT_TRUE(engine.RegisterDatabase("events", std::move(db)).ok());
+  const std::string query = "ans(a, b, c) :- Event(a, b, c, d, e, f).";
+  auto explanation = engine.Explain(query, "events");
+  ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
+  const Classification& cls = explanation->plan.classification;
+  EXPECT_EQ(explanation->plan.strategy, Strategy::kAutomataFpras);
+  EXPECT_FALSE(cls.fptras_bounded_arity);
+  EXPECT_TRUE(cls.fpras);
+  EXPECT_NE(cls.verdict.find("FPRAS"), std::string::npos) << cls.verdict;
+}
+
+TEST(EngineTest, DatabaseFreeClassificationMatchesThePlan) {
+  // `cli classify` and the classify_queries example print ClassifyQuery;
+  // `explain` prints the plan's classification. One query per Figure-1
+  // row: they must agree.
+  CountingEngine engine;
+  Database db(12);
+  ASSERT_TRUE(db.DeclareRelation("E", 2).ok());
+  ASSERT_TRUE(db.DeclareRelation("Event", 6).ok());
+  ASSERT_TRUE(db.DeclareRelation("Adult", 1).ok());
+  ASSERT_TRUE(db.DeclareRelation("G", 0).ok());
+  db.Canonicalize();
+  ASSERT_TRUE(engine.RegisterDatabase("g", std::move(db)).ok());
+  for (const char* text : {
+           "ans(x, z) :- E(x, y), E(y, z).",
+           // The planner sees this without its guard: a pure CQ.
+           "ans(x, z) :- E(x, y), E(y, z), !G().",
+           "ans(x) :- E(x, y), E(x, z), y != z.",
+           "ans(x, y) :- E(x, y), !Adult(x), x != y.",
+           "ans(a, b, c) :- Event(a, b, c, d, e, f).",
+           "ans(a, b) :- Event(a, b, c, d, e, f), a != c.",
+           "ans(a, b, c, d, e, f) :- E(a, b), E(a, c), E(a, d), E(a, e), "
+           "E(a, f), E(b, c), E(b, d), E(b, e), E(b, f), E(c, d), E(c, e), "
+           "E(c, f), E(d, e), E(d, f), E(e, f), !Adult(a).",
+       }) {
+    SCOPED_TRACE(text);
+    auto parsed = ParseQuery(text);
+    ASSERT_TRUE(parsed.ok());
+    auto explanation = engine.Explain(text, "g");
+    ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
+    const Classification cls = ClassifyQuery(*parsed, PlanOptions{});
+    const Classification& planned = explanation->plan.classification;
+    EXPECT_EQ(cls.verdict, planned.verdict);
+    EXPECT_EQ(cls.kind, planned.kind);
+    EXPECT_EQ(cls.treewidth, planned.treewidth);
+    EXPECT_EQ(cls.fhw, planned.fhw);
+    EXPECT_EQ(cls.phi_size, planned.phi_size);
+  }
+}
+
 TEST(EngineTest, ReregistrationInvalidatesCachedPlans) {
   CountingEngine engine;
   ASSERT_TRUE(engine.RegisterDatabase("g", Social(30, 12)).ok());

@@ -4,13 +4,17 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
-#include <thread>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "app/workload.h"
 #include "engine/engine.h"
+#include "obs/metrics.h"
 
 namespace cqcount {
 namespace {
@@ -23,36 +27,28 @@ TEST(ExecutorTest, DeriveSeedIsDeterministicAndIndexSensitive) {
   EXPECT_NE(DeriveSeed(42, 0), DeriveSeed(43, 0));
 }
 
-TEST(ExecutorTest, ParallelForRunsEveryTaskOnce) {
+TEST(ExecutorTest, CallerAndEveryWorkerLaneRunEveryTaskOnce) {
+  // The "caller + all workers" shape: one lane per worker plus lane 0.
   Executor executor(4);
   std::vector<std::atomic<int>> counts(500);
-  executor.ParallelFor(counts.size(),
-                       [&](size_t i) { counts[i].fetch_add(1); });
+  executor.ParallelForLanes(counts.size(), executor.num_threads() + 1,
+                            [&](int, size_t i) { counts[i].fetch_add(1); });
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 
-TEST(ExecutorTest, WaitBlocksUntilSubmittedWorkFinishes) {
-  Executor executor(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) {
-    executor.Submit([&done] { done.fetch_add(1); });
-  }
-  executor.Wait();
-  EXPECT_EQ(done.load(), 64);
-}
-
-TEST(ExecutorTest, ConcurrentParallelForCallsDoNotInterfere) {
-  // Two threads drive independent ParallelFor calls through one pool;
-  // each must see exactly its own tasks complete.
+TEST(ExecutorTest, ConcurrentLaneLoopsDoNotInterfere) {
+  // Two threads drive independent lane loops through one pool; each must
+  // see exactly its own tasks complete.
   Executor executor(4);
+  const int lanes = executor.num_threads() + 1;
   std::atomic<int> a{0};
   std::atomic<int> b{0};
   std::thread ta([&] {
-    executor.ParallelFor(200, [&](size_t) { a.fetch_add(1); });
+    executor.ParallelForLanes(200, lanes, [&](int, size_t) { a.fetch_add(1); });
     EXPECT_EQ(a.load(), 200);
   });
   std::thread tb([&] {
-    executor.ParallelFor(300, [&](size_t) { b.fetch_add(1); });
+    executor.ParallelForLanes(300, lanes, [&](int, size_t) { b.fetch_add(1); });
     EXPECT_EQ(b.load(), 300);
   });
   ta.join();
@@ -61,13 +57,16 @@ TEST(ExecutorTest, ConcurrentParallelForCallsDoNotInterfere) {
 
 // Regression for the nested-submit deadlock: every worker of a saturated
 // pool blocks inside a nested wait while the sub-tasks sit in the queue.
-// Help-draining waits must complete this; the pre-fix executor hung here.
-TEST(ExecutorTest, NestedParallelForFromSaturatedPoolDoesNotDeadlock) {
+// Self-driving lane loops must complete this; the pre-fix executor hung
+// here.
+TEST(ExecutorTest, NestedLaneLoopsFromSaturatedPoolDoNotDeadlock) {
   Executor executor(2);
+  const int lanes = executor.num_threads() + 1;
   std::atomic<int> inner{0};
   // More outer tasks than workers, each fanning out again on the pool.
-  executor.ParallelFor(8, [&](size_t) {
-    executor.ParallelFor(16, [&](size_t) { inner.fetch_add(1); });
+  executor.ParallelForLanes(8, lanes, [&](int, size_t) {
+    executor.ParallelForLanes(16, lanes,
+                              [&](int, size_t) { inner.fetch_add(1); });
   });
   EXPECT_EQ(inner.load(), 8 * 16);
 }
@@ -75,19 +74,29 @@ TEST(ExecutorTest, NestedParallelForFromSaturatedPoolDoesNotDeadlock) {
 TEST(ExecutorTest, SaturatedPoolWithScopedWaitsCompletes) {
   // The literal latent-deadlock scenario: every worker of the pool is
   // occupied by an outer task that spawns sub-tasks and blocks waiting
-  // for exactly those, while the sub-tasks (and more outer tasks) sit in
-  // the queue with no free worker. The scoped waits stay live because a
-  // ParallelFor caller's own claim loop drives its whole index space
-  // when no helper gets a worker.
+  // for exactly those, while the sub-tasks sit in the queue with no free
+  // worker. The outer tasks first wait (bounded) until every lane holds
+  // one, so the inner fan-out starts on a saturated pool; the scoped
+  // waits stay live because each inner caller's own claim loop drives
+  // its whole index space when no helper gets a worker.
   Executor executor(2);
+  const int lanes = executor.num_threads() + 1;
+  std::mutex mu;
+  std::condition_variable all_started;
+  int started = 0;
   std::atomic<int> inner{0};
-  for (int i = 0; i < 4; ++i) {
-    executor.Submit([&] {
-      executor.ParallelFor(8, [&](size_t) { inner.fetch_add(1); });
-    });
-  }
-  executor.Wait();
-  EXPECT_EQ(inner.load(), 4 * 8);
+  executor.ParallelForLanes(lanes, lanes, [&](int, size_t) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      if (++started == lanes) all_started.notify_all();
+      all_started.wait_for(lock, std::chrono::seconds(10),
+                           [&] { return started == lanes; });
+    }
+    executor.ParallelForLanes(8, lanes,
+                              [&](int, size_t) { inner.fetch_add(1); });
+  });
+  EXPECT_EQ(started, lanes);
+  EXPECT_EQ(inner.load(), lanes * 8);
 }
 
 TEST(ExecutorTest, DeeplyNestedLanesTerminate) {
@@ -129,15 +138,28 @@ TEST(ExecutorTest, ParallelForLanesSerialisesEachLane) {
   EXPECT_FALSE(overlap.load());
 }
 
-TEST(ExecutorTest, DestructorDrainsQueue) {
+TEST(ExecutorTest, DestructorDrainsQueuedHelperClosures) {
+  // A lane loop returns once its indices are done, while helper closures
+  // that never got a worker may still be queued (each holds the loop's
+  // control block). The destructor runs every one of them before joining.
+  obs::Counter& submitted = obs::MetricRegistry::Global().GetCounter(
+      "executor.tasks_submitted", "Closures submitted to any worker pool");
+  obs::Counter& executed = obs::MetricRegistry::Global().GetCounter(
+      "executor.tasks_executed", "Closures executed by pool worker threads");
+  const uint64_t submitted_before = submitted.Value();
+  const uint64_t executed_before = executed.Value();
   std::atomic<int> done{0};
   {
-    Executor executor(2);
-    for (int i = 0; i < 32; ++i) {
-      executor.Submit([&done] { done.fetch_add(1); });
-    }
+    Executor executor(1);
+    executor.ParallelForLanes(32, 8, [&](int lane, size_t) {
+      // Hold the one worker so later helpers stay queued.
+      if (lane != 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      done.fetch_add(1);
+    });
+    EXPECT_EQ(done.load(), 32);
   }
-  EXPECT_EQ(done.load(), 32);
+  EXPECT_EQ(submitted.Value() - submitted_before, 7u);
+  EXPECT_EQ(executed.Value() - executed_before, 7u);
 }
 
 class BatchDeterminismTest : public ::testing::Test {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "test_util.h"
+
 namespace cqcount {
 namespace {
 
@@ -162,6 +167,35 @@ TEST(ParserTest, PrimedIdentifiersAllowed) {
   auto q = ParseQuery("ans(x') :- R(x', y_1).");
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(q->var_name(0), "x'");
+}
+
+// Seeded mutation test over query text (untrusted input): every
+// truncation, byte-flip and splice mutant of the seed queries either fails
+// with INVALID_ARGUMENT or parses into a query that validates, with no
+// memory error (run under the sanitizers).
+TEST(ParserTest, MutantsFailTypedOrParse) {
+  const std::vector<std::string> seeds = {
+      "ans(x) :- F(x, y), F(x, z), y != z.",
+      "ans(x, y) :- Adult(x), R(x, y, z), !S(y, z), G(), x != y.",
+      "ans() :- E(a, b), E(b, c), E(c, a), !Adult(a)",
+  };
+  constexpr uint64_t kMutantsPerSeed = 5000;
+  uint64_t parsed = 0;
+  for (const std::string& seed : seeds) {
+    for (uint64_t m = 0; m < kMutantsPerSeed; ++m) {
+      const std::string text = testing_util::MutateText(seed, m);
+      SCOPED_TRACE("mutant " + std::to_string(m) + ": " + text);
+      auto q = ParseQuery(text);
+      if (!q.ok()) {
+        EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument)
+            << q.status().ToString();
+        continue;
+      }
+      ++parsed;
+      EXPECT_TRUE(q->Validate().ok()) << q->Validate().ToString();
+    }
+  }
+  EXPECT_GE(parsed, kMutantsPerSeed / 20);
 }
 
 }  // namespace

@@ -106,10 +106,16 @@ TEST_P(PreparedDpPropertyTest, PreparedMatchesMonolithic) {
   DecompositionSolver fallback_solver(
       q, db, DecompositionFromOrder(h, MinFillOrder(h)), no_cache);
 
+  std::unique_ptr<SolverEvalContext> prepared_ctx =
+      prepared_solver.CreateEvalContext();
+  std::unique_ptr<SolverEvalContext> fallback_ctx =
+      fallback_solver.CreateEvalContext();
   for (int call = 0; call < 3; ++call) {
     const VarDomains base = RandomBaseDomains(q, rng);
-    PreparedDp prepared = prepared_solver.Prepare(base, overlay_vars);
-    PreparedDp fallback = fallback_solver.Prepare(base, overlay_vars);
+    PreparedDp prepared =
+        prepared_solver.Prepare(base, overlay_vars, *prepared_ctx);
+    PreparedDp fallback =
+        fallback_solver.Prepare(base, overlay_vars, *fallback_ctx);
 
     for (int trial = 0; trial < 6; ++trial) {
       std::vector<Bitset> masks;

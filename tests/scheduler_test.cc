@@ -176,9 +176,11 @@ TEST(LaneGateTest, ObservedWallTimeReplacesStaticCostGate) {
   AdaptiveScheduler scheduler;
   CostPrediction fast_warm;
   fast_warm.source = CostSource::kObservedProfile;
-  fast_warm.millis = 0.5;  // Below min_fanout_millis: fan-out won't pay.
+  fast_warm.millis = 0.5;  // Below kMinFanoutMillis: fan-out won't pay.
+  ASSERT_LT(fast_warm.millis, kMinFanoutMillis);
   CostPrediction slow_warm = fast_warm;
   slow_warm.millis = 50.0;
+  ASSERT_GE(slow_warm.millis, kMinFanoutMillis);
   CostPrediction cheap_cold;  // Plan-estimate fallback: static gate.
   cheap_cold.cost_units = 10.0;
   CostPrediction costly_cold;
@@ -215,8 +217,7 @@ TEST(TrialBudgetTest, PerCallFailureScalesWithPredictedCalls) {
       failure, 0.1 / (2.0 * scheduler.options().trials_safety_factor * 1e4));
 
   warm.oracle_calls = 1.0;  // Tiny prediction: the cap keeps >= ~7 trials.
-  EXPECT_DOUBLE_EQ(scheduler.PerCallFailure(0.9, warm),
-                   scheduler.options().max_per_call_failure);
+  EXPECT_DOUBLE_EQ(scheduler.PerCallFailure(0.9, warm), kMaxPerCallFailure);
 }
 
 // ---------------------------------------------------------------------------

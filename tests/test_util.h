@@ -4,7 +4,9 @@
 #ifndef CQCOUNT_TESTS_TEST_UTIL_H_
 #define CQCOUNT_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -39,6 +41,37 @@ inline std::vector<EstimateInputs> BadAccuracyInputs() {
     bad.emplace_back().delta = v;
   }
   return bad;
+}
+
+/// Mutant number `mutant` of an untrusted-input seed `text`, for the
+/// seeded mutation tests. By `mutant % 3`: a truncation, 1-4 byte flips,
+/// or a splice (a stretch of the text copied in at another position). A
+/// pure function of (text, mutant).
+inline std::string MutateText(const std::string& text, uint64_t mutant) {
+  Rng rng(DeriveSeed(0x7E57AB1EULL, mutant));
+  std::string out = text;
+  if (out.empty()) return out;
+  switch (mutant % 3) {
+    case 0:
+      out.resize(rng.UniformInt(out.size()));
+      break;
+    case 1: {
+      const uint64_t flips = 1 + rng.UniformInt(4);
+      for (uint64_t f = 0; f < flips; ++f) {
+        out[rng.UniformInt(out.size())] ^=
+            static_cast<char>(1 + rng.UniformInt(255));
+      }
+      break;
+    }
+    default: {
+      const size_t from = rng.UniformInt(out.size());
+      const size_t len =
+          1 + rng.UniformInt(std::min<size_t>(out.size() - from, 24));
+      out.insert(rng.UniformInt(out.size() + 1), out.substr(from, len));
+      break;
+    }
+  }
+  return out;
 }
 
 /// Knobs for RandomQuery.
