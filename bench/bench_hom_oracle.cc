@@ -8,10 +8,8 @@
 //   (b) ColourCodingEdgeFreeOracle::IsEdgeFree end-to-end per-call cost;
 //   (c) BacktrackingHomOracle::Decide throughput (its BagJoiner is built
 //       once at construction, not per call).
-// Writes BENCH_fptras.json (argv[1] overrides). The `estimates` section
-// runs at FIXED sizes in both full and smoke mode: CI asserts those
-// estimates against the checked-in baseline (scripts/check_estimates.py),
-// so perf PRs cannot silently change answers.
+// Writes BENCH_fptras.json (argv[1] overrides). The fixed-seed answers of
+// this pipeline are pinned by tests/estimate_pins_test.cc.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -21,11 +19,9 @@
 #include "app/workload.h"
 #include "bench_util.h"
 #include "counting/colour_coding.h"
-#include "counting/fptras.h"
 #include "decomposition/width_measures.h"
 #include "hom/hom_oracle.h"
 #include "query/parser.h"
-#include "util/executor.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -43,16 +39,6 @@ struct PreparedPoint {
   double monolithic_ms = 0.0;
   double prepared_ms = 0.0;
   double speedup = 0.0;
-};
-
-struct EstimatePoint {
-  const char* name = "";
-  std::string query;
-  uint32_t universe = 0;
-  double estimate = 0.0;
-  /// The same workload at 4 intra-query lanes (must equal `estimate`).
-  double estimate_mt = 0.0;
-  bool exact = false;
 };
 
 Query MustParse(const std::string& text) {
@@ -233,63 +219,6 @@ int Run(const std::string& json_path) {
                backtracking_us);
   }
 
-  // (d) fixed-seed estimate baselines (FIXED sizes in every mode: these
-  // values are asserted by CI against the checked-in JSON).
-  const uint32_t kBaselineUniverse = 24;
-  Database baseline_db;
-  {
-    Rng rng(7);
-    baseline_db = SocialNetworkDb(kBaselineUniverse, 4.0, 0.5, rng);
-  }
-  const char* kEstimateNames[3] = {"star-diseq", "six-cycle", "path-diseq"};
-  const std::string kEstimateQueries[3] = {
-      "ans(x) :- F(x, y), F(x, z), y != z.",
-      "ans(a, d) :- F(a, b), F(b, c), F(c, d), F(d, e), F(e, f), F(f, a).",
-      "ans(x) :- F(x, y), F(y, z), x != z.",
-  };
-  std::vector<EstimatePoint> estimates;
-  bench::Row("\n(d) fixed-seed estimate baselines (universe %u)",
-             kBaselineUniverse);
-  bench::Row("%12s %12s %12s %7s", "workload", "estimate", "estimate@4t",
-             "exact");
-  {
-    // The multi-threaded column re-runs every workload with 4 intra-query
-    // lanes on a real pool: check_estimates.py asserts it matches the
-    // single-threaded baseline bit for bit (the determinism contract).
-    Executor mt_pool(4);
-    for (int i = 0; i < 3; ++i) {
-      Query q = MustParse(kEstimateQueries[i]);
-      ApproxOptions opts;
-      opts.epsilon = 0.25;
-      opts.delta = 0.2;
-      opts.seed = 12345;
-      opts.per_call_failure_override = 1e-3;
-      auto result = ApproxCountAnswers(q, baseline_db, opts);
-      ApproxOptions mt_opts = opts;
-      mt_opts.pool = &mt_pool;
-      mt_opts.intra_threads = 4;
-      auto mt_result = ApproxCountAnswers(q, baseline_db, mt_opts);
-      if (!result.ok() || !mt_result.ok()) {
-        std::fprintf(stderr, "estimate: %s\n",
-                     (result.ok() ? mt_result : result)
-                         .status()
-                         .ToString()
-                         .c_str());
-        return 1;
-      }
-      EstimatePoint point;
-      point.name = kEstimateNames[i];
-      point.query = kEstimateQueries[i];
-      point.universe = kBaselineUniverse;
-      point.estimate = result->estimate;
-      point.estimate_mt = mt_result->estimate;
-      point.exact = result->exact;
-      estimates.push_back(point);
-      bench::Row("%12s %12.1f %12.1f %7s", point.name, point.estimate,
-                 point.estimate_mt, point.exact ? "yes" : "no");
-    }
-  }
-
   std::FILE* out = std::fopen(json_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
@@ -316,22 +245,8 @@ int Run(const std::string& json_path) {
                static_cast<unsigned long long>(edgefree_calls));
   std::fprintf(out, "  \"backtracking_us_per_call\": %.1f,\n",
                backtracking_us);
-  std::fprintf(out, "  \"estimates\": [\n");
-  for (size_t i = 0; i < estimates.size(); ++i) {
-    const EstimatePoint& e = estimates[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"universe\": %u, \"seed\": 12345, "
-                 "\"epsilon\": 0.25, \"delta\": 0.2, \"estimate\": %.6f, "
-                 "\"estimate_mt\": %.6f, \"exact\": %s}%s\n",
-                 e.name, e.universe, e.estimate, e.estimate_mt,
-                 e.exact ? "true" : "false",
-                 i + 1 < estimates.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
   std::fprintf(out,
-               "  \"note\": \"estimates run at fixed sizes in every mode "
-               "and are asserted by scripts/check_estimates.py; perf rows "
-               "scale with CQCOUNT_BENCH_SMOKE\"\n");
+               "  \"note\": \"perf rows scale with CQCOUNT_BENCH_SMOKE\"\n");
   std::fprintf(out, "}\n");
   std::fclose(out);
   bench::Row("wrote %s", json_path.c_str());

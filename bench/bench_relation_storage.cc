@@ -2,13 +2,10 @@
 //
 // Measures the four substrate operations every estimator leans on —
 // build (stage + canonicalise), full scan, prefix-range descent, and
-// projection — at arities 2..5, and compares three backends: the flat
-// in-memory layout, the historical boxed representation
-// (std::vector<Tuple>, one heap allocation per tuple) reimplemented here
-// as the before/after baseline, and the mmap'd columnar segment
-// (relational/segment.h; its build_ms is pack + O(1) open). Writes the
-// measurements as JSON (default BENCH_relation.json, or argv[1]).
-#include <algorithm>
+// projection — at arities 2..5, and compares the two backends: the flat
+// in-memory layout and the mmap'd columnar segment (relational/segment.h;
+// its build_ms is pack + O(1) open). Writes the measurements as JSON
+// (default BENCH_relation.json, or argv[1]).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -29,41 +26,6 @@ const int kRows = bench::Sized(200000, 5000);
 constexpr int kUniverse = 1000;
 const int kScanRepeats = bench::Sized(20, 2);
 const int kProbeRepeats = bench::Sized(400000, 10000);
-
-// The pre-PR2 boxed storage, reduced to the operations measured here.
-struct BoxedRelation {
-  int arity = 0;
-  std::vector<Tuple> tuples;
-
-  void Canonicalize() {
-    std::sort(tuples.begin(), tuples.end());
-    tuples.erase(std::unique(tuples.begin(), tuples.end()), tuples.end());
-  }
-  std::pair<size_t, size_t> NarrowRange(size_t from, size_t to, size_t col,
-                                        Value v) const {
-    auto first = std::lower_bound(
-        tuples.begin() + from, tuples.begin() + to, v,
-        [col](const Tuple& t, Value value) { return t[col] < value; });
-    auto last = std::upper_bound(
-        first, tuples.begin() + to, v,
-        [col](Value value, const Tuple& t) { return value < t[col]; });
-    return {static_cast<size_t>(first - tuples.begin()),
-            static_cast<size_t>(last - tuples.begin())};
-  }
-  BoxedRelation Project(const std::vector<int>& positions) const {
-    BoxedRelation out;
-    out.arity = static_cast<int>(positions.size());
-    out.tuples.reserve(tuples.size());
-    for (const Tuple& t : tuples) {
-      Tuple p;
-      p.reserve(positions.size());
-      for (int pos : positions) p.push_back(t[pos]);
-      out.tuples.push_back(std::move(p));
-    }
-    out.Canonicalize();
-    return out;
-  }
-};
 
 struct OpTimes {
   double build_ms = 0.0;
@@ -178,48 +140,11 @@ OpTimes MeasureSegment(const std::vector<Tuple>& rows, int arity,
   return times;
 }
 
-OpTimes MeasureBoxed(const std::vector<Tuple>& rows, int arity,
-                     uint64_t* sink) {
-  OpTimes times;
-  WallTimer timer;
-  BoxedRelation rel;
-  rel.arity = arity;
-  for (const Tuple& t : rows) rel.tuples.push_back(t);
-  rel.Canonicalize();
-  times.build_ms = timer.Millis();
-
-  timer.Reset();
-  uint64_t sum = 0;
-  for (int repeat = 0; repeat < kScanRepeats; ++repeat) {
-    for (const Tuple& t : rel.tuples) sum += t[0];
-  }
-  times.scan_ms = timer.Millis() / kScanRepeats;
-
-  timer.Reset();
-  Rng rng(4);
-  size_t hits = 0;
-  for (int probe = 0; probe < kProbeRepeats; ++probe) {
-    const Value v = static_cast<Value>(rng.UniformInt(kUniverse));
-    const auto [lo, hi] = rel.NarrowRange(0, rel.tuples.size(), 0, v);
-    hits += hi - lo;
-  }
-  times.range_ms = timer.Millis();
-
-  timer.Reset();
-  std::vector<int> positions;
-  for (int k = arity - 1; k >= 1; --k) positions.push_back(k);
-  BoxedRelation projected = rel.Project(positions);
-  times.project_ms = timer.Millis();
-
-  *sink += sum + hits + projected.tuples.size();
-  return times;
-}
-
 }  // namespace
 
 int Run(const std::string& json_path) {
   bench::Header("EXP-REL",
-                "relation storage: flat (arity-strided) vs boxed tuples");
+                "relation storage: flat (arity-strided) vs mmap'd segment");
   bench::Row("%d rows, universe %d; scan avg over %d passes", kRows,
              kUniverse, kScanRepeats);
   bench::Row("%6s %8s %12s %12s %12s %12s", "arity", "layout", "build_ms",
@@ -229,7 +154,6 @@ int Run(const std::string& json_path) {
   struct Entry {
     int arity;
     OpTimes flat;
-    OpTimes boxed;
     OpTimes segment;
   };
   std::vector<Entry> entries;
@@ -238,15 +162,11 @@ int Run(const std::string& json_path) {
     Entry e;
     e.arity = arity;
     e.flat = MeasureFlat(rows, arity, &sink);
-    e.boxed = MeasureBoxed(rows, arity, &sink);
     e.segment = MeasureSegment(rows, arity, &sink);
     entries.push_back(e);
     bench::Row("%6d %8s %12.2f %12.2f %12.2f %12.2f", arity, "flat",
                e.flat.build_ms, e.flat.scan_ms, e.flat.range_ms,
                e.flat.project_ms);
-    bench::Row("%6d %8s %12.2f %12.2f %12.2f %12.2f", arity, "boxed",
-               e.boxed.build_ms, e.boxed.scan_ms, e.boxed.range_ms,
-               e.boxed.project_ms);
     bench::Row("%6d %8s %12.2f %12.2f %12.2f %12.2f", arity, "segment",
                e.segment.build_ms, e.segment.scan_ms, e.segment.range_ms,
                e.segment.project_ms);
@@ -269,14 +189,11 @@ int Run(const std::string& json_path) {
         "    {\"arity\": %d, "
         "\"flat\": {\"build_ms\": %.2f, \"scan_ms\": %.2f, "
         "\"range_ms\": %.2f, \"project_ms\": %.2f}, "
-        "\"boxed\": {\"build_ms\": %.2f, \"scan_ms\": %.2f, "
-        "\"range_ms\": %.2f, \"project_ms\": %.2f}, "
         "\"segment\": {\"build_ms\": %.2f, \"scan_ms\": %.2f, "
         "\"range_ms\": %.2f, \"project_ms\": %.2f}}%s\n",
         e.arity, e.flat.build_ms, e.flat.scan_ms, e.flat.range_ms,
-        e.flat.project_ms, e.boxed.build_ms, e.boxed.scan_ms,
-        e.boxed.range_ms, e.boxed.project_ms, e.segment.build_ms,
-        e.segment.scan_ms, e.segment.range_ms, e.segment.project_ms,
+        e.flat.project_ms, e.segment.build_ms, e.segment.scan_ms,
+        e.segment.range_ms, e.segment.project_ms,
         i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");

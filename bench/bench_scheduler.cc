@@ -7,9 +7,8 @@
 // target is met. Each workload runs two arms on identical databases and
 // seeds:
 //   adaptive_off — the exact pre-scheduler behaviour (even eps split,
-//                  full run schedule); this arm must stay bit-identical
-//                  to the pre-scheduler engine forever, which is what the
-//                  fixed-size `estimates` section pins in CI;
+//                  full run schedule); its answers at a fixed size are
+//                  pinned by tests/estimate_pins_test.cc;
 //   adaptive_on  — cost-model budgets + early stop, measured on the
 //                  third call so two prior calls have warmed the shape
 //                  profile past SchedulerOptions::min_profile_runs.
@@ -57,15 +56,14 @@ struct ArmPoint {
   int total_runs = 0;
 };
 
-bool RunArm(const Database& db, const char* query, bool adaptive, int intra,
+bool RunArm(const Database& db, const char* query, bool adaptive,
             ArmPoint* point) {
   EngineOptions opts;
   opts.epsilon = kEpsilon;
   opts.delta = kDelta;
   opts.seed = kEngineSeed;
   opts.num_threads = 4;
-  opts.intra_query_threads = intra;
-  opts.intra_query_min_cost = 0.0;
+  opts.intra_query_threads = 1;
   opts.adaptive = adaptive;
   CountingEngine engine(opts);
   Status s = engine.RegisterDatabase("g", db);
@@ -113,41 +111,7 @@ int Run(const std::string& json_path) {
   bench::Header("EXP-SCHED", "adaptive scheduler: oracle work vs accuracy");
   const unsigned hardware = std::thread::hardware_concurrency();
 
-  // The `estimates` section runs at FIXED size and seed in every mode
-  // (including CQCOUNT_BENCH_SMOKE): the adaptive-off arm takes the exact
-  // pre-scheduler code path, so baseline drift here means the scheduler
-  // refactor changed answers, not just scheduling.
-  const uint32_t pinned_universe = 48;
-  Database pinned_db;
-  {
-    Rng rng(2024);
-    pinned_db = SocialNetworkDb(pinned_universe, 5.0, 0.5, rng);
-  }
-  struct PinnedEstimate {
-    const char* name;
-    double estimate = 0.0;
-    double estimate_mt = 0.0;
-  };
-  std::vector<PinnedEstimate> pinned;
-  bench::Row("\n(a) pinned adaptive-off estimates (universe %u, seed %llu)",
-             pinned_universe, static_cast<unsigned long long>(kEngineSeed));
-  bench::Row("%12s %16s %16s", "workload", "estimate", "estimate_mt");
-  for (const Workload& w : kWorkloads) {
-    ArmPoint single, multi;
-    if (!RunArm(pinned_db, w.query, /*adaptive=*/false, /*intra=*/1, &single))
-      return 1;
-    if (!RunArm(pinned_db, w.query, /*adaptive=*/false, /*intra=*/4, &multi))
-      return 1;
-    pinned.push_back({w.name, single.estimate, multi.estimate});
-    bench::Row("%12s %16.4f %16.4f", w.name, single.estimate, multi.estimate);
-    if (single.estimate != multi.estimate) {
-      std::fprintf(stderr, "%s: adaptive-off estimate not lane-invariant\n",
-                   w.name);
-      return 1;
-    }
-  }
-
-  // (b) the A/B itself, at bench-sized universes.
+  // The A/B itself, at bench-sized universes.
   const uint32_t universe = bench::Sized(240u, 48u);
   Database db;
   {
@@ -161,16 +125,15 @@ int Run(const std::string& json_path) {
     double rel_gap = 0.0;
   };
   std::vector<WorkloadResult> results;
-  bench::Row("\n(b) warm third-call A/B (universe %u, eps %.2f, delta %.2f)",
+  bench::Row("\nwarm third-call A/B (universe %u, eps %.2f, delta %.2f)",
              universe, kEpsilon, kDelta);
   bench::Row("%12s %9s %12s %12s %10s %8s %14s %10s", "workload", "arm",
              "oracle", "est_calls", "millis", "runs", "stop", "estimate");
   for (const Workload& w : kWorkloads) {
     WorkloadResult wr;
     wr.name = w.name;
-    if (!RunArm(db, w.query, /*adaptive=*/false, /*intra=*/1, &wr.off))
-      return 1;
-    if (!RunArm(db, w.query, /*adaptive=*/true, /*intra=*/1, &wr.on)) return 1;
+    if (!RunArm(db, w.query, /*adaptive=*/false, &wr.off)) return 1;
+    if (!RunArm(db, w.query, /*adaptive=*/true, &wr.on)) return 1;
     wr.reduction = wr.on.oracle_calls > 0
                        ? static_cast<double>(wr.off.oracle_calls) /
                              static_cast<double>(wr.on.oracle_calls)
@@ -229,18 +192,6 @@ int Run(const std::string& json_path) {
   std::fprintf(out, "  \"smoke\": %s,\n",
                bench::SmokeMode() ? "true" : "false");
   std::fprintf(out, "  \"hardware_threads\": %u,\n", hardware);
-  std::fprintf(out, "  \"estimates\": [\n");
-  for (size_t i = 0; i < pinned.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"universe\": %u, \"seed\": %llu, "
-                 "\"epsilon\": %.2f, \"delta\": %.2f, \"estimate\": %.6f, "
-                 "\"estimate_mt\": %.6f, \"exact\": false}%s\n",
-                 pinned[i].name, pinned_universe,
-                 static_cast<unsigned long long>(kEngineSeed), kEpsilon,
-                 kDelta, pinned[i].estimate, pinned[i].estimate_mt,
-                 i + 1 < pinned.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"workloads\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const WorkloadResult& wr = results[i];
@@ -260,13 +211,10 @@ int Run(const std::string& json_path) {
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out,
-               "  \"note\": \"estimates section is adaptive-off at pinned "
-               "size/seed in every mode (the pre-scheduler code path; CI "
-               "pins it bitwise against the checked-in baseline); workloads "
-               "measure the third profile-warm call so the adaptive arm "
-               "runs on observed costs; smoke-sized workloads may finish "
-               "in the exact phase, so the 2x six-cycle target is asserted "
-               "in full mode only\"\n");
+               "  \"note\": \"workloads measure the third profile-warm "
+               "call so the adaptive arm runs on observed costs; smoke-sized "
+               "workloads may finish in the exact phase, so the 2x six-cycle "
+               "target is asserted in full mode only\"\n");
   std::fprintf(out, "}\n");
   std::fclose(out);
   bench::Row("wrote %s", json_path.c_str());

@@ -1,6 +1,6 @@
 // EXP-STORAGE: the out-of-core segment backend and SIMD kernels.
 //
-// Three sections, written to BENCH_storage.json (or argv[1]):
+// Two sections, written to BENCH_storage.json (or argv[1]):
 //
 //   open_sweep  streams databases up to 10^8 tuples into segment files
 //               via SegmentWriter (never materialised in memory), then
@@ -12,10 +12,9 @@
 //               scan behind NarrowRange/GroupEnd and the word-parallel
 //               semijoin existence probe — at 200k+ rows, where the
 //               acceptance floor is a >= 2x SIMD speedup.
-//   estimates   fixed-seed engine runs on the SAME database through the
-//               in-memory backend, the mmap'd segment backend, and the
-//               scalar kernel fallback; all three must agree bitwise
-//               (scripts/check_estimates.py storage mode enforces it).
+//
+// That the backend and the kernel level never change an answer is pinned
+// by tests/estimate_pins_test.cc and tests/storage_backend_test.cc.
 //
 // Smoke mode (CQCOUNT_BENCH_SMOKE) shrinks sizes so CI exercises every
 // code path in seconds; smoke numbers are flagged in the JSON and the
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "engine/engine.h"
 #include "relational/relation.h"
 #include "relational/segment.h"
 #include "relational/simd.h"
@@ -201,115 +199,12 @@ KernelEntry MeasureProbeBlocks(uint64_t rows, int repeats) {
   return entry;
 }
 
-// ---------------------------------------------------------------------------
-// Section 3: backend/kernels estimate parity (fixed seeds).
-// ---------------------------------------------------------------------------
-
-struct EstimateEntry {
-  std::string name;
-  std::string query;
-  uint32_t universe = 0;
-  uint64_t seed = 0;
-  double epsilon = 0.0;
-  double delta = 0.0;
-  double estimate = 0.0;          // in-memory backend, active SIMD level
-  double estimate_segment = 0.0;  // mmap'd segment backend
-  double estimate_scalar = 0.0;   // in-memory backend, scalar kernels
-  bool exact = false;
-  unsigned long long oracle_calls = 0;
-};
-
-constexpr uint32_t kEstimateUniverse = 400;
-
-Database EstimateDatabase() {
-  Rng rng(777);
-  Database db(kEstimateUniverse);
-  (void)db.DeclareRelation("E", 2);
-  (void)db.DeclareRelation("F", 2);
-  (void)db.DeclareRelation("L", 1);
-  for (int i = 0; i < 8000; ++i) {
-    (void)db.AddFact("E",
-                     {static_cast<Value>(rng.UniformInt(kEstimateUniverse)),
-                      static_cast<Value>(rng.UniformInt(kEstimateUniverse))});
-    (void)db.AddFact("F",
-                     {static_cast<Value>(rng.UniformInt(kEstimateUniverse)),
-                      static_cast<Value>(rng.UniformInt(kEstimateUniverse))});
-  }
-  for (Value v = 0; v < kEstimateUniverse; v += 2) {
-    (void)db.AddFact("L", {v});
-  }
-  db.Canonicalize();
-  return db;
-}
-
-double RunOne(const std::string& query, bool mapped,
-              EstimateEntry* entry) {
-  EngineOptions opts;
-  CountingEngine engine(opts);
-  Status registered =
-      mapped ? engine.RegisterDatabaseFile("db", kSegPath)
-             : engine.RegisterDatabase("db", EstimateDatabase());
-  if (!registered.ok()) {
-    std::fprintf(stderr, "register: %s\n", registered.ToString().c_str());
-    std::exit(1);
-  }
-  CountRequest request;
-  request.query = query;
-  request.database = "db";
-  auto result = engine.Count(request);
-  if (!result.ok()) {
-    std::fprintf(stderr, "count: %s\n", result.status().ToString().c_str());
-    std::exit(1);
-  }
-  if (entry != nullptr) {
-    entry->universe = kEstimateUniverse;
-    entry->seed = opts.seed;
-    entry->epsilon = opts.epsilon;
-    entry->delta = opts.delta;
-    entry->exact = result->exact;
-    entry->oracle_calls =
-        static_cast<unsigned long long>(result->oracle_calls);
-  }
-  return result->estimate;
-}
-
-std::vector<EstimateEntry> MeasureEstimates() {
-  const std::vector<std::pair<std::string, std::string>> workloads = {
-      {"storage_path2", "ans(x) :- E(x, y), F(y, z), y != z."},
-      {"storage_negation", "ans(x, y) :- E(x, y), L(x), !F(y, x)."},
-      {"storage_boolean", "ans() :- E(x, y), F(y, z), x != z."},
-      // Forces the sampling strategy (disequality star) so the parity
-      // check also covers the FPTRAS oracle path, not just exact joins.
-      {"storage_fptras", "ans(x) :- E(x, y), E(x, z), y != z."},
-  };
-  Status packed = WriteSegmentDatabase(EstimateDatabase(), kSegPath);
-  if (!packed.ok()) {
-    std::fprintf(stderr, "pack: %s\n", packed.ToString().c_str());
-    std::exit(1);
-  }
-  std::vector<EstimateEntry> entries;
-  for (const auto& [name, query] : workloads) {
-    EstimateEntry e;
-    e.name = name;
-    e.query = query;
-    simd::SetLevelForTesting(simd::MaxSupportedLevel());
-    e.estimate = RunOne(query, /*mapped=*/false, &e);
-    e.estimate_segment = RunOne(query, /*mapped=*/true, nullptr);
-    simd::SetLevelForTesting(simd::Level::kScalar);
-    e.estimate_scalar = RunOne(query, /*mapped=*/false, nullptr);
-    simd::SetLevelForTesting(simd::MaxSupportedLevel());
-    entries.push_back(e);
-  }
-  std::remove(kSegPath);
-  return entries;
-}
-
 }  // namespace
 
 int Run(const std::string& json_path) {
   const unsigned hardware_threads = std::thread::hardware_concurrency();
   bench::Header("EXP-STORAGE",
-                "out-of-core segments: O(1) open, SIMD kernels, parity");
+                "out-of-core segments: O(1) open, SIMD kernels");
   bench::Row("hardware_threads=%u simd=%s smoke=%d", hardware_threads,
              simd::LevelName(simd::MaxSupportedLevel()),
              bench::SmokeMode() ? 1 : 0);
@@ -352,25 +247,6 @@ int Run(const std::string& json_path) {
     }
   }
 
-  // Section 3.
-  const std::vector<EstimateEntry> estimates = MeasureEstimates();
-  bench::Row("%20s %14s %14s %14s %6s", "workload", "inmemory", "segment",
-             "scalar", "equal");
-  bool all_equal = true;
-  for (const EstimateEntry& e : estimates) {
-    const bool equal =
-        e.estimate == e.estimate_segment && e.estimate == e.estimate_scalar;
-    all_equal = all_equal && equal;
-    bench::Row("%20s %14.4f %14.4f %14.4f %6s", e.name.c_str(), e.estimate,
-               e.estimate_segment, e.estimate_scalar, equal ? "yes" : "NO");
-  }
-  if (!all_equal) {
-    std::fprintf(stderr,
-                 "FATAL: backends/kernels disagree on fixed-seed "
-                 "estimates\n");
-    return 1;
-  }
-
   std::FILE* out = std::fopen(json_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
@@ -407,22 +283,6 @@ int Run(const std::string& json_path) {
                  static_cast<unsigned long long>(e.rows), e.scalar_ms,
                  e.simd_ms, e.speedup,
                  i + 1 < kernel_entries.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"estimates\": [\n");
-  for (size_t i = 0; i < estimates.size(); ++i) {
-    const EstimateEntry& e = estimates[i];
-    std::fprintf(
-        out,
-        "    {\"name\": \"%s\", \"universe\": %u, \"seed\": %llu, "
-        "\"epsilon\": %g, \"delta\": %g, \"estimate\": %.17g, "
-        "\"estimate_segment\": %.17g, \"estimate_scalar\": %.17g, "
-        "\"exact\": %s, \"oracle_calls\": %llu}%s\n",
-        e.name.c_str(), e.universe,
-        static_cast<unsigned long long>(e.seed), e.epsilon, e.delta,
-        e.estimate, e.estimate_segment, e.estimate_scalar,
-        e.exact ? "true" : "false", e.oracle_calls,
-        i + 1 < estimates.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n");
   std::fprintf(out, "}\n");

@@ -2,7 +2,6 @@
 """Validates bench/telemetry JSON emitted by the cqcount binaries.
 
 Usage:
-  check_estimates.py <fresh.json> <baseline.json>   baseline estimate check
   check_estimates.py stats <stats.json> [other.json]
                                                     `cli stats` schema check;
                                                     with a second dump, a
@@ -13,14 +12,10 @@ Usage:
                                                     adaptive-scheduler bench
                                                     schema + reduction check
   check_estimates.py storage <BENCH_storage.json>   segment-storage bench
-                                                    schema check + backend/
-                                                    kernel estimate parity
+                                                    schema check + perf floors
 
-Baseline mode: perf PRs are free to change timings, but the `estimates`
-section of BENCH_fptras.json is produced at FIXED sizes and seeds in
-every mode (including CQCOUNT_BENCH_SMOKE), so any drift there means the
-refactor changed answers, not just speed. CI fails the build in that
-case.
+Fixed-seed answers are not checked here: tests/estimate_pins_test.cc pins
+them under ctest, at every lane count, storage backend and SIMD level.
 
 The telemetry modes validate the observability surface added with the
 obs/ subsystem: the metric registry dump and the Chrome trace_event
@@ -86,54 +81,6 @@ REQUIRED_SPANS = (
 )
 
 VALID_KINDS = ("counter", "gauge", "histogram")
-
-
-def load_estimates(path):
-    with open(path) as f:
-        data = json.load(f)
-    estimates = data.get("estimates")
-    if not estimates:
-        raise SystemExit(f"{path}: no 'estimates' section")
-    return {e["name"]: e for e in estimates}
-
-
-def check_baseline(fresh_path, baseline_path):
-    fresh = load_estimates(fresh_path)
-    baseline = load_estimates(baseline_path)
-    failures = []
-    for name, base in sorted(baseline.items()):
-        got = fresh.get(name)
-        if got is None:
-            failures.append(f"{name}: missing from fresh output")
-            continue
-        for key in ("universe", "seed", "epsilon", "delta"):
-            if got.get(key) != base.get(key):
-                failures.append(
-                    f"{name}: config drift on {key!r}: "
-                    f"{got.get(key)} != {base.get(key)}")
-        if got.get("estimate") != base.get("estimate"):
-            failures.append(
-                f"{name}: estimate {got.get('estimate')} != baseline "
-                f"{base.get('estimate')} (fixed seed: must be bit-identical)")
-        # The determinism contract: the multi-threaded (4 intra-query
-        # lanes) rerun of each workload must match the single-threaded
-        # baseline bit for bit.
-        if "estimate_mt" in got and got["estimate_mt"] != base.get("estimate"):
-            failures.append(
-                f"{name}: multi-threaded estimate {got['estimate_mt']} != "
-                f"single-threaded baseline {base.get('estimate')} "
-                f"(intra-query parallelism must be bit-identical)")
-        if got.get("exact") != base.get("exact"):
-            failures.append(
-                f"{name}: exact flag {got.get('exact')} != "
-                f"{base.get('exact')}")
-    if failures:
-        print("estimate baseline check FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    print(f"estimate baseline check OK ({len(baseline)} workloads)")
-    return 0
 
 
 def load_stats(path):
@@ -250,15 +197,12 @@ def check_scheduler(path):
     behaviour: full run schedule, even eps split) and an adaptive-on arm
     (cost-model budgets + CLT early stop). The schema check asserts the
     typed stop reasons and that adaptivity never *increases* oracle work
-    on these workloads; the accuracy side is covered by the `estimates`
-    section, which feeds the ordinary baseline mode.
+    on these workloads; the adaptive-off answers are pinned by
+    tests/estimate_pins_test.cc.
     """
     with open(path) as f:
         data = json.load(f)
     failures = []
-    if not data.get("estimates"):
-        failures.append("no 'estimates' section (baseline mode needs the "
-                        "adaptive-off estimates to pin against PR 7)")
     workloads = data.get("workloads")
     if not isinstance(workloads, list) or not workloads:
         raise SystemExit(f"{path}: no 'workloads' array")
@@ -310,13 +254,11 @@ def check_scheduler(path):
 def check_storage(path):
     """Validates BENCH_storage.json: the out-of-core segment bench.
 
-    Schema checks always run. The parity invariant — fixed-seed estimates
-    bitwise-equal across the in-memory backend, the mmap'd segment
-    backend, and the scalar kernel fallback — always runs too, in every
-    mode. The perf floors (10^8-tuple sweep entry, sub-millisecond O(1)
-    open, >= 2x SIMD speedup on the contiguous scan and the semijoin
-    probe at 200k+ rows) apply only to non-smoke recordings: smoke sizes
-    are too small to measure and are flagged in the JSON.
+    Schema checks always run. The perf floors (10^8-tuple sweep entry,
+    sub-millisecond O(1) open, >= 2x SIMD speedup on the contiguous scan
+    and the semijoin probe at 200k+ rows) apply only to non-smoke
+    recordings: smoke sizes are too small to measure and are flagged in
+    the JSON.
     """
     with open(path) as f:
         data = json.load(f)
@@ -363,34 +305,13 @@ def check_storage(path):
             failures.append(
                 f"kernel {e['kernel']} at {e['rows']} rows: speedup "
                 f"{e['speedup']} < 2.0x (SIMD acceptance floor)")
-    estimates = data.get("estimates")
-    if not isinstance(estimates, list) or not estimates:
-        raise SystemExit(f"{path}: no 'estimates' array")
-    for e in estimates:
-        name = e.get("name", "<unnamed>")
-        for key in ("name", "universe", "seed", "epsilon", "delta",
-                    "estimate", "estimate_segment", "estimate_scalar",
-                    "exact", "oracle_calls"):
-            if key not in e:
-                failures.append(f"{name}: missing {key!r}")
-        if e.get("estimate_segment") != e.get("estimate"):
-            failures.append(
-                f"{name}: segment estimate {e.get('estimate_segment')} != "
-                f"in-memory {e.get('estimate')} (backends must be "
-                f"bit-identical)")
-        if e.get("estimate_scalar") != e.get("estimate"):
-            failures.append(
-                f"{name}: scalar-kernel estimate "
-                f"{e.get('estimate_scalar')} != SIMD {e.get('estimate')} "
-                f"(kernel levels must be bit-identical)")
     if failures:
         print("storage bench schema check FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
     print(f"storage bench schema check OK ({len(sweep)} sweep sizes, "
-          f"{len(kernels)} kernel rows, {len(estimates)} parity "
-          f"workloads{', smoke' if smoke else ''})")
+          f"{len(kernels)} kernel rows{', smoke' if smoke else ''})")
     return 0
 
 
@@ -404,8 +325,6 @@ def main():
         return check_scheduler(sys.argv[2])
     if len(sys.argv) == 3 and sys.argv[1] == "storage":
         return check_storage(sys.argv[2])
-    if len(sys.argv) == 3:
-        return check_baseline(sys.argv[1], sys.argv[2])
     raise SystemExit(__doc__)
 
 

@@ -9,7 +9,10 @@ namespace cqcount {
 namespace {
 
 // Q = ceil(ln(1/delta')) * 4^{|Delta|}, clamped to at least one trial.
+// Without disequalities there is nothing to colour (Lemma 22): one
+// decision answers the call exactly, so Q = 1.
 uint64_t NumTrials(size_t num_disequalities, double per_call_failure) {
+  if (num_disequalities == 0) return 1;
   const double log_term = std::ceil(std::log(1.0 / per_call_failure));
   double trials = std::max(1.0, log_term);
   for (size_t i = 0; i < num_disequalities; ++i) trials *= 4.0;

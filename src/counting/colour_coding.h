@@ -7,6 +7,7 @@
 // Hom query. A homomorphism respecting a colouring yields an edge
 // (sound); a present edge is missed with probability at most delta'
 // (each trial succeeds with probability >= 4^{-|Delta|}, Lemma 22).
+// Without disequalities nothing is coloured: Q = 1, one exact decision.
 //
 // The Hom instances are passed to the oracle virtually: all of A-hat's
 // additions are unary, so the instance is exactly "phi's positive/negated
@@ -89,7 +90,8 @@ class ColourCodingEdgeFreeOracle : public EdgeFreeOracle {
   /// Hom oracle has no concurrent path.
   std::unique_ptr<EdgeFreeOracle> Fork() override;
 
-  /// Number of colouring trials used per oracle call (Q).
+  /// Number of colouring trials used per oracle call (Q; 1 without
+  /// disequalities).
   uint64_t trials_per_call() const { return trials_per_call_; }
   /// Hom queries charged to this oracle and all its forks: per call, the
   /// trials up to and including the first witness (all Q without one;

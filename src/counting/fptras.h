@@ -72,7 +72,8 @@ struct ApproxCountResult : EstimateOutcome {
   /// there is none). Lane-invariant: parallel trial loops may evaluate a
   /// few trials past the witness, but those are never charged.
   uint64_t hom_queries = 0;
-  /// Colouring trials per EdgeFree call (the 4^{|Delta|} log factor).
+  /// Colouring trials per EdgeFree call (the 4^{|Delta|} log factor; 1
+  /// without disequalities, where one decision answers the call).
   uint64_t colouring_trials_per_call = 0;
   /// Width of the decomposition the Hom oracle ran on.
   double width = 0.0;

@@ -88,6 +88,7 @@ TEST(ColourCodingTest, NoDisequalitiesMeansSingleHomQuery) {
   EXPECT_FALSE(oracle.IsEdgeFree(parts));
   EXPECT_EQ(hom->num_calls(), 1u);
   EXPECT_EQ(oracle.hom_queries(), 1u);
+  EXPECT_EQ(oracle.trials_per_call(), 1u);
 }
 
 TEST(ColourCodingTest, TrialsScaleWithDisequalities) {

@@ -381,23 +381,21 @@ TEST(EngineTest, ComponentBudgetSplitIsRecorded) {
   EXPECT_DOUBLE_EQ(mixed_result->components[1].delta, 0.0);
 }
 
-TEST(EngineTest, FactoredBatchesStayDeterministicAcrossThreadCounts) {
-  CountingEngine engine;
-  ASSERT_TRUE(engine.RegisterDatabase("g", Social(120, 24)).ok());
+// Every batch thread count yields bitwise-identical estimates.
+void ExpectBatchDeterministic(CountingEngine& engine,
+                              const std::vector<std::string>& queries,
+                              int copies) {
   std::vector<CountRequest> requests;
-  for (const char* text : {
-           "ans(x, y) :- F(x, a), F(y, b).",
-           "ans(x) :- F(x, y), F(u, v), u != v.",
-           "ans(x) :- F(x, y), F(x, z), y != z.",
-           "ans(p, q) :- F(p, a), F(q, b).",
-       }) {
-    CountRequest request;
-    request.query = text;
-    request.database = "g";
-    requests.push_back(request);
+  for (int c = 0; c < copies; ++c) {
+    for (const std::string& text : queries) {
+      CountRequest request;
+      request.query = text;
+      request.database = "g";
+      requests.push_back(request);
+    }
   }
   std::vector<double> reference;
-  for (int threads : {1, 2, 4}) {
+  for (int threads : {1, 2, 4, 8}) {
     auto results = engine.CountBatch(requests, threads);
     std::vector<double> estimates;
     for (const auto& r : results) {
@@ -410,6 +408,41 @@ TEST(EngineTest, FactoredBatchesStayDeterministicAcrossThreadCounts) {
       EXPECT_EQ(estimates, reference) << "threads=" << threads;
     }
   }
+}
+
+TEST(EngineTest, FactoredBatchesStayDeterministicAcrossThreadCounts) {
+  CountingEngine engine;
+  ASSERT_TRUE(engine.RegisterDatabase("g", Social(120, 24)).ok());
+  ExpectBatchDeterministic(engine,
+                           {
+                               "ans(x, y) :- F(x, a), F(y, b).",
+                               "ans(x) :- F(x, y), F(u, v), u != v.",
+                               "ans(x) :- F(x, y), F(x, z), y != z.",
+                               "ans(p, q) :- F(p, a), F(q, b).",
+                           },
+                           /*copies=*/1);
+
+  // A mixed batch: renamed isomorphic shapes share plans, the last two
+  // factor into two Gaifman components each.
+  EngineOptions opts;
+  opts.epsilon = 0.2;
+  opts.delta = 0.2;
+  CountingEngine mixed(opts);
+  ASSERT_TRUE(mixed.RegisterDatabase("g", Social(80, 2024)).ok());
+  ExpectBatchDeterministic(mixed,
+                           {
+                               "ans(x) :- F(x, y), F(x, z), y != z.",
+                               "ans(a) :- F(a, b), F(a, c), b != c.",
+                               "ans(x, y) :- F(x, y), Adult(x).",
+                               "ans(p, q) :- F(p, q), Adult(p).",
+                               "ans(x) :- F(x, y), Adult(y), x != y.",
+                               "ans(x, y) :- F(x, y), !Adult(y).",
+                               "ans(x) :- F(x, y), F(y, z), x != z.",
+                               "ans(x) :- F(x, y).",
+                               "ans(x, y) :- F(x, a), F(y, b).",
+                               "ans(u) :- F(u, w), F(p, q), p != q.",
+                           },
+                           /*copies=*/2);
 }
 
 TEST(EngineTest, ExplainShowsPerComponentBreakdown) {
