@@ -61,7 +61,7 @@ struct LanePoint {
 int Run(const std::string& json_path) {
   bench::Header("EXP-PAR", "intra-query parallel estimation scaling");
 
-  const uint32_t universe = bench::Sized(240u, 48u);
+  const uint32_t universe = bench::Sized(240u, 80u);
   const int warm_reps = bench::Sized(2, 1);
   const unsigned hardware = std::thread::hardware_concurrency();
   Database db;

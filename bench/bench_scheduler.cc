@@ -11,7 +11,7 @@
 //                  pinned by tests/estimate_pins_test.cc;
 //   adaptive_on  — cost-model budgets + early stop, measured on the
 //                  third call so two prior calls have warmed the shape
-//                  profile past SchedulerOptions::min_profile_runs.
+//                  profile past kMinProfileRuns.
 // The headline number is oracle_call_reduction = off/on; the six-cycle
 // fptras-tw workload is expected to show >= 2x in full mode.
 // Writes BENCH_scheduler.json (or argv[1]).
@@ -72,7 +72,7 @@ bool RunArm(const Database& db, const char* query, bool adaptive,
     return false;
   }
   // Two warm-up calls: the first fills the plan cache, the second pushes
-  // the shape profile past min_profile_runs so the measured call runs on
+  // the shape profile past kMinProfileRuns so the measured call runs on
   // observed costs (cost_source = observed_profile) in the adaptive arm.
   for (int warm = 0; warm < 2; ++warm) {
     auto r = engine.Count(query, "g");

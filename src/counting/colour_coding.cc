@@ -34,9 +34,6 @@ std::vector<int> EndpointVars(const Query& q) {
   return vars;
 }
 
-// Minimum trial count before one call's trial loop is worth fanning out.
-constexpr uint64_t kMinTrialsForFanout = 8;
-
 }  // namespace
 
 namespace internal {
@@ -44,8 +41,8 @@ namespace internal {
 // Per-trial overlay builder: one packed mask per endpoint variable,
 // intersected across the disequalities that constrain it. Buffers are
 // reused across trials and oracle calls (no per-trial allocation after
-// warm-up). One instance per lane: Draw() output is valid until the
-// lane's next Draw().
+// warm-up). One instance per oracle: Draw() output is valid until the
+// next Draw().
 class TrialOverlay {
  public:
   explicit TrialOverlay(const Query& q)
@@ -119,9 +116,8 @@ ColourCodingEdgeFreeOracle::ColourCodingEdgeFreeOracle(
           NumTrials(q.disequalities().size(), opts.per_call_failure)),
       opts_(opts),
       hom_ctx_(hom->CreateContext()),
-      hom_queries_(std::make_shared<std::atomic<uint64_t>>(0)) {
-  overlays_.push_back(std::make_unique<TrialOverlay>(q));
-}
+      overlay_(std::make_unique<TrialOverlay>(q)),
+      hom_queries_(std::make_shared<std::atomic<uint64_t>>(0)) {}
 
 ColourCodingEdgeFreeOracle::ColourCodingEdgeFreeOracle(
     const ColourCodingEdgeFreeOracle& parent, std::unique_ptr<HomContext> ctx)
@@ -131,12 +127,8 @@ ColourCodingEdgeFreeOracle::ColourCodingEdgeFreeOracle(
       trials_per_call_(parent.trials_per_call_),
       opts_(parent.opts_),
       hom_ctx_(std::move(ctx)),
-      hom_queries_(parent.hom_queries_) {
-  // Forks never fan out further: one lane, inline trials.
-  opts_.pool = nullptr;
-  opts_.lanes = 1;
-  overlays_.push_back(std::make_unique<TrialOverlay>(query_));
-}
+      overlay_(std::make_unique<TrialOverlay>(query_)),
+      hom_queries_(parent.hom_queries_) {}
 
 ColourCodingEdgeFreeOracle::~ColourCodingEdgeFreeOracle() = default;
 
@@ -145,18 +137,6 @@ std::unique_ptr<EdgeFreeOracle> ColourCodingEdgeFreeOracle::Fork() {
   if (ctx == nullptr) return nullptr;
   return std::unique_ptr<EdgeFreeOracle>(
       new ColourCodingEdgeFreeOracle(*this, std::move(ctx)));
-}
-
-void ColourCodingEdgeFreeOracle::EnsureLaneState() {
-  const int lanes = std::max(1, opts_.lanes);
-  while (static_cast<int>(overlays_.size()) < lanes) {
-    overlays_.push_back(std::make_unique<TrialOverlay>(query_));
-  }
-  if (lane_ctxs_.empty()) {
-    // Lane 0 reuses the oracle's own context; others get fresh ones.
-    lane_ctxs_.resize(lanes);
-    for (int l = 1; l < lanes; ++l) lane_ctxs_[l] = hom_->CreateContext();
-  }
 }
 
 bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
@@ -175,76 +155,36 @@ bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
     if (base.allowed[static_cast<size_t>(i)].None()) return true;
   }
 
-  const auto& disequalities = query_.disequalities();
-  TrialOverlay& overlay = *overlays_[0];
   std::unique_ptr<PreparedHom> prepared =
-      hom_->Prepare(base, overlay.endpoint_vars(), hom_ctx_.get());
-  if (disequalities.empty()) {
+      hom_->Prepare(base, overlay_->endpoint_vars(), hom_ctx_.get());
+  if (query_.disequalities().empty()) {
     hom_queries_->fetch_add(1, std::memory_order_relaxed);
     return !prepared->Decide({});
   }
 
-  // Colourings are a pure function of (seed, subset, trial): every lane
-  // and every fork draws the identical masks for trial t of this subset.
+  // Colourings are a pure function of (seed, subset, trial): every fork
+  // draws the identical masks for trial t of this subset.
   const uint64_t call_seed =
       DeriveSeed(opts_.seed, HashPartiteSubset(parts));
-
-  const bool fan_out = opts_.pool != nullptr && opts_.lanes > 1 &&
-                       trials_per_call_ >= kMinTrialsForFanout &&
-                       hom_ctx_ != nullptr;
-  if (!fan_out) {
-    uint64_t trial = 0;
-    for (; trial < trials_per_call_; ++trial) {
-      // Trial-batch checkpoint: a fired governor truncates the loop (the
-      // enclosing governed work unit is discarded wholesale, so the
-      // truncated verdict never feeds a reported estimate).
-      if ((trial & 63u) == 0u && opts_.governor != nullptr &&
-          opts_.governor->Check() != GovernanceState::kRunning) {
-        break;
-      }
-      Rng trial_rng(DeriveSeed(call_seed, trial));
-      const std::vector<DomainRestriction>& extra =
-          overlay.Draw(trial_rng, universe_);
-      if (prepared->Decide(extra)) {  // Witness: has an edge.
-        hom_queries_->fetch_add(trial + 1, std::memory_order_relaxed);
-        return false;
-      }
+  uint64_t trial = 0;
+  for (; trial < trials_per_call_; ++trial) {
+    // Trial-batch checkpoint: a fired governor truncates the loop (the
+    // enclosing governed work unit is discarded wholesale, so the
+    // truncated verdict never feeds a reported estimate).
+    if ((trial & 63u) == 0u && opts_.governor != nullptr &&
+        opts_.governor->Check() != GovernanceState::kRunning) {
+      break;
     }
-    hom_queries_->fetch_add(trial, std::memory_order_relaxed);
-    return true;
+    Rng trial_rng(DeriveSeed(call_seed, trial));
+    const std::vector<DomainRestriction>& extra =
+        overlay_->Draw(trial_rng, universe_);
+    if (prepared->Decide(extra)) {  // Witness: has an edge.
+      hom_queries_->fetch_add(trial + 1, std::memory_order_relaxed);
+      return false;
+    }
   }
-
-  // Lane-partitioned trial loop. The verdict is an OR over deterministic
-  // per-trial outcomes. Lanes skip only trials above the lowest witness
-  // found so far, so every trial below the first witness runs and the
-  // charged work — the one-lane loop's — never depends on scheduling.
-  EnsureLaneState();
-  std::atomic<uint64_t> first_witness{trials_per_call_};  // Q = none yet.
-  opts_.pool->ParallelForLanes(
-      static_cast<size_t>(trials_per_call_), opts_.lanes,
-      [&](int lane, size_t trial) {
-        if (trial > first_witness.load(std::memory_order_relaxed)) return;
-        // Latched-state read only (no clock probe on worker lanes): once
-        // the governor fires, remaining trials become no-ops.
-        if (opts_.governor != nullptr && opts_.governor->fired()) return;
-        Rng trial_rng(DeriveSeed(call_seed, trial));
-        TrialOverlay& lane_overlay = *overlays_[static_cast<size_t>(lane)];
-        const std::vector<DomainRestriction>& extra =
-            lane_overlay.Draw(trial_rng, universe_);
-        HomContext* ctx =
-            lane == 0 ? hom_ctx_.get() : lane_ctxs_[static_cast<size_t>(lane)].get();
-        if (prepared->Decide(extra, *ctx)) {
-          uint64_t seen = first_witness.load(std::memory_order_relaxed);
-          while (trial < seen && !first_witness.compare_exchange_weak(
-                                     seen, trial, std::memory_order_relaxed)) {
-          }
-        }
-      });
-  const uint64_t witness = first_witness.load(std::memory_order_relaxed);
-  const bool edge_free = witness == trials_per_call_;
-  hom_queries_->fetch_add(edge_free ? trials_per_call_ : witness + 1,
-                          std::memory_order_relaxed);
-  return edge_free;
+  hom_queries_->fetch_add(trial, std::memory_order_relaxed);
+  return true;
 }
 
 bool DecideAnySolution(const Query& q, HomOracle* hom, uint32_t universe_size,

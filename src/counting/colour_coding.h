@@ -25,25 +25,21 @@
 //     behaves like a single fixed random object over the subset lattice,
 //     which is the shape the Theorem 17 estimator conditions on (its
 //     failure bound union-bounds over the distinct subsets queried).
-// Within one call, trials partition across lanes via the executor; the
-// verdict is an OR of per-trial outcomes. A lane skips trial t only once a
-// witness with a lower index has been found, so every trial up to the
-// first witness still runs, and the oracle charges exactly those trials
-// (the one-lane loop's work) to hom_queries() — a tally that does not
-// depend on the lane count.
+// One call's trials run in index order on the calling lane and stop at
+// the first witness; the oracle charges exactly the trials it decided to
+// hom_queries(). Lanes exist one level up: the DLM estimator hands each
+// lane its own fork (and with it its own Hom context).
 #ifndef CQCOUNT_COUNTING_COLOUR_CODING_H_
 #define CQCOUNT_COUNTING_COLOUR_CODING_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "counting/partite_hypergraph.h"
 #include "hom/hom_oracle.h"
 #include "query/query.h"
 #include "util/cancel.h"
-#include "util/executor.h"
 #include "util/random.h"
 
 namespace cqcount {
@@ -59,12 +55,6 @@ struct ColourCodingOptions {
   double per_call_failure = 1e-4;
   /// Deterministic seed for the colouring sampler.
   uint64_t seed = 0x5EEDC01DULL;
-  /// Worker pool for fanning one call's colouring trials across lanes
-  /// (not owned; null = run trials inline). Only used when the Hom oracle
-  /// hands out contexts.
-  Executor* pool = nullptr;
-  /// Lanes the trial loop may be partitioned across (<= 1 = inline).
-  int lanes = 1;
   /// Cooperative governance (not owned; null = ungoverned). A fired
   /// governor makes the trial loop stop early and answer "edge-free";
   /// that answer is only ever consumed by an enclosing governed estimator,
@@ -95,20 +85,16 @@ class ColourCodingEdgeFreeOracle : public EdgeFreeOracle {
   uint64_t trials_per_call() const { return trials_per_call_; }
   /// Hom queries charged to this oracle and all its forks: per call, the
   /// trials up to and including the first witness (all Q without one;
-  /// one decision for disequality-free queries). Trials a parallel lane
-  /// evaluates past the first witness are not charged, so the tally is
-  /// the same at every lane count.
+  /// one decision for disequality-free queries) — the decisions made, so
+  /// the tally is the same at every lane count.
   uint64_t hom_queries() const {
     return hom_queries_->load(std::memory_order_relaxed);
   }
 
  private:
-  // Fork constructor: private context, no further fan-out.
+  // Fork constructor: private context and overlay.
   ColourCodingEdgeFreeOracle(const ColourCodingEdgeFreeOracle& parent,
                              std::unique_ptr<HomContext> ctx);
-
-  // Lane state for the trial-parallel path (created on first use).
-  void EnsureLaneState();
 
   const Query& query_;
   HomOracle* hom_;
@@ -119,11 +105,8 @@ class ColourCodingEdgeFreeOracle : public EdgeFreeOracle {
   // concurrent path, which prepare on a null context).
   std::unique_ptr<HomContext> hom_ctx_;
   // Reusable per-trial endpoint-mask builder (only the <= 2|Delta|
-  // disequality endpoint domains change across trials). Index 0 serves
-  // the sequential path; lanes >= 1 are created by EnsureLaneState.
-  std::vector<std::unique_ptr<internal::TrialOverlay>> overlays_;
-  // Lane HomContexts for trial-parallel decides (lane 0 = hom_ctx_).
-  std::vector<std::unique_ptr<HomContext>> lane_ctxs_;
+  // disequality endpoint domains change across trials).
+  std::unique_ptr<internal::TrialOverlay> overlay_;
   // Charged hom queries, shared by the root oracle and its forks.
   std::shared_ptr<std::atomic<uint64_t>> hom_queries_;
 };

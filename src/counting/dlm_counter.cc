@@ -246,30 +246,7 @@ class Estimator {
       }
     }
 
-    if (GovFired()) {
-      return PartialFromRuns(outcomes, runs);
-    }
-    std::vector<double> estimates;
-    estimates.reserve(runs);
-    int worst_rounds = 0;
-    bool converged = true;
-    uint64_t run_calls = 0;
-    for (const RunOutcome& outcome : outcomes) {
-      estimates.push_back(outcome.estimate);
-      worst_rounds = std::max(worst_rounds, outcome.rounds);
-      converged = converged && outcome.converged;
-      run_calls += outcome.calls;
-      total_rounds_ += static_cast<uint64_t>(outcome.rounds);
-    }
-    runs_executed_ = static_cast<uint64_t>(runs);
-    StatusOr<DlmResult> result =
-        Finish(Median(estimates), false, converged, run_calls);
-    result->stop_reason = converged ? StopReason::kFullSchedule
-                                    : StopReason::kBudgetExhausted;
-    result->refinement_rounds = worst_rounds;
-    result->completed_runs = runs;
-    result->total_runs = runs;
-    return result;
+    return FinishSampling(outcomes, runs, StopReason::kNone);
   }
 
  private:
@@ -392,7 +369,7 @@ class Estimator {
   StopReason EarlyStopReason(const std::vector<RunOutcome>& done,
                              int total_runs) const {
     const int k = static_cast<int>(done.size());
-    if (k < std::max(2, opts_.min_early_stop_runs) || k >= total_runs) {
+    if (k < kMinEarlyStopRuns || k >= total_runs) {
       return StopReason::kNone;
     }
     std::vector<double> estimates;
@@ -453,11 +430,20 @@ class Estimator {
       stop = EarlyStopReason(outcomes, runs);
       if (stop != StopReason::kNone) break;
     }
+    return FinishSampling(outcomes, runs, stop);
+  }
+
+  // The answer of phase 3 from the runs executed: the anytime partial
+  // when the governor fired, else the median of `outcomes`. `stop` is the
+  // early-stop verdict that cut the schedule short (kNone when it ran in
+  // full).
+  StatusOr<DlmResult> FinishSampling(const std::vector<RunOutcome>& outcomes,
+                                     int total_runs, StopReason stop) {
     if (GovFired()) {
       // Interruption wins over a concurrent stop verdict: the anytime
       // partial (hard interval + typed cause) is the contract callers
       // rely on, whether or not early stop was armed.
-      return PartialFromRuns(outcomes, runs);
+      return PartialFromRuns(outcomes, total_runs);
     }
     std::vector<double> estimates;
     estimates.reserve(outcomes.size());
@@ -480,7 +466,7 @@ class Estimator {
                                            : StopReason::kBudgetExhausted);
     result->refinement_rounds = worst_rounds;
     result->completed_runs = static_cast<int>(outcomes.size());
-    result->total_runs = runs;
+    result->total_runs = total_runs;
     return result;
   }
 

@@ -43,6 +43,11 @@
 
 namespace cqcount {
 
+/// Completed runs the early-stop rule (DlmOptions::early_stop) needs
+/// before it consults the empirical interval (a 2-run sample variance is
+/// noise).
+inline constexpr int kMinEarlyStopRuns = 3;
+
 /// Tuning for the DLM-style estimator. The EstimateInputs base carries
 /// (epsilon, delta), the sampler seed (default 0xD1CE), the lanes and
 /// the governor. The governor is polled at frontier-expansion
@@ -83,8 +88,6 @@ struct DlmOptions : EstimateInputs {
   /// completed run estimates, so fixed-seed adaptive results (estimate
   /// AND oracle_calls) are reproducible at any lane count.
   bool early_stop = false;
-  /// Completed runs required before the early-stop rule is consulted.
-  int min_early_stop_runs = 3;
 };
 
 /// Estimation result (estimate/exact/converged — plus the anytime-answer

@@ -22,9 +22,9 @@ struct FptrasMetrics {
       "fptras.invocations", "ApproxCountAnswers pipeline executions");
   // hom_queries counts each EdgeFree call's colouring trials up to and
   // including the first witness (all of them when there is none) — the
-  // work the one-lane loop does — so the tally is the same at every lane
-  // count. The name keeps its historical `.nondet.` segment because
-  // external readers look it up by name.
+  // decisions the in-order trial loop makes — so the tally is the same at
+  // every lane count. The name keeps its historical `.nondet.` segment
+  // because external readers look it up by name.
   obs::Counter& hom_queries = obs::MetricRegistry::Global().GetCounter(
       "cc.nondet.hom_queries",
       "Hom-oracle queries charged to colour-coding trials: per EdgeFree "
@@ -108,8 +108,6 @@ StatusOr<ApproxCountResult> ApproxCountAnswers(const Query& q,
   ColourCodingOptions cc;
   cc.per_call_failure = opts.PerCallFailure();
   cc.seed = opts.seed ^ 0x9E3779B97F4A7C15ULL;
-  cc.pool = opts.pool;
-  cc.lanes = opts.intra_threads;
   cc.governor = opts.governor;
 
   ApproxCountResult result;
@@ -131,10 +129,15 @@ StatusOr<ApproxCountResult> ApproxCountAnswers(const Query& q,
     result.lower_bound = result.estimate;
     result.upper_bound = result.estimate;
     result.exact = q.disequalities().empty();
+    // A disequality-free (exact) query is one monolithic decision;
+    // otherwise every trial ran on the prepared DP unless the cache cap
+    // forced the fallback, as in the l >= 1 branch below.
+    const DecompositionSolver::DpStats dp = hom.dp_stats();
     result.hom_queries = hom.num_calls();
-    result.dp_prepared_decides = hom.dp_stats().prepared_decides;
-    result.dp_cached_bag_rows = hom.dp_stats().cached_bag_rows;
-    result.dp_prepared_path = hom.dp_stats().prepared_path;
+    result.dp_prepared_decides =
+        dp.prepared_path && !result.exact ? result.hom_queries : 0;
+    result.dp_cached_bag_rows = dp.cached_bag_rows;
+    result.dp_prepared_path = dp.prepared_path;
     RecordPipelineMetrics(result);
     return result;
   }

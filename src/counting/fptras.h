@@ -24,10 +24,11 @@ namespace cqcount {
 /// Options for ApproxCountAnswers. The EstimateInputs base carries
 /// (epsilon, delta), the seed of all randomness (colourings, sampling),
 /// the lanes and the governor. The lanes fan the DLM estimation —
-/// sampling runs, exact-phase sub-boxes and colouring trials — across
-/// per-lane forks of the oracle stack (seed tree: base seed -> component
-/// -> run -> box/stratum -> sample, with colourings keyed by (seed,
-/// subset, trial)). The governor reaches the DLM estimator and the
+/// sampling runs, sample batches and exact-phase sub-boxes — across
+/// per-lane forks of the oracle stack; each EdgeFree call's colouring
+/// trials run in order on the lane that made it (seed tree: base seed
+/// -> component -> run -> box/stratum -> sample, with colourings keyed
+/// by (seed, subset, trial)). The governor reaches the DLM estimator and the
 /// colour-coding oracle; on expiry the pipeline yields the estimator's
 /// anytime answer (partial + interval) or its typed status.
 struct ApproxOptions : EstimateInputs {
@@ -69,8 +70,8 @@ struct ApproxCountResult : EstimateOutcome {
   uint64_t edgefree_calls = 0;
   /// Hom queries charged to the colour-coding layer: per EdgeFree call,
   /// the trials up to and including the first witness (all trials when
-  /// there is none). Lane-invariant: parallel trial loops may evaluate a
-  /// few trials past the witness, but those are never charged.
+  /// there is none) — the decisions made. Lane-invariant: a call's
+  /// trials run in order and stop at the first witness.
   uint64_t hom_queries = 0;
   /// Colouring trials per EdgeFree call (the 4^{|Delta|} log factor; 1
   /// without disequalities, where one decision answers the call).

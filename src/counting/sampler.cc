@@ -5,6 +5,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/executor.h"
 
 namespace cqcount {
 namespace {

@@ -249,7 +249,6 @@ std::string Explanation::ToJson() const {
 
 CountingEngine::CountingEngine(EngineOptions opts)
     : opts_(opts),
-      scheduler_(opts.scheduler),
       cache_(opts.plan_cache_capacity, opts.plan_cache_shards) {
   int threads = opts_.num_threads;
   if (threads <= 0) {
@@ -581,7 +580,6 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
       }
       if (adaptive) {
         ctx.dlm.early_stop = true;
-        ctx.dlm.min_early_stop_runs = scheduler_.options().min_early_stop_runs;
         ctx.per_call_failure_override =
             scheduler_.PerCallFailure(share.delta, cost);
       }

@@ -57,8 +57,9 @@ struct EngineOptions {
   /// Worker pool size for CountBatch (0 = hardware concurrency).
   int num_threads = 4;
   /// Intra-query parallelism: lanes ONE estimated count may fan out
-  /// across on the engine's pool (sampling runs, exact-phase sub-boxes,
-  /// colouring trials — see README "Parallel estimation & determinism
+  /// across on the engine's pool (the estimator's sampling runs, sample
+  /// batches and exact-phase sub-boxes, each lane on its own fork of the
+  /// oracle stack — see README "Parallel estimation & determinism
   /// model"). 0 = automatic (pool size); 1 = off; N = fixed lane count.
   /// Regardless of the setting, only components whose planned cost
   /// clears `intra_query_min_cost` get workers — cheap and exact
@@ -81,8 +82,6 @@ struct EngineOptions {
   /// seed results are reproducible at any lane count (the scheduler's
   /// accuracy decisions read only deterministic inputs).
   bool adaptive = false;
-  /// Tuning for the adaptive scheduler (ignored unless `adaptive`).
-  SchedulerOptions scheduler;
   /// Planner thresholds.
   PlanOptions plan;
   /// Compile-pipeline gates (normalization passes, component factoring).
@@ -394,8 +393,8 @@ class CountingEngine {
                                         const ResourceGovernor* governor);
 
   EngineOptions opts_;
-  // Stateless decision logic for the opt-in adaptive path (constructed
-  // from opts_.scheduler; safe to share across batch workers).
+  // Stateless decision logic for the opt-in adaptive path (safe to share
+  // across batch workers).
   AdaptiveScheduler scheduler_;
   // Reader-writer lock: every Count in a batch resolves its database here,
   // so lookups must not serialise behind each other (registration is rare

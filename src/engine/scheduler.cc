@@ -45,7 +45,7 @@ CostPrediction AdaptiveScheduler::Predict(
     const QueryPlan& plan,
     const std::optional<obs::ShapeProfile>& observed) const {
   CostPrediction prediction;
-  if (observed.has_value() && observed->runs >= opts_.min_profile_runs) {
+  if (observed.has_value() && observed->runs >= kMinProfileRuns) {
     // Accuracy-relevant cost units come from the deterministic
     // estimator-call counter; the oracle-call mean (also lane-invariant)
     // sizes trials budgets and reporting; millis only ever drives lane
@@ -94,8 +94,7 @@ std::vector<BudgetShare> AdaptiveScheduler::SplitBudgets(
   // keeping a floor fraction of its even share.
   const double mass = epsilon / 2.0;
   const double floor =
-      weighted ? opts_.eps_floor_fraction * mass / static_cast<double>(counting)
-               : 0.0;
+      weighted ? kEpsFloorFraction * mass / static_cast<double>(counting) : 0.0;
   const double distributable = mass - floor * static_cast<double>(counting);
   std::vector<BudgetShare> shares(components.size());
   for (size_t i = 0; i < components.size(); ++i) {
@@ -133,7 +132,7 @@ double AdaptiveScheduler::PerCallFailure(double delta,
     return 0.0;  // Cold shape: keep the module's worst-case union bound.
   }
   const double predicted =
-      std::max(cost.oracle_calls, 1.0) * opts_.trials_safety_factor;
+      std::max(cost.oracle_calls, 1.0) * kTrialsSafetyFactor;
   return std::min(delta / (2.0 * predicted), kMaxPerCallFailure);
 }
 

@@ -21,9 +21,9 @@
 //  3. Work gating. Lane grants use observed wall time instead of the
 //     static intra_query_min_cost constant once a shape has history, and
 //     the colour-coding trial budget is sized against the PREDICTED
-//     oracle-call count (times a safety factor) rather than the 20M-call
-//     worst-case cap, shrinking the log(1/per-call-failure) trial
-//     factor.
+//     oracle-call count (times kTrialsSafetyFactor) rather than the
+//     20M-call worst-case cap, shrinking the log(1/per-call-failure)
+//     trial factor.
 //
 // The non-adaptive engine uses the same two entry points: SplitBudgets
 // without weights returns SplitBudget's even shares bit for bit, and
@@ -42,6 +42,7 @@
 #ifndef CQCOUNT_ENGINE_SCHEDULER_H_
 #define CQCOUNT_ENGINE_SCHEDULER_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -62,23 +63,17 @@ inline constexpr double kMaxPerCallFailure = 1e-3;
 /// least this long get workers.
 inline constexpr double kMinFanoutMillis = 5.0;
 
-/// Tuning for the adaptive scheduler (EngineOptions::scheduler).
-struct SchedulerOptions {
-  /// Observed executions a shape needs before predictions switch from
-  /// the planner's static estimate to the profile history.
-  uint64_t min_profile_runs = 2;
-  /// The colour-coding per-call failure budget is delta / (2 * factor *
-  /// predicted calls): the union bound stays intact as long as the
-  /// execution issues at most `factor` times the predicted call count.
-  double trials_safety_factor = 8.0;
-  /// Every counting component keeps at least this fraction of its even
-  /// share: eps_i >= floor_fraction * (eps/2)/k. Guards against one
-  /// hugely expensive component starving the rest to useless targets.
-  double eps_floor_fraction = 0.25;
-  /// Completed runs the CLT early stop needs before it consults the
-  /// empirical interval (a 2-run sample variance is noise).
-  int min_early_stop_runs = 3;
-};
+/// Observed executions a shape needs before predictions switch from the
+/// planner's static estimate to the profile history.
+inline constexpr uint64_t kMinProfileRuns = 2;
+/// The colour-coding per-call failure budget is delta / (2 * factor *
+/// predicted calls): the union bound stays intact as long as the
+/// execution issues at most `factor` times the predicted call count.
+inline constexpr double kTrialsSafetyFactor = 8.0;
+/// Every counting component keeps at least this fraction of its even
+/// share: eps_i >= fraction * (eps/2)/k. Guards against one hugely
+/// expensive component starving the rest to useless targets.
+inline constexpr double kEpsFloorFraction = 0.25;
 
 /// Where a cost prediction came from.
 enum class CostSource : uint8_t { kPlanEstimate, kObservedProfile };
@@ -117,16 +112,12 @@ struct SchedulerComponent {
   CostPrediction cost;
 };
 
-/// Cost-model-driven scheduling decisions. Stateless apart from options:
-/// safe to share across concurrent batch workers.
+/// Cost-model-driven scheduling decisions. Stateless: safe to share
+/// across concurrent batch workers.
 class AdaptiveScheduler {
  public:
-  explicit AdaptiveScheduler(SchedulerOptions opts = {}) : opts_(opts) {}
-
-  const SchedulerOptions& options() const { return opts_; }
-
   /// Predicts the per-execution cost of `plan`'s component from the
-  /// shape's observed history (when it has at least min_profile_runs
+  /// shape's observed history (when it has at least kMinProfileRuns
   /// recorded executions) or, like ColdPrediction, the planner's static
   /// estimate. Counts the prediction in the scheduler.* metrics.
   CostPrediction Predict(const QueryPlan& plan,
@@ -163,9 +154,6 @@ class AdaptiveScheduler {
   /// 0 (keep the module's worst-case default) when the prediction has no
   /// observed call count.
   double PerCallFailure(double delta, const CostPrediction& cost) const;
-
- private:
-  SchedulerOptions opts_;
 };
 
 /// Feeds the scheduler.* outcome metrics after one adaptive component

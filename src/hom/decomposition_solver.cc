@@ -12,6 +12,10 @@
 namespace cqcount {
 namespace {
 
+// Cap (total rows across bags) on the unrestricted bag-join cache; past
+// it Prepare falls back to the monolithic DP per decision.
+constexpr uint64_t kMaxCachedBagRows = uint64_t{1} << 22;
+
 // Positions (indices into `bag`) of the elements also present in `other`;
 // both inputs sorted.
 std::vector<int> SharedPositions(const std::vector<int>& bag,
@@ -214,20 +218,19 @@ bool PassesFilters(TupleView row,
 // ---------------------------------------------------------------------------
 // Per-worker evaluation state.
 //
-// The fields divide into CALL state — written by Prepare on this context
-// and read-only while its PreparedDp is live — and TRIAL scratch, used by
-// whichever context evaluates a trial. A lane context that only serves as
-// trial scratch for another context's prepared call never touches its own
-// call-state arrays.
+// The fields divide into CALL state — rebuilt by each Prepare and
+// read-only while its PreparedDp is live — and TRIAL scratch, rewritten
+// by every decision of that PreparedDp.
 
 struct SolverEvalContext::Impl {
-  // --- Call state (owned by the preparing context) -------------------------
+  // --- Call state ----------------------------------------------------------
   bool call_configured = false;
 
-  // Cache-cap fallback: evaluate each decision monolithically over a
-  // mutable copy of the base domains (overlay applied and restored).
+  // Cache-cap fallback: evaluate each decision monolithically over the
+  // base domains, with the trial's overlay applied and then restored.
   bool fallback = false;
-  VarDomains fallback_base;  // Pristine sized copy; lanes clone from it.
+  VarDomains fallback_base;
+  SavedDomains fallback_saved;
 
   // A trial-invariant bag died under the base domains: every trial is
   // "no solution".
@@ -260,21 +263,16 @@ struct SolverEvalContext::Impl {
   std::vector<std::vector<Value>> demand_keys;  // Per-node key scratch.
   bool demand_ok = false;  // All shared-key spaces within the cap.
 
-  // Generation of the Prepare this call state belongs to (stale-handle
-  // assertion and lane fallback sync).
+  // Prepare calls made on this context; a PreparedDp holds the number of
+  // the one that built it (stale-handle assertion).
   uint64_t generation = 0;
 
-  // --- Trial scratch (owned by the evaluating lane) ------------------------
+  // --- Trial scratch -------------------------------------------------------
   bool trial_configured = false;
   std::vector<FlatTuples> trial_survivors;
   std::vector<ExistTable> trial_tables;
   std::vector<std::pair<int, const Bitset*>> filter_scratch;
   Tuple key_scratch;
-  // Lane-local mutable copy of a fallback call's base domains, synced
-  // from the preparing context by generation stamp.
-  VarDomains fallback_work;
-  SavedDomains fallback_saved;
-  uint64_t fallback_sync_generation = 0;
 };
 
 SolverEvalContext::SolverEvalContext() : impl_(std::make_unique<Impl>()) {}
@@ -284,12 +282,7 @@ SolverEvalContext& SolverEvalContext::operator=(SolverEvalContext&&) noexcept =
     default;
 
 bool PreparedDp::Decide(const std::vector<DomainRestriction>& extra) {
-  return solver_->DecidePrepared(*ctx_, *ctx_, generation_, extra);
-}
-
-bool PreparedDp::Decide(const std::vector<DomainRestriction>& extra,
-                        SolverEvalContext& lane) {
-  return solver_->DecidePrepared(*ctx_, *lane.impl_, generation_, extra);
+  return solver_->DecidePrepared(*ctx_, generation_, extra);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,11 +290,7 @@ bool PreparedDp::Decide(const std::vector<DomainRestriction>& extra,
 
 DecompositionSolver::DecompositionSolver(const Query& q, const Database& db,
                                          TreeDecomposition td)
-    : DecompositionSolver(q, db, std::move(td), Options()) {}
-
-DecompositionSolver::DecompositionSolver(const Query& q, const Database& db,
-                                         TreeDecomposition td, Options opts)
-    : query_(q), db_(db), td_(std::move(td)), opts_(opts) {
+    : query_(q), db_(db), td_(std::move(td)) {
   children_ = td_.Children();
   const int num_nodes = td_.num_nodes();
   parent_.assign(num_nodes, -1);
@@ -454,7 +443,7 @@ bool DecompositionSolver::EnsureBagRowCache() {
       for (Value v : tup) {
         if (v >= universe) return true;
       }
-      if (total >= opts_.max_cached_bag_rows) {
+      if (total >= kMaxCachedBagRows) {
         within_cap = false;
         return false;
       }
@@ -520,9 +509,6 @@ std::unique_ptr<SolverEvalContext> DecompositionSolver::CreateEvalContext() {
 
 DecompositionSolver::DpStats DecompositionSolver::dp_stats() const {
   DpStats stats;
-  stats.prepare_calls = stat_prepare_calls_.load(std::memory_order_relaxed);
-  stats.prepared_decides =
-      stat_prepared_decides_.load(std::memory_order_relaxed);
   stats.cached_bag_rows = stat_cached_bag_rows_.load(std::memory_order_relaxed);
   stats.prepared_path = stat_prepared_path_.load(std::memory_order_relaxed);
   return stats;
@@ -532,9 +518,7 @@ PreparedDp DecompositionSolver::Prepare(const VarDomains& base,
                                         const std::vector<int>& overlay_vars,
                                         SolverEvalContext& ctx) {
   SolverEvalContext::Impl& sc = *ctx.impl_;
-  sc.generation =
-      prepare_generation_.fetch_add(1, std::memory_order_relaxed) + 1;
-  PreparedDp prepared(this, &sc, sc.generation);
+  PreparedDp prepared(this, &sc, ++sc.generation);
 
   if (!EnsureBagRowCache()) {
     sc.fallback = true;
@@ -547,7 +531,6 @@ PreparedDp DecompositionSolver::Prepare(const VarDomains& base,
     }
     return prepared;
   }
-  stat_prepare_calls_.fetch_add(1, std::memory_order_relaxed);
   sc.fallback = false;
 
   const int num_nodes = td_.num_nodes();
@@ -804,45 +787,38 @@ PreparedDp DecompositionSolver::Prepare(const VarDomains& base,
 }
 
 bool DecompositionSolver::DecidePrepared(
-    SolverEvalContext::Impl& sc, SolverEvalContext::Impl& trial,
-    uint64_t generation, const std::vector<DomainRestriction>& extra) {
+    SolverEvalContext::Impl& sc, uint64_t generation,
+    const std::vector<DomainRestriction>& extra) {
   assert(generation == sc.generation &&
          "stale PreparedDp: a newer Prepare call took this context");
   (void)generation;
 
   if (sc.fallback) {
-    // Lane-local mutable copy of the base (synced once per Prepare), then
-    // copy only the <= 2|Delta| endpoint domains, decide, restore.
-    if (trial.fallback_sync_generation != sc.generation) {
-      trial.fallback_work = sc.fallback_base;
-      trial.fallback_sync_generation = sc.generation;
-    }
-    ApplyOverlay(trial.fallback_work, extra, trial.fallback_saved);
-    const bool verdict = RunDp(&trial.fallback_work, nullptr);
-    RestoreOverlay(trial.fallback_work, trial.fallback_saved);
+    // Swap in only the <= 2|Delta| endpoint domains, decide, restore.
+    ApplyOverlay(sc.fallback_base, extra, sc.fallback_saved);
+    const bool verdict = RunDp(&sc.fallback_base, nullptr);
+    RestoreOverlay(sc.fallback_base, sc.fallback_saved);
     return verdict;
   }
 
-  stat_prepared_decides_.fetch_add(1, std::memory_order_relaxed);
   if (sc.always_false) return false;
   const int root = td_.root;
   // No overlay anywhere: the Prepare-time pass already established the
   // verdict (root survivors were non-empty).
   if (!sc.dynamic_bag[root]) return true;
 
-  // Trial scratch: sized lazily so a lane context serving another
-  // context's prepared call configures itself on first use.
-  if (!trial.trial_configured) {
+  // Trial scratch: sized on the first trial that needs it, so contexts
+  // that only ever see overlay-free calls never allocate it.
+  if (!sc.trial_configured) {
     const int num_nodes = td_.num_nodes();
-    trial.trial_survivors.resize(num_nodes);
-    trial.trial_tables.resize(num_nodes);
+    sc.trial_survivors.resize(num_nodes);
+    sc.trial_tables.resize(num_nodes);
     for (int c = 0; c < num_nodes; ++c) {
       if (parent_[c] < 0) continue;
-      trial.trial_tables[c].Configure(db_.universe_size(),
-                                      shared_in_parent_[c],
-                                      shared_in_child_[c]);
+      sc.trial_tables[c].Configure(db_.universe_size(), shared_in_parent_[c],
+                                   shared_in_child_[c]);
     }
-    trial.trial_configured = true;
+    sc.trial_configured = true;
   }
 
   for (int t : post_order_) {
@@ -850,14 +826,14 @@ bool DecompositionSolver::DecidePrepared(
     const FlatTuples& in = *sc.call_rows[t];
     const bool is_root = t == root;
 
-    trial.filter_scratch.clear();
+    sc.filter_scratch.clear();
     for (const auto& [col, var] : sc.overlay_cols[t]) {
       for (const DomainRestriction& r : extra) {
-        if (r.var == var) trial.filter_scratch.push_back({col, r.mask});
+        if (r.var == var) sc.filter_scratch.push_back({col, r.mask});
       }
     }
 
-    FlatTuples& out = trial.trial_survivors[t];
+    FlatTuples& out = sc.trial_survivors[t];
     out.Reset(in.width());
     const std::vector<int>& kids = children_[t];
     // Word-parallel semijoin: rows are filtered in 64-row blocks, one
@@ -871,9 +847,9 @@ bool DecompositionSolver::DecidePrepared(
       const size_t block = std::min<size_t>(64, in.size() - i);
       uint64_t alive =
           block == 64 ? ~uint64_t{0} : (uint64_t{1} << block) - 1;
-      if (!trial.filter_scratch.empty()) {
+      if (!sc.filter_scratch.empty()) {
         for (size_t b = 0; b < block; ++b) {
-          if (!PassesFilters(in[i + b], trial.filter_scratch)) {
+          if (!PassesFilters(in[i + b], sc.filter_scratch)) {
             alive &= ~(uint64_t{1} << b);
           }
         }
@@ -882,11 +858,11 @@ bool DecompositionSolver::DecidePrepared(
       for (int c : kids) {
         if (alive == 0) break;
         const ExistTable& table =
-            sc.dynamic_bag[c] ? trial.trial_tables[c] : sc.static_tables[c];
+            sc.dynamic_bag[c] ? sc.trial_tables[c] : sc.static_tables[c];
         if (table.oversize) {
           for (size_t b = 0; b < block; ++b) {
             if ((alive >> b & 1) != 0 &&
-                !table.ContainsParentRow(in[i + b], trial.key_scratch)) {
+                !table.ContainsParentRow(in[i + b], sc.key_scratch)) {
               alive &= ~(uint64_t{1} << b);
             }
           }
@@ -903,7 +879,7 @@ bool DecompositionSolver::DecidePrepared(
     }
     if (is_root || out.empty()) return false;
 
-    trial.trial_tables[t].Build(out);
+    sc.trial_tables[t].Build(out);
   }
   // The root is an ancestor of every bag, so a non-empty overlay always
   // returns from inside the loop; this covers the degenerate case of an

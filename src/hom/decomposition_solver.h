@@ -35,13 +35,9 @@
 //     built; the cache build itself is mutex-guarded and idempotent, so
 //     any number of workers may share one solver.
 //   - Everything per-call and per-trial lives in a SolverEvalContext.
-//     Each worker lane owns one context; Prepare/Decide chains on
-//     distinct contexts never touch shared mutable state and may run
-//     fully concurrently.
-//   - Within one prepared call, the call state (base-filtered rows,
-//     static tables) is read-only during trials, so trials of a single
-//     PreparedDp may ALSO fan out: each lane passes its own context to
-//     Decide and uses only that context's trial scratch.
+//     Each worker lane owns one context and runs its Prepare and every
+//     trial Decide on it; chains on distinct contexts never touch shared
+//     mutable state and may run fully concurrently.
 // Every caller of Prepare holds its own context (one per worker lane);
 // the solver owns none.
 #ifndef CQCOUNT_HOM_DECOMPOSITION_SOLVER_H_
@@ -63,11 +59,11 @@ namespace cqcount {
 class DecompositionSolver;
 
 /// Per-worker evaluation state: the scratch of one Prepare (call state,
-/// rebuilt per EdgeFree call) plus the per-trial scratch (epoch-stamped
-/// semijoin tables, overlay buffers). One context must never be used from
-/// two threads at once; distinct contexts are fully independent. Obtained
-/// from DecompositionSolver::CreateEvalContext; must not outlive the
-/// solver.
+/// rebuilt per EdgeFree call) plus the per-trial scratch its decisions
+/// use (epoch-stamped semijoin tables, overlay buffers). One context must
+/// never be used from two threads at once; distinct contexts are fully
+/// independent. Obtained from DecompositionSolver::CreateEvalContext;
+/// must not outlive the solver.
 class SolverEvalContext {
  public:
   ~SolverEvalContext();
@@ -95,12 +91,6 @@ class PreparedDp {
   /// on the context the instance was prepared on (single-threaded use).
   bool Decide(const std::vector<DomainRestriction>& extra);
 
-  /// Lane-concurrent variant: evaluates the trial with `lane`'s trial
-  /// scratch against this instance's (read-only) call state. Decisions on
-  /// distinct lane contexts may run concurrently.
-  bool Decide(const std::vector<DomainRestriction>& extra,
-              SolverEvalContext& lane);
-
  private:
   friend class DecompositionSolver;
   PreparedDp(DecompositionSolver* solver, SolverEvalContext::Impl* ctx,
@@ -122,10 +112,6 @@ class DecompositionSolver {
   /// Observability of the prepare/evaluate split (plumbed up into engine
   /// provenance so perf work shows up in Explain output).
   struct DpStats {
-    /// Prepared (per-EdgeFree-call) instances built.
-    uint64_t prepare_calls = 0;
-    /// Trial decisions answered through prepared instances.
-    uint64_t prepared_decides = 0;
     /// Total rows in the per-solver unrestricted bag-join cache.
     uint64_t cached_bag_rows = 0;
     /// False when the cache cap was hit and decisions fell back to the
@@ -133,18 +119,10 @@ class DecompositionSolver {
     bool prepared_path = true;
   };
 
-  struct Options {
-    /// Cap (total rows across bags) on the unrestricted bag-join cache;
-    /// past it Prepare falls back to the monolithic DP per decision.
-    uint64_t max_cached_bag_rows = uint64_t{1} << 22;
-  };
-
   /// `td` must be a valid decomposition of H(q); the query and database
   /// must outlive the solver.
   DecompositionSolver(const Query& q, const Database& db,
                       TreeDecomposition td);
-  DecompositionSolver(const Query& q, const Database& db,
-                      TreeDecomposition td, Options opts);
   ~DecompositionSolver();
 
   /// True iff (phi, D) has a solution (ignoring disequalities) whose values
@@ -173,8 +151,7 @@ class DecompositionSolver {
                      SolverEvalContext& ctx);
 
   const TreeDecomposition& decomposition() const { return td_; }
-  /// Snapshot of the prepare/evaluate counters (aggregated over all
-  /// contexts).
+  /// Snapshot of the bag-row cache's size and state.
   DpStats dp_stats() const;
 
  private:
@@ -186,13 +163,11 @@ class DecompositionSolver {
 
   // Materialises and caches every bag's unrestricted join (idempotent,
   // mutex-guarded; the cache is immutable once state_ is published).
-  // Returns false when the row cap was exceeded (cache disabled).
+  // Returns false when a cap was exceeded (cache disabled).
   bool EnsureBagRowCache();
 
-  // One prepared trial decision: call state from `ctx`, trial scratch
-  // from `trial` (== &ctx for the single-threaded path).
-  bool DecidePrepared(SolverEvalContext::Impl& ctx,
-                      SolverEvalContext::Impl& trial, uint64_t generation,
+  // One prepared trial decision on the context `ctx` was prepared on.
+  bool DecidePrepared(SolverEvalContext::Impl& ctx, uint64_t generation,
                       const std::vector<DomainRestriction>& extra);
 
   const Query& query_;
@@ -224,11 +199,8 @@ class DecompositionSolver {
     std::vector<uint32_t> starts;  // universe_size + 1 offsets.
   };
   std::vector<std::vector<ColIndex>> bag_col_index_;
-  std::atomic<uint64_t> prepare_generation_{0};
-  Options opts_;
-  // Aggregated DpStats counters (atomic: contexts update concurrently).
-  std::atomic<uint64_t> stat_prepare_calls_{0};
-  std::atomic<uint64_t> stat_prepared_decides_{0};
+  // DpStats fields, written by the cache build under cache_mu_ and read
+  // by dp_stats() without it.
   std::atomic<uint64_t> stat_cached_bag_rows_{0};
   std::atomic<bool> stat_prepared_path_{true};
 };

@@ -41,7 +41,7 @@ class OverlayPreparedHom : public PreparedHom {
 };
 
 // HomContext for the decomposition oracle: an independent solver
-// evaluation context (prepare + trial scratch).
+// evaluation context.
 class DecompositionHomContext : public HomContext {
  public:
   explicit DecompositionHomContext(std::unique_ptr<SolverEvalContext> ctx)
@@ -62,13 +62,6 @@ class DecompositionPreparedHom : public PreparedHom {
   bool Decide(const std::vector<DomainRestriction>& extra) override {
     owner_->RecordDecide();
     return prepared_.Decide(extra);
-  }
-
-  bool Decide(const std::vector<DomainRestriction>& extra,
-              HomContext& lane) override {
-    owner_->RecordDecide();
-    return prepared_.Decide(extra,
-                            static_cast<DecompositionHomContext&>(lane).ctx());
   }
 
  private:

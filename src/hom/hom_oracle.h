@@ -23,11 +23,10 @@
 // never touches another context's mutable state, so worker lanes holding
 // distinct contexts may prepare and decide concurrently against one
 // oracle (the decomposition oracle maps contexts onto SolverEvalContexts;
-// the shared bag-join row cache is immutable). Within a single prepared
-// call, trials may also fan out: Decide(extra, lane) evaluates with the
-// lane context's trial scratch against the prepared (read-only) call
-// state. An oracle whose CreateContext() returns null has no concurrent
-// path: its Prepare takes a null context and runs sequentially.
+// the shared bag-join row cache is immutable). A prepared call's trials
+// run on its own context, one after another. An oracle whose
+// CreateContext() returns null has no concurrent path: its Prepare takes
+// a null context and runs sequentially.
 #ifndef CQCOUNT_HOM_HOM_ORACLE_H_
 #define CQCOUNT_HOM_HOM_ORACLE_H_
 
@@ -64,16 +63,6 @@ class PreparedHom {
   /// overlay vars declared at Prepare time). Single-threaded: runs on the
   /// context the instance was prepared on.
   virtual bool Decide(const std::vector<DomainRestriction>& extra) = 0;
-
-  /// Lane-concurrent variant: evaluates the trial with `lane`'s scratch.
-  /// Distinct lanes may call concurrently when the owning oracle hands
-  /// out contexts; the default forwards to Decide (only correct
-  /// sequentially).
-  virtual bool Decide(const std::vector<DomainRestriction>& extra,
-                      HomContext& lane) {
-    (void)lane;
-    return Decide(extra);
-  }
 };
 
 /// Decides colour-coded homomorphism instances for a fixed (phi, D).

@@ -2,16 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
-
 #include "app/graph_gen.h"
 #include "decomposition/elimination_order.h"
 #include "decomposition/width_measures.h"
 #include "query/parser.h"
 #include "test_util.h"
-#include "util/executor.h"
 
 namespace cqcount {
 namespace {
@@ -119,73 +114,34 @@ TEST(ColourCodingTest, EmptyPartShortCircuits) {
 
 // A hom oracle for `ans(x, y) :- E(x, y), x != y` whose trial verdict is
 // a fixed function of the colouring: a witness iff x's red mask holds 0, 1
-// and 2. With `stall`, the first witness any lane finds blocks until
-// another lane has found a second one — the schedule in which an early
-// exit on a shared flag lets trials past the first witness run.
-class StallingHomOracle : public HomOracle {
+// and 2.
+class ColouringHomOracle : public HomOracle {
  public:
-  explicit StallingHomOracle(bool stall) : stall_(stall) {}
-
   bool Decide(const VarDomains&) override { return true; }
   std::unique_ptr<PreparedHom> Prepare(const VarDomains&, std::vector<int>,
-                                       HomContext* ctx) override {
-    EXPECT_NE(ctx, nullptr);
+                                       HomContext*) override {
     return std::make_unique<Prepared>(this);
-  }
-  std::unique_ptr<HomContext> CreateContext() override {
-    return std::make_unique<HomContext>();
-  }
-
-  /// True once a stalled witness was released by a second witness (not
-  /// by the timeout).
-  bool released_by_witness() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return released_;
   }
 
  private:
   class Prepared : public PreparedHom {
    public:
-    explicit Prepared(StallingHomOracle* owner) : owner_(owner) {}
+    explicit Prepared(HomOracle* owner) : owner_(owner) {}
     bool Decide(const std::vector<DomainRestriction>& extra) override {
-      return owner_->Trial(extra);
-    }
-    bool Decide(const std::vector<DomainRestriction>& extra,
-                HomContext&) override {
-      return owner_->Trial(extra);
+      owner_->RecordDecide();
+      const Bitset& x = *extra[0].mask;  // Endpoint vars are sorted: x first.
+      return x.Test(0) && x.Test(1) && x.Test(2);
     }
 
    private:
-    StallingHomOracle* owner_;
+    HomOracle* owner_;
   };
-
-  bool Trial(const std::vector<DomainRestriction>& extra) {
-    RecordDecide();
-    const Bitset& x = *extra[0].mask;  // Endpoint vars are sorted: x first.
-    const bool witness = x.Test(0) && x.Test(1) && x.Test(2);
-    if (!witness || !stall_) return witness;
-    std::unique_lock<std::mutex> lock(mu_);
-    if (++witnesses_ == 1) {
-      released_ = cv_.wait_for(lock, std::chrono::seconds(10),
-                               [&] { return witnesses_ > 1; });
-    } else {
-      cv_.notify_all();
-    }
-    return witness;
-  }
-
-  const bool stall_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int witnesses_ = 0;
-  bool released_ = false;
 };
 
-// The hom-query tally is the one-lane loop's work — the trials up to and
-// including the first witness — even when a stalled lane lets another
-// lane run past it. Deterministic on any CPU count: the stall is a wait,
-// not a race.
-TEST(ColourCodingTest, HomQueryTallyIsLaneInvariantUnderStalls) {
+// A call's trials run in index order and stop at the first witness: the
+// oracle decides, and charges to hom_queries(), exactly the trials up to
+// and including it.
+TEST(ColourCodingTest, ChargesTrialsUpToFirstWitness) {
   Query q = Parse("ans(x, y) :- E(x, y), x != y.");
   const uint32_t universe = 8;
   PartiteSubset parts;
@@ -193,23 +149,12 @@ TEST(ColourCodingTest, HomQueryTallyIsLaneInvariantUnderStalls) {
   ColourCodingOptions opts;
   opts.per_call_failure = 1e-12;  // 112 trials: a dozen witnesses.
 
-  StallingHomOracle inline_hom(/*stall=*/false);
-  ColourCodingEdgeFreeOracle one_lane(q, &inline_hom, universe, opts);
-  const bool one_lane_verdict = one_lane.IsEdgeFree(parts);
-  ASSERT_FALSE(one_lane_verdict);
-  ASSERT_LT(one_lane.hom_queries(), one_lane.trials_per_call());
-
-  Executor pool(2);
-  opts.pool = &pool;
-  opts.lanes = 2;
-  StallingHomOracle stalling_hom(/*stall=*/true);
-  ColourCodingEdgeFreeOracle two_lanes(q, &stalling_hom, universe, opts);
-  EXPECT_EQ(two_lanes.IsEdgeFree(parts), one_lane_verdict);
-  ASSERT_TRUE(stalling_hom.released_by_witness());
-  // Trials past the first witness did run (the stall guarantees a second
-  // witness was decided), but they are not charged.
-  EXPECT_GT(stalling_hom.num_calls(), one_lane.hom_queries());
-  EXPECT_EQ(two_lanes.hom_queries(), one_lane.hom_queries());
+  ColouringHomOracle hom;
+  ColourCodingEdgeFreeOracle oracle(q, &hom, universe, opts);
+  ASSERT_EQ(oracle.trials_per_call(), 112u);
+  EXPECT_FALSE(oracle.IsEdgeFree(parts));
+  EXPECT_LT(oracle.hom_queries(), oracle.trials_per_call());
+  EXPECT_EQ(oracle.hom_queries(), hom.num_calls());
 }
 
 TEST(DecideAnySolutionTest, BooleanQueries) {

@@ -16,6 +16,7 @@
 #include "hom/hom_oracle.h"
 #include "query/parser.h"
 #include "test_util.h"
+#include "util/failpoint.h"
 
 namespace cqcount {
 namespace {
@@ -76,7 +77,8 @@ VarDomains MergeOverlay(const Query& q, const VarDomains& base,
 // Core property over ~100 random (query, database, base, trials)
 // instances with 0-3 disequalities: PreparedDp::Decide(extra) ==
 // monolithic Decide(base merged with extra), for both the cached-rows
-// path and the cache-cap fallback.
+// path and the cache-cap fallback (forced through the dp.bag_cache_build
+// failpoint, the transition the row cap takes).
 class PreparedDpPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PreparedDpPropertyTest, PreparedMatchesMonolithic) {
@@ -101,15 +103,19 @@ TEST_P(PreparedDpPropertyTest, PreparedMatchesMonolithic) {
                                 DecompositionFromOrder(h, MinFillOrder(h)));
   DecompositionSolver prepared_solver(
       q, db, DecompositionFromOrder(h, MinFillOrder(h)));
-  DecompositionSolver::Options no_cache;
-  no_cache.max_cached_bag_rows = 0;
   DecompositionSolver fallback_solver(
-      q, db, DecompositionFromOrder(h, MinFillOrder(h)), no_cache);
+      q, db, DecompositionFromOrder(h, MinFillOrder(h)));
 
   std::unique_ptr<SolverEvalContext> prepared_ctx =
       prepared_solver.CreateEvalContext();
   std::unique_ptr<SolverEvalContext> fallback_ctx =
       fallback_solver.CreateEvalContext();
+  {
+    // The first Prepare builds the solver's cache; a failed build leaves
+    // it disabled for the solver's lifetime.
+    failpoint::ScopedFailpoint no_cache("dp.bag_cache_build", {});
+    fallback_solver.Prepare(VarDomains{}, overlay_vars, *fallback_ctx);
+  }
   for (int call = 0; call < 3; ++call) {
     const VarDomains base = RandomBaseDomains(q, rng);
     PreparedDp prepared =
@@ -137,11 +143,7 @@ TEST_P(PreparedDpPropertyTest, PreparedMatchesMonolithic) {
     }
   }
   EXPECT_TRUE(prepared_solver.dp_stats().prepared_path);
-  // With a zero row cap the cache is disabled unless every bag join is
-  // genuinely empty (then zero rows ARE the whole cache).
-  if (prepared_solver.dp_stats().cached_bag_rows > 0) {
-    EXPECT_FALSE(fallback_solver.dp_stats().prepared_path);
-  }
+  EXPECT_FALSE(fallback_solver.dp_stats().prepared_path);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PreparedDpPropertyTest,
