@@ -12,7 +12,6 @@
 // this pipeline are pinned by tests/estimate_pins_test.cc.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,7 +70,7 @@ PreparedPoint MeasurePrepared(const char* name, const std::string& text,
   FWidthResult width = ComputeDecomposition(h, WidthObjective::kTreewidth);
   DecompositionSolver monolithic(q, db, width.decomposition);
   DecompositionSolver prepared_solver(q, db, width.decomposition);
-  std::unique_ptr<SolverEvalContext> ctx = prepared_solver.CreateEvalContext();
+  SolverEvalContext ctx;
   const std::vector<int> endpoints = EndpointVars(q);
 
   PreparedPoint point;
@@ -87,8 +86,8 @@ PreparedPoint MeasurePrepared(const char* name, const std::string& text,
   {
     VarDomains warm_base;
     warm_base.allowed.resize(q.num_vars());
-    PreparedDp warm = prepared_solver.Prepare(warm_base, endpoints, *ctx);
-    benchmark_do_not_optimize(warm.Decide({}));
+    prepared_solver.Prepare(warm_base, endpoints, ctx);
+    benchmark_do_not_optimize(prepared_solver.DecidePrepared(ctx, {}));
   }
   auto run = [&](bool use_prepared) {
     Rng rng(0xBEEF);
@@ -101,7 +100,7 @@ PreparedPoint MeasurePrepared(const char* name, const std::string& text,
       }
       std::vector<Bitset> masks(endpoints.size());
       if (use_prepared) {
-        PreparedDp dp = prepared_solver.Prepare(base, endpoints, *ctx);
+        prepared_solver.Prepare(base, endpoints, ctx);
         std::vector<DomainRestriction> extra;
         for (int trial = 0; trial < trials; ++trial) {
           extra.clear();
@@ -109,7 +108,8 @@ PreparedPoint MeasurePrepared(const char* name, const std::string& text,
             masks[k] = rng.RandomMask(universe, 0.5);
             extra.push_back({endpoints[k], &masks[k]});
           }
-          benchmark_do_not_optimize(dp.Decide(extra));
+          benchmark_do_not_optimize(
+              prepared_solver.DecidePrepared(ctx, extra));
         }
       } else {
         for (int trial = 0; trial < trials; ++trial) {

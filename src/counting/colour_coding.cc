@@ -115,28 +115,17 @@ ColourCodingEdgeFreeOracle::ColourCodingEdgeFreeOracle(
       trials_per_call_(
           NumTrials(q.disequalities().size(), opts.per_call_failure)),
       opts_(opts),
-      hom_ctx_(hom->CreateContext()),
+      lane_(hom->NewLane()),
       overlay_(std::make_unique<TrialOverlay>(q)),
       hom_queries_(std::make_shared<std::atomic<uint64_t>>(0)) {}
-
-ColourCodingEdgeFreeOracle::ColourCodingEdgeFreeOracle(
-    const ColourCodingEdgeFreeOracle& parent, std::unique_ptr<HomContext> ctx)
-    : query_(parent.query_),
-      hom_(parent.hom_),
-      universe_(parent.universe_),
-      trials_per_call_(parent.trials_per_call_),
-      opts_(parent.opts_),
-      hom_ctx_(std::move(ctx)),
-      overlay_(std::make_unique<TrialOverlay>(query_)),
-      hom_queries_(parent.hom_queries_) {}
 
 ColourCodingEdgeFreeOracle::~ColourCodingEdgeFreeOracle() = default;
 
 std::unique_ptr<EdgeFreeOracle> ColourCodingEdgeFreeOracle::Fork() {
-  std::unique_ptr<HomContext> ctx = hom_->CreateContext();
-  if (ctx == nullptr) return nullptr;
-  return std::unique_ptr<EdgeFreeOracle>(
-      new ColourCodingEdgeFreeOracle(*this, std::move(ctx)));
+  auto fork = std::make_unique<ColourCodingEdgeFreeOracle>(query_, hom_,
+                                                           universe_, opts_);
+  fork->hom_queries_ = hom_queries_;
+  return fork;
 }
 
 bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
@@ -144,8 +133,8 @@ bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
   assert(static_cast<int>(parts.parts.size()) == query_.num_free());
 
   // Base domains: free variable i restricted to V_i, existentials free.
-  // Fixed across all trials of this call (Lemma 22): the oracle hoists
-  // every base-dependent cost out of the trial loop via Prepare.
+  // Fixed across all trials of this call (Lemma 22): the lane hoists
+  // every base-dependent cost out of the trial loop in Prepare.
   VarDomains base;
   base.allowed.resize(static_cast<size_t>(query_.num_vars()));
   for (int i = 0; i < query_.num_free(); ++i) {
@@ -155,11 +144,10 @@ bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
     if (base.allowed[static_cast<size_t>(i)].None()) return true;
   }
 
-  std::unique_ptr<PreparedHom> prepared =
-      hom_->Prepare(base, overlay_->endpoint_vars(), hom_ctx_.get());
+  lane_->Prepare(base, overlay_->endpoint_vars());
   if (query_.disequalities().empty()) {
     hom_queries_->fetch_add(1, std::memory_order_relaxed);
-    return !prepared->Decide({});
+    return !lane_->Decide({});
   }
 
   // Colourings are a pure function of (seed, subset, trial): every fork
@@ -178,7 +166,7 @@ bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
     Rng trial_rng(DeriveSeed(call_seed, trial));
     const std::vector<DomainRestriction>& extra =
         overlay_->Draw(trial_rng, universe_);
-    if (prepared->Decide(extra)) {  // Witness: has an edge.
+    if (lane_->Decide(extra)) {  // Witness: has an edge.
       hom_queries_->fetch_add(trial + 1, std::memory_order_relaxed);
       return false;
     }
@@ -188,25 +176,25 @@ bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
 }
 
 bool DecideAnySolution(const Query& q, HomOracle* hom, uint32_t universe_size,
-                       const VarDomains& base_domains, double delta,
-                       Rng& rng) {
+                       const VarDomains& base_domains, double delta, Rng& rng,
+                       uint64_t* decisions) {
   const auto& disequalities = q.disequalities();
   if (disequalities.empty()) {
+    if (decisions != nullptr) *decisions = 1;
     return hom->Decide(base_domains);
   }
   TrialOverlay overlay(q);
-  // Null for oracles without a concurrent path; kept alive for the whole
-  // trial loop otherwise.
-  std::unique_ptr<HomContext> ctx = hom->CreateContext();
-  std::unique_ptr<PreparedHom> prepared =
-      hom->Prepare(base_domains, overlay.endpoint_vars(), ctx.get());
+  std::unique_ptr<HomLane> lane = hom->NewLane();
+  lane->Prepare(base_domains, overlay.endpoint_vars());
   const uint64_t trials = NumTrials(disequalities.size(), delta);
-  for (uint64_t trial = 0; trial < trials; ++trial) {
-    const std::vector<DomainRestriction>& extra =
-        overlay.Draw(rng, universe_size);
-    if (prepared->Decide(extra)) return true;
+  uint64_t trial = 0;
+  bool found = false;
+  while (trial < trials && !found) {
+    found = lane->Decide(overlay.Draw(rng, universe_size));
+    ++trial;
   }
-  return false;
+  if (decisions != nullptr) *decisions = trial;
+  return found;
 }
 
 }  // namespace cqcount

@@ -28,7 +28,7 @@
 // One call's trials run in index order on the calling lane and stop at
 // the first witness; the oracle charges exactly the trials it decided to
 // hom_queries(). Lanes exist one level up: the DLM estimator hands each
-// lane its own fork (and with it its own Hom context).
+// lane its own fork (and with it its own HomLane).
 #ifndef CQCOUNT_COUNTING_COLOUR_CODING_H_
 #define CQCOUNT_COUNTING_COLOUR_CODING_H_
 
@@ -74,10 +74,9 @@ class ColourCodingEdgeFreeOracle : public EdgeFreeOracle {
 
   bool IsEdgeFree(const PartiteSubset& parts) override;
 
-  /// Lane fork (see EdgeFreeOracle::Fork): shares the Hom oracle's
-  /// immutable state through a private HomContext; answers every subset
-  /// identically to the parent (subset-keyed colourings). Null when the
-  /// Hom oracle has no concurrent path.
+  /// Lane fork (see EdgeFreeOracle::Fork): shares the Hom oracle through
+  /// a HomLane of its own and the parent's hom_queries() tally; answers
+  /// every subset identically to the parent (subset-keyed colourings).
   std::unique_ptr<EdgeFreeOracle> Fork() override;
 
   /// Number of colouring trials used per oracle call (Q; 1 without
@@ -92,18 +91,14 @@ class ColourCodingEdgeFreeOracle : public EdgeFreeOracle {
   }
 
  private:
-  // Fork constructor: private context and overlay.
-  ColourCodingEdgeFreeOracle(const ColourCodingEdgeFreeOracle& parent,
-                             std::unique_ptr<HomContext> ctx);
-
   const Query& query_;
   HomOracle* hom_;
   uint32_t universe_;
   uint64_t trials_per_call_;
   ColourCodingOptions opts_;
-  // Per-oracle Hom evaluation context (null for Hom oracles without a
-  // concurrent path, which prepare on a null context).
-  std::unique_ptr<HomContext> hom_ctx_;
+  // This oracle's lane onto `hom_`: prepared once per call, decided once
+  // per trial.
+  std::unique_ptr<HomLane> lane_;
   // Reusable per-trial endpoint-mask builder (only the <= 2|Delta|
   // disequality endpoint domains change across trials).
   std::unique_ptr<internal::TrialOverlay> overlay_;
@@ -113,9 +108,12 @@ class ColourCodingEdgeFreeOracle : public EdgeFreeOracle {
 
 /// Amplified decision "does (phi, D) have any solution?" via colour-coded
 /// Hom queries; wrong (false negative) with probability <= delta. Used for
-/// the l = 0 case and for answer-membership tests.
+/// the l = 0 case and for answer-membership tests. When `decisions` is
+/// non-null, it receives the number of Hom decisions made (the trials up
+/// to and including the first witness; one without disequalities).
 bool DecideAnySolution(const Query& q, HomOracle* hom, uint32_t universe_size,
-                       const VarDomains& base_domains, double delta, Rng& rng);
+                       const VarDomains& base_domains, double delta, Rng& rng,
+                       uint64_t* decisions = nullptr);
 
 }  // namespace cqcount
 

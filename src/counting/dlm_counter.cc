@@ -126,15 +126,12 @@ class Estimator {
             const DlmOptions& opts)
       : part_sizes_(part_sizes), opts_(opts) {
     lanes_.push_back(&oracle);
-    if (opts_.pool != nullptr && opts_.intra_threads > 1) {
+    if (opts_.pool != nullptr) {
       for (int l = 1; l < opts_.intra_threads; ++l) {
-        std::unique_ptr<EdgeFreeOracle> fork = oracle.Fork();
-        if (fork == nullptr) break;  // No concurrent path: stay inline.
-        lanes_.push_back(fork.get());
-        forks_.push_back(std::move(fork));
+        forks_.push_back(oracle.Fork());
+        lanes_.push_back(forks_.back().get());
       }
     }
-    if (lanes_.size() == 1) forks_.clear();
     parallel_.lanes = static_cast<int>(lanes_.size());
   }
 
@@ -170,8 +167,7 @@ class Estimator {
     uint64_t singleton_edges = 0;
     {
       obs::Span frontier_span("dlm.frontier");
-      ExpandFrontier(full, opts_.max_frontier, /*budget_guarded=*/true,
-                     &frontier, &singleton_edges);
+      ExpandFrontier(full, opts_.max_frontier, &frontier, &singleton_edges);
     }
     if (GovFired()) return GovStatus("DLM frontier expansion");
     if (frontier.empty()) {
@@ -498,12 +494,12 @@ class Estimator {
 
   // Breadth-first expansion of `root` (non-empty) into non-empty boxes:
   // the largest-volume box is split first, until `limit` boxes exist (or
-  // everything resolved into singletons, or — when `budget_guarded` —
-  // the sequential call budget ran out). Singleton edges are counted into
-  // *singletons; the non-singleton frontier is appended to *boxes in a
-  // deterministic (priority) order. Probes run on the root oracle.
-  void ExpandFrontier(const Box& root, int limit, bool budget_guarded,
-                      std::vector<Box>* boxes, uint64_t* singletons) {
+  // everything resolved into singletons, or the sequential call budget
+  // ran out). Singleton edges are counted into *singletons; the
+  // non-singleton frontier is appended to *boxes in a deterministic
+  // (priority) order. Probes run on the root oracle.
+  void ExpandFrontier(const Box& root, int limit, std::vector<Box>* boxes,
+                      uint64_t* singletons) {
     auto cmp = [](const Box& a, const Box& b) {
       return a.LogVolume() < b.LogVolume();
     };
@@ -512,7 +508,7 @@ class Estimator {
     while (!queue.empty() &&
            static_cast<int>(boxes->size()) + static_cast<int>(queue.size()) <
                limit &&
-           !(budget_guarded && SeqOverBudget()) &&
+           !SeqOverBudget() &&
            // Iteration-boundary checkpoint: on fire, the loop drains the
            // queue into a valid (coarser) frontier and the caller decides
            // via GovFired() whether to use it.
@@ -557,8 +553,7 @@ class Estimator {
     obs::Span phase_span("dlm.exact_phase");
     std::vector<Box> roots;
     uint64_t singletons = 0;
-    ExpandFrontier(root, kExactPartition, /*budget_guarded=*/true, &roots,
-                   &singletons);
+    ExpandFrontier(root, kExactPartition, &roots, &singletons);
     // Interrupted during partitioning: never report a partial exact count
     // as exact — fail the phase and let Run() surface the typed cause.
     if (GovFired()) return false;

@@ -28,9 +28,8 @@
 // budgets are accounted per deterministic unit (per exact-phase task, per
 // adaptive run) and checked at round boundaries, keeping converged/cap
 // outcomes thread-count-independent. Passing pool = null (or
-// intra_threads <= 1, or an oracle without Fork) runs the identical
-// partitioned computation inline: fixed-seed estimates are bit-identical
-// at ANY lane count.
+// intra_threads <= 1) runs the identical partitioned computation inline:
+// fixed-seed estimates are bit-identical at ANY lane count.
 #ifndef CQCOUNT_COUNTING_DLM_COUNTER_H_
 #define CQCOUNT_COUNTING_DLM_COUNTER_H_
 

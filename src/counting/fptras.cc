@@ -123,8 +123,10 @@ StatusOr<ApproxCountResult> ApproxCountAnswers(const Query& q,
     }
     Rng rng(cc.seed);
     VarDomains unrestricted;
+    uint64_t decisions = 0;
     const bool any = DecideAnySolution(q, &hom, db.universe_size(),
-                                       unrestricted, opts.delta, rng);
+                                       unrestricted, opts.delta, rng,
+                                       &decisions);
     result.estimate = any ? 1.0 : 0.0;
     result.lower_bound = result.estimate;
     result.upper_bound = result.estimate;
@@ -133,7 +135,7 @@ StatusOr<ApproxCountResult> ApproxCountAnswers(const Query& q,
     // otherwise every trial ran on the prepared DP unless the cache cap
     // forced the fallback, as in the l >= 1 branch below.
     const DecompositionSolver::DpStats dp = hom.dp_stats();
-    result.hom_queries = hom.num_calls();
+    result.hom_queries = decisions;
     result.dp_prepared_decides =
         dp.prepared_path && !result.exact ? result.hom_queries : 0;
     result.dp_cached_bag_rows = dp.cached_bag_rows;

@@ -47,9 +47,8 @@ class EdgeFreeOracle {
   /// worker lane: the fork shares the receiver's immutable state, owns all
   /// mutable scratch, and answers every subset exactly as the receiver
   /// would (a requirement — the estimator's determinism relies on it).
-  /// Returns null when the oracle has no concurrent path (callers must
-  /// then stay sequential). Forks must not outlive the receiver.
-  virtual std::unique_ptr<EdgeFreeOracle> Fork() { return nullptr; }
+  /// Never null. Forks must not outlive the receiver.
+  virtual std::unique_ptr<EdgeFreeOracle> Fork() = 0;
 
   uint64_t num_calls() const {
     return num_calls_.load(std::memory_order_relaxed);

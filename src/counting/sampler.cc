@@ -5,10 +5,14 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/executor.h"
 
 namespace cqcount {
 namespace {
+
+// Accuracy of the per-split sub-counts during descent: looser is faster,
+// and sub-counts below the estimator's exact budget are exact anyway.
+constexpr double kDescentEpsilon = 0.3;
+constexpr double kDescentDelta = 0.25;
 
 // One add per public sampler operation — never inside the JVV descent.
 struct SamplerMetrics {
@@ -53,10 +57,9 @@ class BoxRestrictedOracle : public EdgeFreeOracle {
   }
 
   // Fork = box view over a fork of the base oracle (lets the DLM
-  // estimation inside one descent sub-count fan across lanes).
+  // estimation of the whole-box count fan across lanes).
   std::unique_ptr<EdgeFreeOracle> Fork() override {
     std::unique_ptr<EdgeFreeOracle> base_fork = base_->Fork();
-    if (base_fork == nullptr) return nullptr;
     auto fork = std::make_unique<BoxRestrictedOracle>(base_fork.get(),
                                                       universe_, box_);
     fork->owned_base_ = std::move(base_fork);
@@ -114,25 +117,22 @@ StatusOr<Tuple> AnswerSampler::SampleOne() {
   const uint32_t n = db_.universe_size();
   std::vector<std::pair<uint32_t, uint32_t>> box(l, {0u, n});
 
-  // Counts the answers inside `b` (exact when small) on a given oracle
-  // view. Seeds are drawn by the caller in descent order, so the pair of
-  // sub-counts of one level may evaluate concurrently: each count is a
-  // pure function of (box, seed) — the oracle answers subsets
+  // Counts the answers inside `b` (exact when small). Each count is a
+  // pure function of (box, seed): the oracle answers subsets
   // deterministically (subset-keyed colourings). `lanes` > 1 lets the
-  // count fan out internally; the cheap descent sub-counts run inline
-  // (pair-level parallelism already covers them, and per-call forking of
-  // the oracle stack would dominate their cost).
+  // count fan out across the DLM estimator's lanes; only the whole-box
+  // count does, since per-call forking of the oracle stack would dominate
+  // the cost of the cheap descent sub-counts.
   auto count_box = [&](const std::vector<std::pair<uint32_t, uint32_t>>& b,
-                       uint64_t seed, EdgeFreeOracle* base,
-                       int lanes) -> StatusOr<double> {
-    BoxRestrictedOracle restricted(base, n, b);
+                       uint64_t seed, int lanes) -> StatusOr<double> {
+    BoxRestrictedOracle restricted(oracle_.get(), n, b);
     std::vector<uint32_t> sizes;
     sizes.reserve(b.size());
     for (const auto& [lo, hi] : b) sizes.push_back(hi - lo);
     DlmOptions dlm = opts_.approx.dlm;
     static_cast<EstimateInputs&>(dlm) = {
-        .epsilon = opts_.descent_epsilon,
-        .delta = opts_.descent_delta,
+        .epsilon = kDescentEpsilon,
+        .delta = kDescentDelta,
         .seed = seed,
         .pool = lanes > 1 ? opts_.approx.pool : nullptr,
         .intra_threads = lanes,
@@ -142,26 +142,7 @@ StatusOr<Tuple> AnswerSampler::SampleOne() {
     return result->estimate;
   };
 
-  // Descent sub-counts in parallel: the two halves of each level run on
-  // independent forks of the oracle stack (created once, reused across
-  // levels and samples). Falls back to sequential evaluation when the
-  // stack has no concurrent path.
-  const bool want_pair =
-      opts_.approx.pool != nullptr && opts_.approx.intra_threads > 1;
-  if (want_pair && descent_forks_.empty()) {
-    for (int i = 0; i < 2; ++i) {
-      std::unique_ptr<EdgeFreeOracle> fork = oracle_->Fork();
-      if (fork == nullptr) {
-        descent_forks_.clear();
-        break;
-      }
-      descent_forks_.push_back(std::move(fork));
-    }
-  }
-  const bool pair_parallel = want_pair && descent_forks_.size() == 2;
-
-  auto total =
-      count_box(box, rng_.Next(), oracle_.get(), opts_.approx.intra_threads);
+  auto total = count_box(box, rng_.Next(), opts_.approx.intra_threads);
   if (!total.ok()) return total.status();
   if (*total <= 0.0) return Status::NotFound("answer set is empty");
 
@@ -191,25 +172,13 @@ StatusOr<Tuple> AnswerSampler::SampleOne() {
     left[widest] = {lo, mid};
     auto right = box;
     right[widest] = {mid, hi};
-    // Seeds drawn in the historical order (left, then right) regardless
-    // of how the two counts execute.
+    // Both seeds are drawn before either count: every level consumes two
+    // draws, whether or not a count fails.
     const uint64_t seed_left = rng_.Next();
     const uint64_t seed_right = rng_.Next();
-    StatusOr<double> m_left = Status::Internal("not executed");
-    StatusOr<double> m_right = m_left;
-    if (pair_parallel) {
-      opts_.approx.pool->ParallelForLanes(2, 2, [&](int, size_t i) {
-        if (i == 0) {
-          m_left = count_box(left, seed_left, descent_forks_[0].get(), 1);
-        } else {
-          m_right = count_box(right, seed_right, descent_forks_[1].get(), 1);
-        }
-      });
-    } else {
-      m_left = count_box(left, seed_left, oracle_.get(), 1);
-      m_right = count_box(right, seed_right, oracle_.get(), 1);
-    }
+    const StatusOr<double> m_left = count_box(left, seed_left, 1);
     if (!m_left.ok()) return m_left.status();
+    const StatusOr<double> m_right = count_box(right, seed_right, 1);
     if (!m_right.ok()) return m_right.status();
     const double total_mass = *m_left + *m_right;
     if (total_mass <= 0.0) {

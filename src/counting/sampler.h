@@ -8,7 +8,9 @@
 // Sub-counts that resolve exactly (the estimator's enumeration fast path)
 // make the descent exactly proportional. Every sub-count reads only the
 // relations' canonical rows; an empty half resolves to exactly 0 in that
-// fast path, so no storage-side pruning is needed.
+// fast path, so no storage-side pruning is needed. Only a sample's first,
+// whole-box count runs on the DLM estimator's lanes; the descent's
+// sub-counts run inline, one after the other.
 #ifndef CQCOUNT_COUNTING_SAMPLER_H_
 #define CQCOUNT_COUNTING_SAMPLER_H_
 
@@ -29,12 +31,9 @@ namespace cqcount {
 
 /// Tuning for AnswerSampler.
 struct SamplerOptions {
-  /// Base options (decomposition objective, seeds, oracle budgets).
+  /// Base options (decomposition objective, seeds, oracle budgets, and
+  /// the lanes of each sample's whole-box count).
   ApproxOptions approx;
-  /// Accuracy of the per-split sub-counts during descent: looser is
-  /// faster; sub-counts below the estimator's exact budget are exact.
-  double descent_epsilon = 0.3;
-  double descent_delta = 0.25;
 };
 
 /// Reusable sampling / membership machinery for a fixed (phi, D).
@@ -66,9 +65,6 @@ class AnswerSampler {
   SamplerOptions opts_;
   std::unique_ptr<DecompositionHomOracle> hom_;
   std::unique_ptr<ColourCodingEdgeFreeOracle> oracle_;
-  // Oracle forks for evaluating the two halves of a descent level
-  // concurrently (created lazily, reused across samples).
-  std::vector<std::unique_ptr<EdgeFreeOracle>> descent_forks_;
   double width_ = 0.0;
   Rng rng_;
 };

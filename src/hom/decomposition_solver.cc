@@ -219,8 +219,8 @@ bool PassesFilters(TupleView row,
 // Per-worker evaluation state.
 //
 // The fields divide into CALL state — rebuilt by each Prepare and
-// read-only while its PreparedDp is live — and TRIAL scratch, rewritten
-// by every decision of that PreparedDp.
+// read-only while its trials are decided — and TRIAL scratch, rewritten
+// by every DecidePrepared.
 
 struct SolverEvalContext::Impl {
   // --- Call state ----------------------------------------------------------
@@ -263,10 +263,6 @@ struct SolverEvalContext::Impl {
   std::vector<std::vector<Value>> demand_keys;  // Per-node key scratch.
   bool demand_ok = false;  // All shared-key spaces within the cap.
 
-  // Prepare calls made on this context; a PreparedDp holds the number of
-  // the one that built it (stale-handle assertion).
-  uint64_t generation = 0;
-
   // --- Trial scratch -------------------------------------------------------
   bool trial_configured = false;
   std::vector<FlatTuples> trial_survivors;
@@ -280,10 +276,6 @@ SolverEvalContext::~SolverEvalContext() = default;
 SolverEvalContext::SolverEvalContext(SolverEvalContext&&) noexcept = default;
 SolverEvalContext& SolverEvalContext::operator=(SolverEvalContext&&) noexcept =
     default;
-
-bool PreparedDp::Decide(const std::vector<DomainRestriction>& extra) {
-  return solver_->DecidePrepared(*ctx_, generation_, extra);
-}
 
 // ---------------------------------------------------------------------------
 // DecompositionSolver
@@ -503,10 +495,6 @@ bool DecompositionSolver::EnsureBagRowCache() {
   return true;
 }
 
-std::unique_ptr<SolverEvalContext> DecompositionSolver::CreateEvalContext() {
-  return std::unique_ptr<SolverEvalContext>(new SolverEvalContext());
-}
-
 DecompositionSolver::DpStats DecompositionSolver::dp_stats() const {
   DpStats stats;
   stats.cached_bag_rows = stat_cached_bag_rows_.load(std::memory_order_relaxed);
@@ -514,11 +502,10 @@ DecompositionSolver::DpStats DecompositionSolver::dp_stats() const {
   return stats;
 }
 
-PreparedDp DecompositionSolver::Prepare(const VarDomains& base,
-                                        const std::vector<int>& overlay_vars,
-                                        SolverEvalContext& ctx) {
+void DecompositionSolver::Prepare(const VarDomains& base,
+                                  const std::vector<int>& overlay_vars,
+                                  SolverEvalContext& ctx) {
   SolverEvalContext::Impl& sc = *ctx.impl_;
-  PreparedDp prepared(this, &sc, ++sc.generation);
 
   if (!EnsureBagRowCache()) {
     sc.fallback = true;
@@ -529,7 +516,7 @@ PreparedDp DecompositionSolver::Prepare(const VarDomains& base,
         static_cast<size_t>(query_.num_vars())) {
       sc.fallback_base.allowed.resize(static_cast<size_t>(query_.num_vars()));
     }
-    return prepared;
+    return;
   }
   sc.fallback = false;
 
@@ -727,7 +714,7 @@ PreparedDp DecompositionSolver::Prepare(const VarDomains& base,
       return false;
     });
     sc.always_false = !found;
-    return prepared;
+    return;
   }
 
   // Step 2a: per-trial-dynamic bags get their base-filtered rows
@@ -783,15 +770,14 @@ PreparedDp DecompositionSolver::Prepare(const VarDomains& base,
     }
     sc.static_tables[t].Build(out);
   }
-  return prepared;
 }
 
 bool DecompositionSolver::DecidePrepared(
-    SolverEvalContext::Impl& sc, uint64_t generation,
-    const std::vector<DomainRestriction>& extra) {
-  assert(generation == sc.generation &&
-         "stale PreparedDp: a newer Prepare call took this context");
-  (void)generation;
+    SolverEvalContext& ctx,
+    const std::vector<DomainRestriction>& extra) const {
+  SolverEvalContext::Impl& sc = *ctx.impl_;
+  assert((sc.fallback || sc.call_configured) &&
+         "DecidePrepared on a context no Prepare has configured");
 
   if (sc.fallback) {
     // Swap in only the <= 2|Delta| endpoint domains, decide, restore.

@@ -21,7 +21,7 @@
 //      part restrictions — fixed across trials — and the trial-invariant
 //      part of the DP (bags whose subtree touches no disequality
 //      endpoint) runs once, caching surviving rows and child tables;
-//   3. per trial (PreparedDp::Decide): only bags whose subtree contains a
+//   3. per trial (DecidePrepared): only bags whose subtree contains a
 //      disequality endpoint re-filter by the trial's colour bitmask and
 //      re-aggregate, with existence-only semijoins and first-witness
 //      early exit at the root.
@@ -35,11 +35,10 @@
 //     built; the cache build itself is mutex-guarded and idempotent, so
 //     any number of workers may share one solver.
 //   - Everything per-call and per-trial lives in a SolverEvalContext.
-//     Each worker lane owns one context and runs its Prepare and every
-//     trial Decide on it; chains on distinct contexts never touch shared
-//     mutable state and may run fully concurrently.
-// Every caller of Prepare holds its own context (one per worker lane);
-// the solver owns none.
+//     Each worker lane (a HomLane of the decomposition oracle) owns one
+//     context and runs its Prepare and every DecidePrepared on it; lanes
+//     on distinct contexts never touch shared mutable state and may run
+//     fully concurrently. The solver owns no context.
 #ifndef CQCOUNT_HOM_DECOMPOSITION_SOLVER_H_
 #define CQCOUNT_HOM_DECOMPOSITION_SOLVER_H_
 
@@ -56,50 +55,22 @@
 
 namespace cqcount {
 
-class DecompositionSolver;
-
 /// Per-worker evaluation state: the scratch of one Prepare (call state,
 /// rebuilt per EdgeFree call) plus the per-trial scratch its decisions
 /// use (epoch-stamped semijoin tables, overlay buffers). One context must
 /// never be used from two threads at once; distinct contexts are fully
-/// independent. Obtained from DecompositionSolver::CreateEvalContext;
-/// must not outlive the solver.
+/// independent. A context serves one solver for its whole life.
 class SolverEvalContext {
  public:
+  SolverEvalContext();
   ~SolverEvalContext();
   SolverEvalContext(SolverEvalContext&&) noexcept;
   SolverEvalContext& operator=(SolverEvalContext&&) noexcept;
 
  private:
   friend class DecompositionSolver;
-  friend class PreparedDp;
-  SolverEvalContext();
   struct Impl;
   std::unique_ptr<Impl> impl_;
-};
-
-/// A decision instance with the base domains baked in; Decide() evaluates
-/// one overlay (colouring trial) against it. Obtained from
-/// DecompositionSolver::Prepare; a lightweight handle onto context-owned
-/// state — it must not outlive the solver or its context, and a new
-/// Prepare on the same context invalidates it (asserted in debug builds).
-class PreparedDp {
- public:
-  /// True iff a solution exists under base domains intersected with
-  /// `extra`. Every `extra.var` must be among the overlay vars declared
-  /// at Prepare time. Reuses trial-invariant DP state across calls. Runs
-  /// on the context the instance was prepared on (single-threaded use).
-  bool Decide(const std::vector<DomainRestriction>& extra);
-
- private:
-  friend class DecompositionSolver;
-  PreparedDp(DecompositionSolver* solver, SolverEvalContext::Impl* ctx,
-             uint64_t generation)
-      : solver_(solver), ctx_(ctx), generation_(generation) {}
-
-  DecompositionSolver* solver_;
-  SolverEvalContext::Impl* ctx_;
-  uint64_t generation_;
 };
 
 /// Decision / exact-counting DP over a tree decomposition.
@@ -136,27 +107,26 @@ class DecompositionSolver {
   /// databases; all tests use exactly-representable ranges.
   double CountSolutions(const VarDomains* domains) const;
 
-  /// Mints an independent per-worker evaluation context. Safe to call
-  /// concurrently.
-  std::unique_ptr<SolverEvalContext> CreateEvalContext();
+  /// Prepares `ctx` for trial decisions: `base` (the V_i restrictions
+  /// of one EdgeFree call) is fixed; each DecidePrepared overlays masks on
+  /// `overlay_vars` only (the disequality endpoints). `base` is only read
+  /// during this call. Calls on distinct contexts may run concurrently
+  /// (the bag-row cache is shared and immutable).
+  void Prepare(const VarDomains& base, const std::vector<int>& overlay_vars,
+               SolverEvalContext& ctx);
 
-  /// Builds a prepared decision instance on `ctx`: `base` (the V_i
-  /// restrictions of one EdgeFree call) is fixed; each PreparedDp::Decide
-  /// overlays masks on `overlay_vars` only (the disequality endpoints).
-  /// `base` is only read during this call. At most one live PreparedDp
-  /// per context; chains on distinct contexts may run concurrently (the
-  /// bag-row cache is shared and immutable).
-  PreparedDp Prepare(const VarDomains& base,
-                     const std::vector<int>& overlay_vars,
-                     SolverEvalContext& ctx);
+  /// True iff a solution exists under the base domains of `ctx`'s last
+  /// Prepare intersected with `extra`. Every `extra.var` must be among
+  /// that Prepare's overlay vars. Reuses the trial-invariant DP state
+  /// Prepare left in `ctx`, and writes no state outside `ctx`.
+  bool DecidePrepared(SolverEvalContext& ctx,
+                      const std::vector<DomainRestriction>& extra) const;
 
   const TreeDecomposition& decomposition() const { return td_; }
   /// Snapshot of the bag-row cache's size and state.
   DpStats dp_stats() const;
 
  private:
-  friend class PreparedDp;
-
   // Shared bottom-up pass. If `total` is null, performs the decision
   // variant; otherwise computes per-tuple extension counts.
   bool RunDp(const VarDomains* domains, double* total) const;
@@ -165,10 +135,6 @@ class DecompositionSolver {
   // mutex-guarded; the cache is immutable once state_ is published).
   // Returns false when a cap was exceeded (cache disabled).
   bool EnsureBagRowCache();
-
-  // One prepared trial decision on the context `ctx` was prepared on.
-  bool DecidePrepared(SolverEvalContext::Impl& ctx, uint64_t generation,
-                      const std::vector<DomainRestriction>& extra);
 
   const Query& query_;
   const Database& db_;

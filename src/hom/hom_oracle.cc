@@ -1,9 +1,6 @@
 #include "hom/hom_oracle.h"
 
-#include <algorithm>
-#include <cassert>
 #include <numeric>
-#include <utility>
 
 #include "decomposition/width_measures.h"
 #include "query/query_structures.h"
@@ -11,62 +8,57 @@
 namespace cqcount {
 namespace {
 
-// Default trial-reuse adapter: keeps a private copy of the base domains
-// and, per trial, swaps in only the <= 2|Delta| overlaid endpoint domains
-// (intersected with the base) around a plain Decide — no full VarDomains
-// copy per trial.
-class OverlayPreparedHom : public PreparedHom {
+// Default lane: keeps a private copy of the base domains and, per trial,
+// swaps in only the <= 2|Delta| overlaid endpoint domains (intersected
+// with the base) around the oracle's Decide — no full VarDomains copy per
+// trial.
+class OverlayLane : public HomLane {
  public:
-  OverlayPreparedHom(HomOracle* oracle, const VarDomains& base,
-                     int num_vars)
-      : oracle_(oracle), base_(base) {
-    // Cover every overlaid variable even when the caller passed a
-    // shorter (but non-empty) domain vector.
-    if (base_.allowed.size() < static_cast<size_t>(num_vars)) {
-      base_.allowed.resize(static_cast<size_t>(num_vars));
+  explicit OverlayLane(const HomOracle& oracle) : oracle_(oracle) {}
+
+  void Prepare(const VarDomains& base,
+               const std::vector<int>& overlay_vars) override {
+    base_ = base;
+    // Cover every overlaid variable even when the caller passed a shorter
+    // domain vector: variables beyond it are unrestricted by
+    // VarDomains::Allows' contract, and ApplyOverlay needs a slot.
+    for (int v : overlay_vars) {
+      if (base_.allowed.size() <= static_cast<size_t>(v)) {
+        base_.allowed.resize(static_cast<size_t>(v) + 1);
+      }
     }
   }
 
   bool Decide(const std::vector<DomainRestriction>& extra) override {
     ApplyOverlay(base_, extra, saved_);
-    const bool verdict = oracle_->Decide(base_);
+    const bool verdict = oracle_.Decide(base_);
     RestoreOverlay(base_, saved_);
     return verdict;
   }
 
  private:
-  HomOracle* oracle_;
+  const HomOracle& oracle_;
   VarDomains base_;
   SavedDomains saved_;
 };
 
-// HomContext for the decomposition oracle: an independent solver
-// evaluation context.
-class DecompositionHomContext : public HomContext {
+// Lane on the solver's trial-reuse DP, over a context of its own.
+class DecompositionLane : public HomLane {
  public:
-  explicit DecompositionHomContext(std::unique_ptr<SolverEvalContext> ctx)
-      : ctx_(std::move(ctx)) {}
+  explicit DecompositionLane(DecompositionSolver& solver) : solver_(solver) {}
 
-  SolverEvalContext& ctx() { return *ctx_; }
-
- private:
-  std::unique_ptr<SolverEvalContext> ctx_;
-};
-
-// Prepared decisions delegated to the solver's trial-reuse DP.
-class DecompositionPreparedHom : public PreparedHom {
- public:
-  DecompositionPreparedHom(HomOracle* owner, PreparedDp prepared)
-      : owner_(owner), prepared_(std::move(prepared)) {}
+  void Prepare(const VarDomains& base,
+               const std::vector<int>& overlay_vars) override {
+    solver_.Prepare(base, overlay_vars, ctx_);
+  }
 
   bool Decide(const std::vector<DomainRestriction>& extra) override {
-    owner_->RecordDecide();
-    return prepared_.Decide(extra);
+    return solver_.DecidePrepared(ctx_, extra);
   }
 
  private:
-  HomOracle* owner_;
-  PreparedDp prepared_;
+  DecompositionSolver& solver_;
+  SolverEvalContext ctx_;
 };
 
 // Identity variable order over all query variables.
@@ -85,38 +77,19 @@ BagJoiner::Options FullJoinOptions() {
 
 }  // namespace
 
-std::unique_ptr<PreparedHom> HomOracle::Prepare(const VarDomains& base,
-                                               std::vector<int> overlay_vars,
-                                               HomContext* ctx) {
-  (void)ctx;
-  // num_vars is unknown at this level; size the domain vector to cover
-  // the largest overlaid variable. Variables beyond the vector are
-  // unrestricted by VarDomains::Allows' contract.
-  int max_var = -1;
-  for (int v : overlay_vars) max_var = std::max(max_var, v);
-  const int num_vars =
-      std::max(static_cast<int>(base.allowed.size()), max_var + 1);
-  return std::make_unique<OverlayPreparedHom>(this, base, num_vars);
+std::unique_ptr<HomLane> HomOracle::NewLane() {
+  return std::make_unique<OverlayLane>(*this);
 }
 
-std::unique_ptr<PreparedHom> DecompositionHomOracle::Prepare(
-    const VarDomains& base, std::vector<int> overlay_vars, HomContext* ctx) {
-  assert(ctx != nullptr);
-  auto& dctx = static_cast<DecompositionHomContext&>(*ctx);
-  return std::make_unique<DecompositionPreparedHom>(
-      this, solver_.Prepare(base, overlay_vars, dctx.ctx()));
-}
-
-std::unique_ptr<HomContext> DecompositionHomOracle::CreateContext() {
-  return std::make_unique<DecompositionHomContext>(solver_.CreateEvalContext());
+std::unique_ptr<HomLane> DecompositionHomOracle::NewLane() {
+  return std::make_unique<DecompositionLane>(solver_);
 }
 
 BacktrackingHomOracle::BacktrackingHomOracle(const Query& q,
                                              const Database& db)
     : joiner_(q, db, IdentityOrder(q), FullJoinOptions()) {}
 
-bool BacktrackingHomOracle::Decide(const VarDomains& domains) {
-  RecordDecide();
+bool BacktrackingHomOracle::Decide(const VarDomains& domains) const {
   bool found = false;
   joiner_.Enumerate(&domains, [&found](const Tuple&) {
     found = true;

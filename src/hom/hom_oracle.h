@@ -6,32 +6,21 @@
 // materialised structures of Definitions 26/28 (every added relation is
 // unary), which tests cross-validate via DecideStructureHom.
 //
-// Two calling conventions:
-//   - Decide(domains): one-shot decision, full domain set.
-//   - Prepare(base, overlay_vars, ctx) -> PreparedHom: the trial-reuse
-//     path. The colour-coding loop fixes the V_i part restrictions once
-//     per EdgeFree call and then varies only the <= 2|Delta| disequality
-//     endpoint domains per trial; PreparedHom lets the oracle hoist all
-//     base-dependent work out of the trial loop. The decomposition oracle
-//     backs it with the solver's prepare/evaluate DP split; any other
-//     oracle gets a correct default that copies/restores just the
-//     endpoint domains around a plain Decide.
-//
-// Concurrency: the caller holds the context. An oracle with a concurrent
-// path hands out opaque HomContexts from CreateContext(), and every
-// Prepare on it names one; a Prepare/Decide chain bound to one context
-// never touches another context's mutable state, so worker lanes holding
-// distinct contexts may prepare and decide concurrently against one
-// oracle (the decomposition oracle maps contexts onto SolverEvalContexts;
-// the shared bag-join row cache is immutable). A prepared call's trials
-// run on its own context, one after another. An oracle whose
-// CreateContext() returns null has no concurrent path: its Prepare takes
-// a null context and runs sequentially.
+// Lanes: the colour-coding loop fixes the V_i part restrictions once per
+// EdgeFree call and then varies only the <= 2|Delta| disequality endpoint
+// domains per trial. Each worker drives the oracle through its own
+// HomLane from NewLane(): Prepare(base, overlay_vars) once per call, so
+// the oracle can hoist all base-dependent work out of the trial loop, and
+// Decide(extra) once per trial. A lane never touches another lane's
+// mutable state, so lanes on distinct threads may prepare and decide
+// concurrently against one oracle. The decomposition oracle backs each
+// lane with its own SolverEvalContext (the solver's bag-join row cache is
+// shared and immutable); every other oracle gets a default lane that
+// swaps just the overlaid endpoint domains around its const, thread-safe
+// Decide.
 #ifndef CQCOUNT_HOM_HOM_ORACLE_H_
 #define CQCOUNT_HOM_HOM_ORACLE_H_
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -43,25 +32,22 @@
 
 namespace cqcount {
 
-/// Opaque per-worker state for concurrent oracle use. Obtained from
-/// HomOracle::CreateContext; one context must never be used by two
-/// threads at once.
-class HomContext {
+/// One worker's view of a HomOracle: a Hom instance whose base domains are
+/// fixed by Prepare and whose Decide overlays a small set of per-variable
+/// masks (one colouring trial). Obtained from HomOracle::NewLane; must not
+/// outlive the oracle, and one lane must never be used by two threads at
+/// once.
+class HomLane {
  public:
-  virtual ~HomContext() = default;
-};
+  virtual ~HomLane() = default;
 
-/// A Hom instance with base domains fixed; each Decide overlays a small
-/// set of per-variable masks (one colouring trial). Obtained from
-/// HomOracle::Prepare; must not outlive the oracle (or the context it was
-/// prepared on).
-class PreparedHom {
- public:
-  virtual ~PreparedHom() = default;
+  /// Fixes `base` (only read during this call) for the following
+  /// decisions, each of which overlays masks on `overlay_vars` only.
+  virtual void Prepare(const VarDomains& base,
+                       const std::vector<int>& overlay_vars) = 0;
 
-  /// True iff a solution exists under base + `extra` (vars limited to the
-  /// overlay vars declared at Prepare time). Single-threaded: runs on the
-  /// context the instance was prepared on.
+  /// True iff a solution exists under the prepared base intersected with
+  /// `extra` (vars among the overlay vars of the last Prepare).
   virtual bool Decide(const std::vector<DomainRestriction>& extra) = 0;
 };
 
@@ -71,32 +57,14 @@ class HomOracle {
   virtual ~HomOracle() = default;
 
   /// True iff a solution (ignoring disequalities) exists under `domains`.
-  virtual bool Decide(const VarDomains& domains) = 0;
+  /// Thread-safe.
+  virtual bool Decide(const VarDomains& domains) const = 0;
 
-  /// Prepares repeated decisions over fixed `base` domains with per-trial
-  /// overlays on `overlay_vars`, on `ctx` — a context from this oracle's
-  /// CreateContext(), null only when that returns null. The default
-  /// ignores the context and copies and restores only the overlaid
-  /// domains around Decide; oracles with a cheaper incremental path
-  /// override this.
-  virtual std::unique_ptr<PreparedHom> Prepare(const VarDomains& base,
-                                               std::vector<int> overlay_vars,
-                                               HomContext* ctx);
-
-  /// Mints per-worker state for concurrent use; null when the oracle has
-  /// no concurrent path (callers must then serialise).
-  virtual std::unique_ptr<HomContext> CreateContext() { return nullptr; }
-
-  /// Number of decisions served so far (plain and prepared).
-  uint64_t num_calls() const {
-    return num_calls_.load(std::memory_order_relaxed);
-  }
-
-  /// Counts one decision, plain or prepared, towards num_calls().
-  void RecordDecide() { num_calls_.fetch_add(1, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> num_calls_{0};
+  /// Mints a lane for one worker. The default lane keeps a copy of the
+  /// base domains and, per decision, swaps the overlaid domains in and
+  /// out around Decide; oracles with a cheaper incremental path override
+  /// this.
+  virtual std::unique_ptr<HomLane> NewLane();
 };
 
 /// Polynomial-time oracle via tree-decomposition DP (Theorem 31 engine; the
@@ -109,20 +77,13 @@ class DecompositionHomOracle : public HomOracle {
                          TreeDecomposition td)
       : solver_(q, db, std::move(td)) {}
 
-  bool Decide(const VarDomains& domains) override {
-    RecordDecide();
+  bool Decide(const VarDomains& domains) const override {
     return solver_.Decide(&domains);
   }
 
-  /// Prepared decisions run on the solver's trial-reuse DP, on the
-  /// solver context `ctx` (never null) wraps.
-  std::unique_ptr<PreparedHom> Prepare(const VarDomains& base,
-                                       std::vector<int> overlay_vars,
-                                       HomContext* ctx) override;
-
-  /// Contexts wrap independent SolverEvalContexts; the solver's bag-join
-  /// cache is shared and immutable, so concurrent chains are safe.
-  std::unique_ptr<HomContext> CreateContext() override;
+  /// Lanes run on the solver's trial-reuse DP, each on its own
+  /// SolverEvalContext.
+  std::unique_ptr<HomLane> NewLane() override;
 
   /// Prepare/evaluate observability for engine provenance.
   DecompositionSolver::DpStats dp_stats() const { return solver_.dp_stats(); }
@@ -138,7 +99,7 @@ class BacktrackingHomOracle : public HomOracle {
  public:
   BacktrackingHomOracle(const Query& q, const Database& db);
 
-  bool Decide(const VarDomains& domains) override;
+  bool Decide(const VarDomains& domains) const override;
 
  private:
   BagJoiner joiner_;

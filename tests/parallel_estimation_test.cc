@@ -90,8 +90,9 @@ TEST_P(IntraQueryDeterminismTest, FptrasTwAndFhwAndSamplerPaths) {
     obs.estimate += fhw->estimate;
     obs.exact = obs.exact && fhw->exact;
 
-    // Sampler path: the drawn answers exercise the parallel descent
-    // sub-counts and must be identical tuples at every lane count.
+    // Sampler path: the drawn answers exercise each sample's whole-box
+    // count on the lanes and must be identical tuples at every lane
+    // count.
     SamplerOptions sopts;
     sopts.approx = opts;
     sopts.approx.objective = WidthObjective::kTreewidth;

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "counting/colour_coding.h"
@@ -16,11 +15,13 @@
 #include "hom/hom_oracle.h"
 #include "query/parser.h"
 #include "test_util.h"
+#include "util/executor.h"
 #include "util/failpoint.h"
 
 namespace cqcount {
 namespace {
 
+using testing_util::MergeOverlay;
 using testing_util::RandomDatabaseFor;
 using testing_util::RandomQuery;
 using testing_util::RandomQueryOptions;
@@ -58,24 +59,8 @@ VarDomains RandomBaseDomains(const Query& q, Rng& rng) {
   return base;
 }
 
-// The monolithic reference: base with `extra` intersected in.
-VarDomains MergeOverlay(const Query& q, const VarDomains& base,
-                        const std::vector<DomainRestriction>& extra) {
-  VarDomains merged = base;
-  if (merged.allowed.empty()) merged.allowed.resize(q.num_vars());
-  for (const DomainRestriction& r : extra) {
-    Bitset& domain = merged.allowed[static_cast<size_t>(r.var)];
-    if (domain.empty()) {
-      domain = *r.mask;
-    } else {
-      domain.IntersectWith(*r.mask);
-    }
-  }
-  return merged;
-}
-
 // Core property over ~100 random (query, database, base, trials)
-// instances with 0-3 disequalities: PreparedDp::Decide(extra) ==
+// instances with 0-3 disequalities: DecidePrepared(ctx, extra) ==
 // monolithic Decide(base merged with extra), for both the cached-rows
 // path and the cache-cap fallback (forced through the dp.bag_cache_build
 // failpoint, the transition the row cap takes).
@@ -106,22 +91,18 @@ TEST_P(PreparedDpPropertyTest, PreparedMatchesMonolithic) {
   DecompositionSolver fallback_solver(
       q, db, DecompositionFromOrder(h, MinFillOrder(h)));
 
-  std::unique_ptr<SolverEvalContext> prepared_ctx =
-      prepared_solver.CreateEvalContext();
-  std::unique_ptr<SolverEvalContext> fallback_ctx =
-      fallback_solver.CreateEvalContext();
+  SolverEvalContext prepared_ctx;
+  SolverEvalContext fallback_ctx;
   {
     // The first Prepare builds the solver's cache; a failed build leaves
     // it disabled for the solver's lifetime.
     failpoint::ScopedFailpoint no_cache("dp.bag_cache_build", {});
-    fallback_solver.Prepare(VarDomains{}, overlay_vars, *fallback_ctx);
+    fallback_solver.Prepare(VarDomains{}, overlay_vars, fallback_ctx);
   }
   for (int call = 0; call < 3; ++call) {
     const VarDomains base = RandomBaseDomains(q, rng);
-    PreparedDp prepared =
-        prepared_solver.Prepare(base, overlay_vars, *prepared_ctx);
-    PreparedDp fallback =
-        fallback_solver.Prepare(base, overlay_vars, *fallback_ctx);
+    prepared_solver.Prepare(base, overlay_vars, prepared_ctx);
+    fallback_solver.Prepare(base, overlay_vars, fallback_ctx);
 
     for (int trial = 0; trial < 6; ++trial) {
       std::vector<Bitset> masks;
@@ -135,9 +116,9 @@ TEST_P(PreparedDpPropertyTest, PreparedMatchesMonolithic) {
       }
       const VarDomains merged = MergeOverlay(q, base, extra);
       const bool expected = reference.Decide(&merged);
-      EXPECT_EQ(prepared.Decide(extra), expected)
+      EXPECT_EQ(prepared_solver.DecidePrepared(prepared_ctx, extra), expected)
           << q.ToString() << " call " << call << " trial " << trial;
-      EXPECT_EQ(fallback.Decide(extra), expected)
+      EXPECT_EQ(fallback_solver.DecidePrepared(fallback_ctx, extra), expected)
           << q.ToString() << " (fallback) call " << call << " trial "
           << trial;
     }
@@ -150,10 +131,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PreparedDpPropertyTest,
                          ::testing::Range(0, 100));
 
 // End-to-end: the same DLM estimation run, same seeds, once with the
-// decomposition oracle (prepared trial-reuse DP) and once with the
-// backtracking oracle (generic copy-restore overlay around a full
-// Decide — the pre-refactor per-trial evaluation). Identical IsEdgeFree
-// verdicts imply bit-identical estimates.
+// decomposition oracle (lanes on the trial-reuse DP) and once with the
+// backtracking oracle (the default lane: copy-restore overlay around a
+// full Decide). Identical IsEdgeFree verdicts imply bit-identical
+// estimates. Every Hom oracle has lanes, so both paths also fork onto 4
+// lanes, where the estimate and its work must equal the inline run's.
 class EstimatePathEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(EstimatePathEquivalenceTest, EstimatesBitIdenticalAcrossOraclePaths) {
@@ -201,6 +183,22 @@ TEST_P(EstimatePathEquivalenceTest, EstimatesBitIdenticalAcrossOraclePaths) {
   EXPECT_EQ(dp_result->estimate, bt_result->estimate) << q.ToString();
   EXPECT_EQ(dp_result->exact, bt_result->exact);
   EXPECT_EQ(dp_oracle.num_calls(), bt_oracle.num_calls());
+
+  Executor pool(4);
+  DlmOptions on_lanes = dlm;
+  on_lanes.pool = &pool;
+  on_lanes.intra_threads = 4;
+  auto expect_same_on_lanes = [&](ColourCodingEdgeFreeOracle& oracle,
+                                  const DlmResult& inline_result) {
+    auto result = DlmCountEdges(part_sizes, oracle, on_lanes);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->estimate, inline_result.estimate) << q.ToString();
+    EXPECT_EQ(result->exact, inline_result.exact);
+    EXPECT_EQ(result->oracle_calls, inline_result.oracle_calls);
+    EXPECT_EQ(result->parallel.lanes, 4);
+  };
+  expect_same_on_lanes(dp_oracle, *dp_result);
+  expect_same_on_lanes(bt_oracle, *bt_result);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EstimatePathEquivalenceTest,

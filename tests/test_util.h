@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "hom/join.h"
 #include "query/query.h"
 #include "relational/structure.h"
 #include "util/bitset.h"
@@ -29,6 +30,23 @@ inline Bitset MaskOf(std::initializer_list<bool> bits) {
     ++i;
   }
   return mask;
+}
+
+/// The monolithic reference for an overlaid Hom decision: `base` with
+/// each `extra` mask intersected in (an empty domain adopts the mask).
+inline VarDomains MergeOverlay(const Query& q, const VarDomains& base,
+                               const std::vector<DomainRestriction>& extra) {
+  VarDomains merged = base;
+  if (merged.allowed.empty()) merged.allowed.resize(q.num_vars());
+  for (const DomainRestriction& r : extra) {
+    Bitset& domain = merged.allowed[static_cast<size_t>(r.var)];
+    if (domain.empty()) {
+      domain = *r.mask;
+    } else {
+      domain.IntersectWith(*r.mask);
+    }
+  }
+  return merged;
 }
 
 /// Out-of-range accuracy targets every estimator entry point must reject
