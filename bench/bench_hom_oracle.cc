@@ -194,7 +194,7 @@ int Run(const std::string& json_path) {
       benchmark_do_not_optimize(oracle.IsEdgeFree(parts));
     }
     edgefree_ms = timer.Millis() / calls;
-    edgefree_calls = oracle.num_calls();
+    edgefree_calls = static_cast<uint64_t>(calls);
     bench::Row("\n(b) IsEdgeFree (1 diseq, %llu trials/call): %.3f ms/call",
                static_cast<unsigned long long>(oracle.trials_per_call()),
                edgefree_ms);

@@ -79,7 +79,6 @@ int Run(const std::string& json_path) {
     opts.delta = 0.2;
     opts.num_threads = 4;
     opts.intra_query_threads = intra;
-    opts.intra_query_min_cost = 0.0;  // The knob under test, not the gate.
     CountingEngine engine(opts);
     Status s = engine.RegisterDatabase("g", db);
     if (!s.ok()) {

@@ -116,13 +116,16 @@ StatusOr<std::vector<std::string>> ReadQueryFile(const std::string& path) {
 }
 
 CountingEngine MakeEngine(double epsilon, double delta,
-                          int intra_threads = -1, bool adaptive = false) {
+                          int intra_threads = -1, bool adaptive = false,
+                          int threads = 0) {
   EngineOptions opts;
   if (epsilon > 0) opts.epsilon = epsilon;
   if (delta > 0) opts.delta = delta;
   // -1 keeps the engine default (automatic: pool-sized lanes for wide
   // queries, inline for cheap/exact components).
   if (intra_threads >= 0) opts.intra_query_threads = intra_threads;
+  // <= 0 keeps the engine's default pool size.
+  if (threads > 0) opts.num_threads = threads;
   opts.adaptive = adaptive;
   return CountingEngine(opts);
 }
@@ -437,8 +440,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (!trace_path.empty()) obs::TraceSink::Global().Enable();
+    // --threads sizes the engine's one pool, which the batch items and
+    // their intra-query lanes share.
     CountingEngine engine =
-        MakeEngine(epsilon, delta, intra_threads, adaptive);
+        MakeEngine(epsilon, delta, intra_threads, adaptive, threads);
     Status registered = engine.RegisterDatabaseFile("db", db_path);
     if (!registered.ok()) {
       std::fprintf(stderr, "database error: %s\n",
@@ -452,7 +457,7 @@ int main(int argc, char** argv) {
       request.database = "db";
       requests.push_back(request);
     }
-    auto results = engine.CountBatch(requests, threads);
+    auto results = engine.CountBatch(requests);
     int failures = 0;
     for (size_t i = 0; i < results.size(); ++i) {
       if (!results[i].ok()) {

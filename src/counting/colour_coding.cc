@@ -129,7 +129,6 @@ std::unique_ptr<EdgeFreeOracle> ColourCodingEdgeFreeOracle::Fork() {
 }
 
 bool ColourCodingEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
-  ++num_calls_;
   assert(static_cast<int>(parts.parts.size()) == query_.num_free());
 
   // Base domains: free variable i restricted to V_i, existentials free.

@@ -201,48 +201,62 @@ class Estimator {
     }
     const uint64_t per_run_budget = remaining / static_cast<uint64_t>(runs);
 
-    if (opts_.early_stop && runs > 1) {
-      return EarlyStopSampling(frontier, singleton_edges, run_seeds,
-                               per_run_budget);
-    }
-    std::vector<RunOutcome> outcomes(runs);
+    // The early-stop rule reads completed runs in index order, so an
+    // armed schedule keeps its runs on the caller.
+    const bool early_stop = opts_.early_stop && runs > 1;
+    std::vector<RunOutcome> outcomes;
+    outcomes.reserve(static_cast<size_t>(runs));
+    StopReason stop = StopReason::kNone;
     // Runs may execute on pool threads; parent their spans on the
     // sampling phase explicitly (the implicit thread-local stack does not
     // cross threads).
     obs::Span sampling_span("dlm.sampling");
     const obs::SpanRef sampling_ref = sampling_span.ref();
-    auto execute_run = [&](int lane, size_t r) {
-      obs::Span run_span("dlm.run", sampling_ref);
-      outcomes[r] =
-          AdaptiveRun(frontier, singleton_edges, run_seeds[r], per_run_budget,
-                      *lanes_[static_cast<size_t>(lane)],
-                      /*sample_fanout=*/false);
-      // Deterministic cut-point injection for governance tests: fires
-      // after run r finishes (before the next run's first checkpoint).
-      failpoint::ShouldFail("dlm.run_boundary");
-    };
-    if (lanes_.size() > 1 && runs > 1) {
+    if (lanes_.size() > 1 && runs > 1 && !early_stop) {
       // Whole runs fan across lanes (each run sequential on its lane).
+      outcomes.resize(static_cast<size_t>(runs));
+      auto execute_run = [&](int lane, size_t r) {
+        obs::Span run_span("dlm.run", sampling_ref);
+        outcomes[r] = AdaptiveRun(frontier, singleton_edges, run_seeds[r],
+                                  per_run_budget,
+                                  *lanes_[static_cast<size_t>(lane)],
+                                  /*sample_fanout=*/false);
+        // Deterministic cut-point injection for governance tests: fires
+        // after run r finishes (before the next run's first checkpoint).
+        failpoint::ShouldFail("dlm.run_boundary");
+      };
       Executor::LaneStats stats = opts_.pool->ParallelForLanes(
           static_cast<size_t>(runs), static_cast<int>(lanes_.size()),
           execute_run);
       parallel_.tasks += static_cast<uint64_t>(runs);
       parallel_.worker_tasks += stats.worker_ran;
     } else {
-      // A single run (or no lanes): fan the per-round sample batches
-      // instead. Identical arithmetic either way — only the partition of
-      // work onto threads differs.
+      // Runs in index order; with lanes, each round's sample batch fans
+      // across them instead. Identical arithmetic either way — only the
+      // partition of work onto threads differs.
       for (int r = 0; r < runs; ++r) {
-        obs::Span run_span("dlm.run", sampling_ref);
-        outcomes[r] =
-            AdaptiveRun(frontier, singleton_edges, run_seeds[r],
-                        per_run_budget, *lanes_[0],
-                        /*sample_fanout=*/lanes_.size() > 1);
+        {
+          obs::Span run_span("dlm.run", sampling_ref);
+          outcomes.push_back(AdaptiveRun(
+              frontier, singleton_edges, run_seeds[static_cast<size_t>(r)],
+              per_run_budget, *lanes_[0],
+              /*sample_fanout=*/lanes_.size() > 1));
+        }
         failpoint::ShouldFail("dlm.run_boundary");
+        if (!early_stop) continue;
+        // Active checkpoint, not a passive GovFired() read: a cancellation
+        // or deadline landing exactly at this boundary must latch before
+        // the stop rule is consulted, so interruption is the typed first
+        // cause even when the stop rule would also have fired here.
+        if (!outcomes.back().completed ||
+            Checkpoint() != GovernanceState::kRunning) {
+          break;
+        }
+        stop = EarlyStopReason(outcomes, runs);
+        if (stop != StopReason::kNone) break;
       }
     }
-
-    return FinishSampling(outcomes, runs, StopReason::kNone);
+    return FinishSampling(outcomes, runs, stop);
   }
 
  private:
@@ -388,45 +402,6 @@ class Estimator {
       return StopReason::kConfidence;
     }
     return StopReason::kNone;
-  }
-
-  // Phase 3 under early termination: runs execute strictly in index
-  // order (per-round batches still fan across lanes), and after each
-  // completed run the EarlyStopReason rule decides whether the remaining
-  // schedule is worth its oracle calls. The estimate on an early stop is
-  // the median of the completed prefix — a full (non-partial) answer:
-  // the stop rule only fires once that prefix meets (epsilon, delta).
-  StatusOr<DlmResult> EarlyStopSampling(const std::vector<Box>& frontier,
-                                        uint64_t singleton_edges,
-                                        const std::vector<uint64_t>& run_seeds,
-                                        uint64_t per_run_budget) {
-    const int runs = static_cast<int>(run_seeds.size());
-    obs::Span sampling_span("dlm.sampling");
-    const obs::SpanRef sampling_ref = sampling_span.ref();
-    std::vector<RunOutcome> outcomes;
-    outcomes.reserve(run_seeds.size());
-    StopReason stop = StopReason::kNone;
-    for (int r = 0; r < runs; ++r) {
-      {
-        obs::Span run_span("dlm.run", sampling_ref);
-        outcomes.push_back(AdaptiveRun(frontier, singleton_edges,
-                                       run_seeds[static_cast<size_t>(r)],
-                                       per_run_budget, *lanes_[0],
-                                       /*sample_fanout=*/lanes_.size() > 1));
-      }
-      failpoint::ShouldFail("dlm.run_boundary");
-      // Active checkpoint, not a passive GovFired() read: a cancellation
-      // or deadline landing exactly at this boundary must latch before
-      // the stop rule is consulted, so interruption is the typed first
-      // cause even when the stop rule would also have fired here.
-      if (!outcomes.back().completed ||
-          Checkpoint() != GovernanceState::kRunning) {
-        break;
-      }
-      stop = EarlyStopReason(outcomes, runs);
-      if (stop != StopReason::kNone) break;
-    }
-    return FinishSampling(outcomes, runs, stop);
   }
 
   // The answer of phase 3 from the runs executed: the anytime partial

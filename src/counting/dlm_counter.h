@@ -21,9 +21,10 @@
 // descent — draws from Rng(DeriveSeed(seed, {run, round, stratum, k})),
 // and results merge in index order, so the estimate is a pure function of
 // (part_sizes, oracle behaviour, options) — never of scheduling. Work is
-// partitioned onto `pool` across `intra_threads` lanes (exact-phase
-// sub-boxes, the outer median runs, and per-round sample batches); each
-// lane drives its own oracle fork (EdgeFreeOracle::Fork), which must
+// partitioned onto `pool` across `intra_threads` lanes: the exact-phase
+// sub-boxes, then either whole outer median runs or, when the runs go in
+// index order (one run, or early stop armed), each round's sample batch.
+// Each lane drives its own oracle fork (EdgeFreeOracle::Fork), which must
 // answer every subset exactly as the root oracle would. Oracle-call
 // budgets are accounted per deterministic unit (per exact-phase task, per
 // adaptive run) and checked at round boundaries, keeping converged/cap

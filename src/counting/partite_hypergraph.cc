@@ -11,13 +11,12 @@ namespace cqcount {
 namespace {
 
 // Fork of the brute-force oracle: scans the parent's (immutable) answer
-// relation. Keeps its own call counter.
+// relation.
 class BruteForceFork : public EdgeFreeOracle {
  public:
   explicit BruteForceFork(const Relation* answers) : answers_(answers) {}
 
   bool IsEdgeFree(const PartiteSubset& parts) override {
-    ++num_calls_;
     for (TupleView answer : *answers_) {
       bool inside = true;
       for (size_t i = 0; i < answer.size(); ++i) {
@@ -69,7 +68,6 @@ BruteForceEdgeFreeOracle::BruteForceEdgeFreeOracle(const Query& q,
 }
 
 bool BruteForceEdgeFreeOracle::IsEdgeFree(const PartiteSubset& parts) {
-  ++num_calls_;
   for (TupleView answer : answers_) {
     bool inside = true;
     for (size_t i = 0; i < answer.size(); ++i) {

@@ -10,7 +10,6 @@
 #ifndef CQCOUNT_COUNTING_PARTITE_HYPERGRAPH_H_
 #define CQCOUNT_COUNTING_PARTITE_HYPERGRAPH_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -49,13 +48,6 @@ class EdgeFreeOracle {
   /// would (a requirement — the estimator's determinism relies on it).
   /// Never null. Forks must not outlive the receiver.
   virtual std::unique_ptr<EdgeFreeOracle> Fork() = 0;
-
-  uint64_t num_calls() const {
-    return num_calls_.load(std::memory_order_relaxed);
-  }
-
- protected:
-  std::atomic<uint64_t> num_calls_{0};
 };
 
 /// Ground-truth oracle that enumerates Ans(phi, D) once by brute force and

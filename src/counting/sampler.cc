@@ -41,7 +41,6 @@ class BoxRestrictedOracle : public EdgeFreeOracle {
       : base_(base), universe_(universe), box_(box) {}
 
   bool IsEdgeFree(const PartiteSubset& parts) override {
-    ++num_calls_;
     PartiteSubset global;
     global.parts.resize(parts.parts.size());
     for (size_t i = 0; i < parts.parts.size(); ++i) {

@@ -248,8 +248,7 @@ std::string Explanation::ToJson() const {
 }
 
 CountingEngine::CountingEngine(EngineOptions opts)
-    : opts_(opts),
-      cache_(opts.plan_cache_capacity, opts.plan_cache_shards) {
+    : opts_(opts), cache_(opts.plan_cache_capacity) {
   int threads = opts_.num_threads;
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -388,21 +387,21 @@ std::vector<CountingEngine::ComponentSchedule> CountingEngine::Schedule(
     const QueryPlan& plan = *planned.plans[i];
     // Only the adaptive path reads (and counts) shape history; otherwise
     // the static plan estimate drives the lane gate.
-    schedule[i].cost =
-        adaptive ? scheduler_.Predict(plan, cache_.Profile(planned.keys[i]))
-                 : AdaptiveScheduler::ColdPrediction(plan);
+    schedule[i].cost = adaptive
+                           ? PredictCost(plan, cache_.Profile(planned.keys[i]))
+                           : ColdPrediction(plan);
     const Strategy strategy = force_exact ? Strategy::kExact : plan.strategy;
     // Lanes are scheduling only: the estimate is the same at every lane
     // count.
-    schedule[i].lanes = scheduler_.PlanLanes(
-        strategy, schedule[i].cost, opts_.intra_query_threads,
-        pool_->num_threads(), opts_.intra_query_min_cost);
+    schedule[i].lanes = PlanLanes(strategy, schedule[i].cost,
+                                  opts_.intra_query_threads,
+                                  pool_->num_threads());
     inputs[i].estimated = strategy != Strategy::kExact;
     inputs[i].existential = components[i].existential;
     inputs[i].cost = schedule[i].cost;
   }
   const std::vector<BudgetShare> shares =
-      scheduler_.SplitBudgets(epsilon, delta, inputs, adaptive);
+      SplitBudgets(epsilon, delta, inputs, adaptive);
   for (size_t i = 0; i < components.size(); ++i) {
     schedule[i].share = shares[i];
   }
@@ -580,8 +579,7 @@ StatusOr<EngineResult> CountingEngine::ExecutePlanned(
       }
       if (adaptive) {
         ctx.dlm.early_stop = true;
-        ctx.per_call_failure_override =
-            scheduler_.PerCallFailure(share.delta, cost);
+        ctx.per_call_failure_override = PerCallFailure(share.delta, cost);
       }
       auto outcome = ExecuteStrategy(cr.strategy, ctx);
       if (!outcome.ok()) {
@@ -872,7 +870,7 @@ StatusOr<Explanation> CountingEngine::Explain(const std::string& query,
 }
 
 std::vector<StatusOr<EngineResult>> CountingEngine::CountBatch(
-    const std::vector<CountRequest>& requests, int num_threads) {
+    const std::vector<CountRequest>& requests) {
   std::vector<StatusOr<EngineResult>> results(
       requests.size(), StatusOr<EngineResult>(Status::Internal("not executed")));
   auto run_item = [&](size_t i) {
@@ -891,21 +889,11 @@ std::vector<StatusOr<EngineResult>> CountingEngine::CountBatch(
     }
     results[i] = Count(request);
   };
-  // Exactly `num_threads` concurrent evaluations: the calling thread is
-  // lane 0, so an N-lane batch uses the caller plus N-1 pool workers, and
-  // one lane runs every item on the caller in index order.
-  auto run_lanes = [&](Executor& pool, int lanes) {
-    pool.ParallelForLanes(requests.size(), lanes,
+  // One lane per pool thread: the calling thread is lane 0, so the batch
+  // uses the caller plus num_threads - 1 pool workers, and a one-thread
+  // engine runs every item on the caller in index order.
+  pool_->ParallelForLanes(requests.size(), pool_->num_threads(),
                           [&](int, size_t i) { run_item(i); });
-  };
-  if (num_threads == 1) {
-    run_lanes(*pool_, 1);
-  } else if (num_threads <= 0 || num_threads == pool_->num_threads()) {
-    run_lanes(*pool_, pool_->num_threads());
-  } else {
-    Executor dedicated(num_threads - 1);
-    run_lanes(dedicated, num_threads);
-  }
   return results;
 }
 

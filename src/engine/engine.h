@@ -8,7 +8,7 @@
 //   extraction, unused-variable pruning) -> split into the connected
 //   components of the Gaifman graph (disequalities and negated atoms
 //   count as edges) -> plan each component independently (Figure-1
-//   classification, cached in a sharded LRU keyed by the component's
+//   classification, cached in an LRU keyed by the component's
 //   canonical shape, so two different queries sharing a component shape
 //   reuse one sub-plan) -> execute each component through
 //   ExecuteStrategy, whose ExecContext is the estimators' shared input
@@ -16,9 +16,10 @@
 //   splitting the requested (epsilon, delta) across the factors so the
 //   product still meets the guarantee (see compile/compiled_query.h).
 //
-// Batches of independent queries run concurrently on a worker pool with
-// per-item seeds derived deterministically from (base seed, index), so
-// results are bitwise identical regardless of thread count.
+// Batches of independent queries run concurrently on the engine's one
+// worker pool, which intra-query lanes share, with per-item seeds derived
+// deterministically from (base seed, index), so results are bitwise
+// identical regardless of thread count.
 #ifndef CQCOUNT_ENGINE_ENGINE_H_
 #define CQCOUNT_ENGINE_ENGINE_H_
 
@@ -51,28 +52,23 @@ struct EngineOptions {
   double delta = 0.1;
   /// Base seed; batch items derive their own via DeriveSeed(seed, index).
   uint64_t seed = 0xC0FFEEULL;
-  /// Plan cache sizing.
+  /// Plan cache entry budget (one LRU).
   size_t plan_cache_capacity = 256;
-  size_t plan_cache_shards = 8;
-  /// Worker pool size for CountBatch (0 = hardware concurrency).
+  /// Size of the engine's one worker pool, shared by CountBatch items and
+  /// intra-query lanes (0 = hardware concurrency).
   int num_threads = 4;
   /// Intra-query parallelism: lanes ONE estimated count may fan out
   /// across on the engine's pool (the estimator's sampling runs, sample
   /// batches and exact-phase sub-boxes, each lane on its own fork of the
   /// oracle stack — see README "Parallel estimation & determinism
-  /// model"). 0 = automatic (pool size); 1 = off; N = fixed lane count.
-  /// Regardless of the setting, only components whose planned cost
-  /// clears `intra_query_min_cost` get workers — cheap and exact
-  /// components always run inline. Estimates are bit-identical at every
-  /// setting (counter-derived per-task seeds).
+  /// model"). 0 = automatic: pool-sized lanes for components predicted to
+  /// run long (scheduler.h: a planned cost of kMinFanoutCost; with
+  /// `adaptive`, an observed mean of kMinFanoutMillis once a shape has
+  /// history), inline otherwise. N != 0 = N lanes for every estimated component,
+  /// capped at the pool size (1 = off). Exact components always run
+  /// inline. Estimates are bit-identical at every setting
+  /// (counter-derived per-task seeds).
   int intra_query_threads = 0;
-  /// Cost-model gate for intra-query workers: a component fans out only
-  /// when its plan's cost estimate reaches this threshold (the same
-  /// coarse units as PlanOptions::exact_cost_limit). Sized so fan-out
-  /// setup (per-lane oracle forks + solver contexts, ~sub-ms) is paid
-  /// only on counts that run long enough to amortise it; millisecond
-  /// estimates stay inline.
-  double intra_query_min_cost = 1e8;
   /// Opt-in adaptive accuracy scheduling (see engine/scheduler.h): cost
   /// predictions from the plan cache's ShapeProfile history drive a
   /// marginal-cost (epsilon, delta) split across components, dynamic lane
@@ -300,12 +296,13 @@ class CountingEngine {
   StatusOr<Explanation> Explain(const std::string& query,
                                 const std::string& database);
 
-  /// Executes independent requests concurrently. `num_threads` <= 0 uses
-  /// the engine's own pool; otherwise a dedicated pool of that size is
-  /// used. Results are positionally aligned with `requests` and are
-  /// bitwise identical for every thread count (per-item derived seeds).
+  /// Executes independent requests concurrently on the engine's pool,
+  /// one lane per pool thread (a one-thread engine runs every item on the
+  /// caller, in index order). Results are positionally aligned with
+  /// `requests` and are bitwise identical for every thread count
+  /// (per-item derived seeds).
   std::vector<StatusOr<EngineResult>> CountBatch(
-      const std::vector<CountRequest>& requests, int num_threads = 0);
+      const std::vector<CountRequest>& requests);
 
   /// Plan-cache counters (hits mean the decomposition was not recomputed).
   PlanCacheStats CacheStats() const { return cache_.Stats(); }
@@ -393,9 +390,6 @@ class CountingEngine {
                                         const ResourceGovernor* governor);
 
   EngineOptions opts_;
-  // Stateless decision logic for the opt-in adaptive path (safe to share
-  // across batch workers).
-  AdaptiveScheduler scheduler_;
   // Reader-writer lock: every Count in a batch resolves its database here,
   // so lookups must not serialise behind each other (registration is rare
   // and takes the exclusive side).

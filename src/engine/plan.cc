@@ -323,7 +323,6 @@ QueryPlan BuildQueryPlan(const Query& q, const CanonicalShape& shape,
                          const Database& db, const PlanOptions& opts) {
   QueryPlan plan;
   plan.shape_key = shape.key;
-  plan.planned_universe = db.universe_size();
 
   Hypergraph h = CanonicalHypergraph(q, shape.to_canonical);
   FWidthResult tw = ComputeDecomposition(h, WidthObjective::kTreewidth,

@@ -101,8 +101,6 @@ struct QueryPlan {
   FWidthResult decomposition;
   /// Rough cost estimate of executing the plan (arbitrary units).
   double cost_estimate = 0.0;
-  /// Universe size the cost estimate was computed against.
-  uint32_t planned_universe = 0;
 };
 
 /// Classifies q per Figure 1 without a database. It normalizes q as the

@@ -1,7 +1,6 @@
 #include "engine/plan_cache.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -9,8 +8,8 @@
 namespace cqcount {
 namespace {
 
-// Registry mirrors of the per-shard counters (summed across every
-// PlanCache in the process). The per-shard fields stay authoritative for
+// Registry mirrors of the cache counters (summed across every PlanCache
+// in the process). The PlanCache's own counters stay authoritative for
 // CacheStats(); the metrics feed `stats` JSON and dashboards.
 struct PlanCacheMetrics {
   obs::Counter& hits = obs::MetricRegistry::Global().GetCounter(
@@ -34,54 +33,41 @@ struct PlanCacheMetrics {
 
 }  // namespace
 
-PlanCache::PlanCache(size_t capacity, size_t num_shards) {
-  num_shards = std::max<size_t>(1, num_shards);
-  per_shard_capacity_ = std::max<size_t>(1, (capacity + num_shards - 1) / num_shards);
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-PlanCache::Shard& PlanCache::ShardFor(const std::string& key) {
-  const size_t h = std::hash<std::string>{}(key);
-  return *shards_[h % shards_.size()];
-}
+PlanCache::PlanCache(size_t capacity)
+    : capacity_(std::max<size_t>(1, capacity)) {}
 
 std::shared_ptr<const QueryPlan> PlanCache::Lookup(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++stats_.misses;
     PlanCacheMetrics::Get().misses.Increment();
     return nullptr;
   }
-  ++shard.hits;
+  ++stats_.hits;
   PlanCacheMetrics::Get().hits.Increment();
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->plan;
 }
 
 void PlanCache::Insert(const std::string& key,
                        std::shared_ptr<const QueryPlan> plan) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
     it->second->plan = std::move(plan);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  if (shard.lru.size() >= per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    ++shard.evictions;
+  if (lru_.size() >= capacity_) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+    ++stats_.evictions;
     PlanCacheMetrics::Get().evictions.Increment();
   }
-  shard.lru.push_front(Entry{key, std::move(plan), {}});
-  shard.index[key] = shard.lru.begin();
-  ++shard.insertions;
+  lru_.push_front(Entry{key, std::move(plan), {}});
+  index_[key] = lru_.begin();
+  ++stats_.insertions;
   PlanCacheMetrics::Get().insertions.Increment();
 }
 
@@ -89,45 +75,34 @@ void PlanCache::RecordObservation(const std::string& key, double exec_millis,
                                   uint64_t oracle_calls,
                                   uint64_t estimator_calls, double estimate,
                                   bool converged) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return;  // Evicted since execution began.
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) return;  // Evicted since execution began.
   it->second->profile.Observe(exec_millis, oracle_calls, estimator_calls,
                               estimate, converged);
 }
 
 std::optional<obs::ShapeProfile> PlanCache::Profile(
     const std::string& key) const {
-  // Profile reads are provenance (Explain), not execution: bypass LRU
-  // touching. const_cast only for ShardFor's non-const signature.
-  Shard& shard = const_cast<PlanCache*>(this)->ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end() || it->second->profile.runs == 0) {
+  // Profile reads are provenance (Explain), not execution: no LRU touch.
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end() || it->second->profile.runs == 0) {
     return std::nullopt;
   }
   return it->second->profile;
 }
 
 void PlanCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  lru_.clear();
+  index_.clear();
 }
 
 PlanCacheStats PlanCache::Stats() const {
-  PlanCacheStats stats;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.insertions += shard->insertions;
-    stats.evictions += shard->evictions;
-    stats.entries += shard->lru.size();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  PlanCacheStats stats = stats_;
+  stats.entries = lru_.size();
   return stats;
 }
 

@@ -1,10 +1,11 @@
-// Sharded, thread-safe LRU cache of query plans.
+// Thread-safe LRU cache of query plans.
 //
 // Keys are full canonical shape strings (optionally scoped by database
 // name), so two distinct query shapes can never be confused even when
-// their hashes collide: the hash only selects a shard / bucket, the key
-// comparison is exact. Each shard has its own mutex and LRU list, so
-// concurrent batch execution does not serialise on one lock.
+// their hashes collide: the key comparison is exact. One mutex guards the
+// one LRU list. A request takes it a few times (a lookup per component,
+// an insert per miss, an observation per executed component) and never
+// inside an estimator.
 #ifndef CQCOUNT_ENGINE_PLAN_CACHE_H_
 #define CQCOUNT_ENGINE_PLAN_CACHE_H_
 
@@ -15,14 +16,13 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "engine/plan.h"
 #include "obs/profile.h"
 
 namespace cqcount {
 
-/// Aggregated cache counters (summed over shards).
+/// Cache counters.
 struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -34,9 +34,8 @@ struct PlanCacheStats {
 /// Thread-safe LRU cache mapping shape keys to immutable shared plans.
 class PlanCache {
  public:
-  /// `capacity` is the total entry budget, split evenly over `num_shards`
-  /// independently locked shards (each shard holds at least one entry).
-  explicit PlanCache(size_t capacity = 256, size_t num_shards = 8);
+  /// `capacity` is the entry budget (at least one entry is kept).
+  explicit PlanCache(size_t capacity = 256);
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -46,15 +45,15 @@ class PlanCache {
   std::shared_ptr<const QueryPlan> Lookup(const std::string& key);
 
   /// Inserts (or replaces) the plan for `key`, evicting the least recently
-  /// used entry of the shard when it is full.
+  /// used entry when the cache is full.
   void Insert(const std::string& key, std::shared_ptr<const QueryPlan> plan);
 
   /// Drops every entry (counters are kept).
   void Clear();
 
   /// Folds one execution of `key`'s shape into its observed profile (the
-  /// cost/variance record the adaptive scheduler reads). No-op when the
-  /// plan is no longer cached: the profile lives and dies with the entry.
+  /// cost record the adaptive scheduler reads). No-op when the plan is no
+  /// longer cached: the profile lives and dies with the entry.
   void RecordObservation(const std::string& key, double exec_millis,
                          uint64_t oracle_calls, uint64_t estimator_calls,
                          double estimate, bool converged);
@@ -65,8 +64,7 @@ class PlanCache {
 
   PlanCacheStats Stats() const;
 
-  size_t capacity() const { return per_shard_capacity_ * shards_.size(); }
-  size_t num_shards() const { return shards_.size(); }
+  size_t capacity() const { return capacity_; }
 
  private:
   struct Entry {
@@ -76,21 +74,13 @@ class PlanCache {
     obs::ShapeProfile profile;
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    /// Front = most recently used.
-    std::list<Entry> lru;
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-  };
-
-  Shard& ShardFor(const std::string& key);
-
-  size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  /// Front = most recently used.
+  std::list<Entry> lru_;
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  /// Event counters; Stats() fills in `entries`.
+  PlanCacheStats stats_;
 };
 
 }  // namespace cqcount

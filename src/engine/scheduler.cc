@@ -41,9 +41,8 @@ struct SchedulerMetrics {
 
 }  // namespace
 
-CostPrediction AdaptiveScheduler::Predict(
-    const QueryPlan& plan,
-    const std::optional<obs::ShapeProfile>& observed) const {
+CostPrediction PredictCost(const QueryPlan& plan,
+                           const std::optional<obs::ShapeProfile>& observed) {
   CostPrediction prediction;
   if (observed.has_value() && observed->runs >= kMinProfileRuns) {
     // Accuracy-relevant cost units come from the deterministic
@@ -54,7 +53,6 @@ CostPrediction AdaptiveScheduler::Predict(
     prediction.oracle_calls = observed->MeanOracleCalls();
     prediction.cost_units = std::max(observed->MeanEstimatorCalls(), 1.0);
     prediction.millis = observed->MeanExecMillis();
-    prediction.variance_millis = observed->VarianceExecMillis();
     prediction.source = CostSource::kObservedProfile;
     SchedulerMetrics::Get().profile_predictions.Increment();
   } else {
@@ -64,16 +62,16 @@ CostPrediction AdaptiveScheduler::Predict(
   return prediction;
 }
 
-CostPrediction AdaptiveScheduler::ColdPrediction(const QueryPlan& plan) {
+CostPrediction ColdPrediction(const QueryPlan& plan) {
   CostPrediction prediction;
   prediction.cost_units = std::max(plan.cost_estimate, 1.0);
   prediction.source = CostSource::kPlanEstimate;
   return prediction;
 }
 
-std::vector<BudgetShare> AdaptiveScheduler::SplitBudgets(
+std::vector<BudgetShare> SplitBudgets(
     double epsilon, double delta,
-    const std::vector<SchedulerComponent>& components, bool weighted) const {
+    const std::vector<SchedulerComponent>& components, bool weighted) {
   if (weighted) SchedulerMetrics::Get().budget_splits.Increment();
   size_t estimated_total = 0;
   size_t counting = 0;
@@ -110,24 +108,21 @@ std::vector<BudgetShare> AdaptiveScheduler::SplitBudgets(
   return shares;
 }
 
-int AdaptiveScheduler::PlanLanes(Strategy strategy, const CostPrediction& cost,
-                                 int configured_lanes, int pool_lanes,
-                                 double static_min_cost) const {
+int PlanLanes(Strategy strategy, const CostPrediction& cost,
+              int requested_lanes, int pool_lanes) {
   // Exact strategies are decision-free scans: nothing to partition.
   if (strategy == Strategy::kExact) return 1;
-  int lanes = configured_lanes != 0 ? configured_lanes : pool_lanes;
-  lanes = std::max(1, lanes);
-  if (cost.source == CostSource::kObservedProfile) {
-    // Observed wall time replaces the static cost-unit constant: grant
-    // lanes only when the estimate has been seen to run long enough to
-    // amortise fan-out setup.
-    return cost.millis >= kMinFanoutMillis ? lanes : 1;
-  }
-  return cost.cost_units >= static_min_cost ? lanes : 1;
+  pool_lanes = std::max(1, pool_lanes);
+  if (requested_lanes != 0) return std::clamp(requested_lanes, 1, pool_lanes);
+  // Automatic: observed wall time replaces the static cost-unit gate once
+  // a shape has history.
+  const bool long_enough = cost.source == CostSource::kObservedProfile
+                               ? cost.millis >= kMinFanoutMillis
+                               : cost.cost_units >= kMinFanoutCost;
+  return long_enough ? pool_lanes : 1;
 }
 
-double AdaptiveScheduler::PerCallFailure(double delta,
-                                         const CostPrediction& cost) const {
+double PerCallFailure(double delta, const CostPrediction& cost) {
   if (cost.source != CostSource::kObservedProfile || cost.oracle_calls <= 0.0) {
     return 0.0;  // Cold shape: keep the module's worst-case union bound.
   }

@@ -18,17 +18,17 @@
 //     guarantee — prod(1+eps_i) <= e^{eps/2} <= 1+eps and
 //     prod(1-eps_i) >= 1 - eps/2 >= 1-eps for eps in (0, 1] — so the
 //     reweighting is free. The delta/n union bound is unchanged.
-//  3. Work gating. Lane grants use observed wall time instead of the
-//     static intra_query_min_cost constant once a shape has history, and
-//     the colour-coding trial budget is sized against the PREDICTED
-//     oracle-call count (times kTrialsSafetyFactor) rather than the
-//     20M-call worst-case cap, shrinking the log(1/per-call-failure)
+//  3. Work gating. In automatic lane mode, lane grants use observed wall
+//     time instead of the static kMinFanoutCost gate once a shape has
+//     history, and the colour-coding trial budget is sized against the
+//     PREDICTED oracle-call count (times kTrialsSafetyFactor) rather than
+//     the 20M-call worst-case cap, shrinking the log(1/per-call-failure)
 //     trial factor.
 //
 // The non-adaptive engine uses the same two entry points: SplitBudgets
-// without weights returns SplitBudget's even shares bit for bit, and
-// PlanLanes with a ColdPrediction is the static intra_query_min_cost
-// gate.
+// without weights returns SplitBudget's even shares bit for bit, and in
+// automatic lane mode PlanLanes with a ColdPrediction is the static
+// kMinFanoutCost gate.
 //
 // Determinism contract: every accuracy-relevant output (budget shares,
 // trial budgets, early-stop arming) is a pure function of deterministic,
@@ -57,11 +57,18 @@ namespace cqcount {
 /// per-call failure is capped at this value so trial counts never
 /// collapse entirely (ceil(ln 1/1e-3) ~ 7 trials minimum).
 inline constexpr double kMaxPerCallFailure = 1e-3;
-/// Observed mean execution time that justifies intra-query lanes
-/// (replaces the static intra_query_min_cost gate on warm shapes):
-/// fan-out setup costs ~sub-ms, so only estimates observed to run at
-/// least this long get workers.
+/// Observed mean execution time that justifies intra-query lanes in
+/// automatic mode with EngineOptions::adaptive (replaces the static
+/// kMinFanoutCost gate on warm shapes): fan-out setup costs ~sub-ms, so
+/// only estimates observed to run at least this long get workers.
 inline constexpr double kMinFanoutMillis = 5.0;
+/// Planned cost (QueryPlan::cost_estimate, the coarse units of
+/// PlanOptions::exact_cost_limit) at which a component gets lanes in
+/// automatic mode: every component of the non-adaptive engine, a cold
+/// shape of the adaptive one. Sized so fan-out setup (per-lane oracle forks and
+/// solver contexts, ~sub-ms) is paid only on counts that run long enough
+/// to amortise it; millisecond estimates stay inline.
+inline constexpr double kMinFanoutCost = 1e8;
 
 /// Observed executions a shape needs before predictions switch from the
 /// planner's static estimate to the profile history.
@@ -98,8 +105,6 @@ struct CostPrediction {
   /// Predicted wall-clock cost (0 = unknown). Scheduling-only: drives
   /// lane grants, never accuracy.
   double millis = 0.0;
-  /// Observed variance of the wall-clock cost (informational).
-  double variance_millis = 0.0;
   CostSource source = CostSource::kPlanEstimate;
 };
 
@@ -112,49 +117,45 @@ struct SchedulerComponent {
   CostPrediction cost;
 };
 
-/// Cost-model-driven scheduling decisions. Stateless: safe to share
-/// across concurrent batch workers.
-class AdaptiveScheduler {
- public:
-  /// Predicts the per-execution cost of `plan`'s component from the
-  /// shape's observed history (when it has at least kMinProfileRuns
-  /// recorded executions) or, like ColdPrediction, the planner's static
-  /// estimate. Counts the prediction in the scheduler.* metrics.
-  CostPrediction Predict(const QueryPlan& plan,
-                         const std::optional<obs::ShapeProfile>& observed) const;
+// Cost-model-driven scheduling decisions: pure functions of their
+// arguments, safe to call from concurrent batch workers.
 
-  /// The prediction for a shape without history: the planner's static
-  /// cost estimate. The non-adaptive engine schedules every component
-  /// from it.
-  static CostPrediction ColdPrediction(const QueryPlan& plan);
+/// Predicts the per-execution cost of `plan`'s component from the shape's
+/// observed history (when it has at least kMinProfileRuns recorded
+/// executions) or, like ColdPrediction, the planner's static estimate.
+/// Counts the prediction in the scheduler.* metrics.
+CostPrediction PredictCost(const QueryPlan& plan,
+                           const std::optional<obs::ShapeProfile>& observed);
 
-  /// (epsilon, delta) allocation across components. Exact factors get a
-  /// zero share; every estimated factor gets SplitBudget's share: the
-  /// delta/n union bound, the fixed loose epsilon for existential
-  /// factors, the full epsilon for a single counting factor and
-  /// eps/(2k) for k > 1. `weighted` (the adaptive scheduler) instead
-  /// splits the counting factors' eps/2 in proportion to cbrt(cost_units)
-  /// above a floor, which preserves the product guarantee (see the
-  /// header comment).
-  std::vector<BudgetShare> SplitBudgets(
-      double epsilon, double delta,
-      const std::vector<SchedulerComponent>& components, bool weighted) const;
+/// The prediction for a shape without history: the planner's static cost
+/// estimate. The non-adaptive engine schedules every component from it.
+CostPrediction ColdPrediction(const QueryPlan& plan);
 
-  /// Lanes to grant one component: 1 for exact strategies; for observed
-  /// shapes, the configured lane count when the predicted wall time
-  /// clears kMinFanoutMillis (the dynamic replacement for the static
-  /// cost gate); cold shapes fall back to the static
-  /// `cost >= static_min_cost` gate.
-  int PlanLanes(Strategy strategy, const CostPrediction& cost,
-                int configured_lanes, int pool_lanes,
-                double static_min_cost) const;
+/// (epsilon, delta) allocation across components. Exact factors get a
+/// zero share; every estimated factor gets SplitBudget's share: the
+/// delta/n union bound, the fixed loose epsilon for existential factors,
+/// the full epsilon for a single counting factor and eps/(2k) for k > 1.
+/// `weighted` (the adaptive scheduler) instead splits the counting
+/// factors' eps/2 in proportion to cbrt(cost_units) above a floor, which
+/// preserves the product guarantee (see the header comment).
+std::vector<BudgetShare> SplitBudgets(
+    double epsilon, double delta,
+    const std::vector<SchedulerComponent>& components, bool weighted);
 
-  /// Adaptive colour-coding per-call failure budget: delta / (2 *
-  /// safety * predicted calls), capped at kMaxPerCallFailure. Returns
-  /// 0 (keep the module's worst-case default) when the prediction has no
-  /// observed call count.
-  double PerCallFailure(double delta, const CostPrediction& cost) const;
-};
+/// Lanes to grant one component. Exact strategies get 1. An explicit
+/// request (`requested_lanes` != 0) gets clamp(requested_lanes, 1,
+/// pool_lanes). Automatic mode (0) grants `pool_lanes` when the component
+/// is predicted to run long enough: observed shapes when their mean wall
+/// time clears kMinFanoutMillis, cold shapes when their planned cost
+/// clears kMinFanoutCost; otherwise 1.
+int PlanLanes(Strategy strategy, const CostPrediction& cost,
+              int requested_lanes, int pool_lanes);
+
+/// Adaptive colour-coding per-call failure budget: delta / (2 * safety *
+/// predicted calls), capped at kMaxPerCallFailure. Returns 0 (keep the
+/// module's worst-case default) when the prediction has no observed call
+/// count.
+double PerCallFailure(double delta, const CostPrediction& cost);
 
 /// Feeds the scheduler.* outcome metrics after one adaptive component
 /// execution (early stops, runs saved). Called by the engine, once per

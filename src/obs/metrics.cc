@@ -7,37 +7,20 @@
 
 namespace cqcount {
 namespace obs {
-namespace internal {
-
-size_t ThisThreadShard() {
-  static std::atomic<unsigned> next_thread{0};
-  thread_local const unsigned id =
-      next_thread.fetch_add(1, std::memory_order_relaxed);
-  return id % kShards;
-}
-
-}  // namespace internal
 
 Histogram::Snapshot Histogram::Snap() const {
   Snapshot snap;
-  for (const auto& cell : cells_) {
-    for (int b = 0; b < kBuckets; ++b) {
-      const uint64_t n = cell.buckets[b].load(std::memory_order_relaxed);
-      snap.buckets[b] += n;
-      snap.count += n;
-    }
-    snap.sum += cell.sum.load(std::memory_order_relaxed);
+  for (int b = 0; b < kBuckets; ++b) {
+    snap.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
+    snap.count += snap.buckets[b];
   }
+  snap.sum = sum_.load(std::memory_order_relaxed);
   return snap;
 }
 
 void Histogram::Reset() {
-  for (auto& cell : cells_) {
-    for (auto& bucket : cell.buckets) {
-      bucket.store(0, std::memory_order_relaxed);
-    }
-    cell.sum.store(0, std::memory_order_relaxed);
-  }
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+  sum_.store(0, std::memory_order_relaxed);
 }
 
 struct MetricRegistry::Entry {

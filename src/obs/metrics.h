@@ -2,17 +2,17 @@
 //
 // Counting code reports what it did through named, label-free metrics:
 //
-//   Counter   — monotonic event count. Sharded per thread: Add() is one
-//               relaxed atomic add to the calling thread's cache-line-
-//               padded cell, cells are summed on snapshot. Hot paths
-//               accumulate locally and Add() once per deterministic unit
-//               (per run, per wave, per call) — telemetry never touches
-//               RNG state or merge order, so estimates are bit-identical
-//               with metrics on at any thread count.
+//   Counter   — monotonic event count: one relaxed atomic add per Add().
+//               Hot paths accumulate locally and Add() once per
+//               deterministic unit (per run, per wave, per call), so a
+//               metric sees a handful of writes per count and needs no
+//               per-thread cells. Telemetry never touches RNG state or
+//               merge order, so estimates are bit-identical with metrics
+//               on at any thread count.
 //   Gauge     — instantaneous level (queue depth, cache entries). One
 //               atomic int64; Add/Set from any thread.
-//   Histogram — log2-bucketed distribution of latencies/sizes. Sharded
-//               like Counter: Observe() is two relaxed adds.
+//   Histogram — log2-bucketed distribution of latencies/sizes.
+//               Observe() is two relaxed adds.
 //
 // Handles are registered once (first Get* call wins; later calls with the
 // same name return the same handle) and live for the process lifetime, so
@@ -40,51 +40,20 @@
 namespace cqcount {
 namespace obs {
 
-namespace internal {
-
-/// One cache line worth of atomic counter, so concurrent writers on
-/// different shards never false-share.
-struct alignas(64) ShardCell {
-  std::atomic<uint64_t> value{0};
-};
-
-/// Number of write shards per counter/histogram. Threads hash onto shards
-/// by a process-unique thread index, so up to kShards writers proceed
-/// without contention (more threads share cells, still correctly).
-constexpr size_t kShards = 16;
-
-/// The calling thread's shard index (stable for the thread's lifetime).
-size_t ThisThreadShard();
-
-}  // namespace internal
-
-/// Monotonic, lock-free, thread-sharded event counter.
+/// Monotonic, lock-free event counter.
 class Counter {
  public:
-  /// Adds `n` to the calling thread's cell (relaxed; never blocks).
-  void Add(uint64_t n) {
-    cells_[internal::ThisThreadShard()].value.fetch_add(
-        n, std::memory_order_relaxed);
-  }
+  /// Adds `n` (relaxed; never blocks).
+  void Add(uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
   void Increment() { Add(1); }
 
-  /// Sum over all cells. Safe during concurrent writes (each cell read is
-  /// atomic; the sum is a consistent lower bound of "events so far").
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const auto& cell : cells_) {
-      total += cell.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
-  /// Zeroes every cell (tests / fresh measurement windows only).
-  void Reset() {
-    for (auto& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
-  }
+  /// Zeroes the counter (tests / fresh measurement windows only).
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  std::array<internal::ShardCell, internal::kShards> cells_;
+  std::atomic<uint64_t> value_{0};
 };
 
 /// Instantaneous signed level (queue depth, live entries).
@@ -117,12 +86,10 @@ class Histogram {
     return (1ULL << b) - 1;
   }
 
-  /// Records one observation: two relaxed adds on this thread's shard.
+  /// Records one observation: two relaxed adds.
   void Observe(uint64_t value) {
-    const size_t shard = internal::ThisThreadShard();
-    cells_[shard].buckets[BucketFor(value)].fetch_add(
-        1, std::memory_order_relaxed);
-    cells_[shard].sum.fetch_add(value, std::memory_order_relaxed);
+    buckets_[BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
   }
 
   struct Snapshot {
@@ -130,20 +97,19 @@ class Histogram {
     uint64_t sum = 0;
     std::array<uint64_t, kBuckets> buckets{};
   };
+  /// Safe during concurrent writes (each read is atomic; the snapshot is
+  /// a lower bound of "observations so far").
   Snapshot Snap() const;
   void Reset();
 
  private:
-  struct alignas(64) HistCell {
-    std::array<std::atomic<uint64_t>, kBuckets> buckets{};
-    std::atomic<uint64_t> sum{0};
-  };
-  std::array<HistCell, internal::kShards> cells_;
+  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
+  std::atomic<uint64_t> sum_{0};
 };
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
-/// One metric's merged state at snapshot time.
+/// One metric's state at snapshot time.
 struct MetricSnapshot {
   std::string name;
   std::string description;
@@ -167,7 +133,7 @@ class MetricRegistry {
   Histogram& GetHistogram(const std::string& name,
                           const std::string& description);
 
-  /// Merged snapshot of every registered metric, sorted by name. Safe
+  /// Snapshot of every registered metric, sorted by name. Safe
   /// during concurrent writes.
   std::vector<MetricSnapshot> Snapshot() const;
 

@@ -381,8 +381,10 @@ TEST(EngineTest, ComponentBudgetSplitIsRecorded) {
   EXPECT_DOUBLE_EQ(mixed_result->components[1].delta, 0.0);
 }
 
-// Every batch thread count yields bitwise-identical estimates.
-void ExpectBatchDeterministic(CountingEngine& engine,
+// Every pool size yields bitwise-identical batch estimates. Each thread
+// count gets its own engine of that many threads (CountBatch runs one lane
+// per pool thread), so every run also starts from a cold plan cache.
+void ExpectBatchDeterministic(EngineOptions opts, const Database& db,
                               const std::vector<std::string>& queries,
                               int copies) {
   std::vector<CountRequest> requests;
@@ -396,7 +398,10 @@ void ExpectBatchDeterministic(CountingEngine& engine,
   }
   std::vector<double> reference;
   for (int threads : {1, 2, 4, 8}) {
-    auto results = engine.CountBatch(requests, threads);
+    opts.num_threads = threads;
+    CountingEngine engine(opts);
+    ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
+    auto results = engine.CountBatch(requests);
     std::vector<double> estimates;
     for (const auto& r : results) {
       ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -411,9 +416,7 @@ void ExpectBatchDeterministic(CountingEngine& engine,
 }
 
 TEST(EngineTest, FactoredBatchesStayDeterministicAcrossThreadCounts) {
-  CountingEngine engine;
-  ASSERT_TRUE(engine.RegisterDatabase("g", Social(120, 24)).ok());
-  ExpectBatchDeterministic(engine,
+  ExpectBatchDeterministic(EngineOptions(), Social(120, 24),
                            {
                                "ans(x, y) :- F(x, a), F(y, b).",
                                "ans(x) :- F(x, y), F(u, v), u != v.",
@@ -427,9 +430,7 @@ TEST(EngineTest, FactoredBatchesStayDeterministicAcrossThreadCounts) {
   EngineOptions opts;
   opts.epsilon = 0.2;
   opts.delta = 0.2;
-  CountingEngine mixed(opts);
-  ASSERT_TRUE(mixed.RegisterDatabase("g", Social(80, 2024)).ok());
-  ExpectBatchDeterministic(mixed,
+  ExpectBatchDeterministic(opts, Social(80, 2024),
                            {
                                "ans(x) :- F(x, y), F(x, z), y != z.",
                                "ans(a) :- F(a, b), F(a, c), b != c.",
@@ -462,7 +463,6 @@ TEST(EngineTest, ExplainShowsPerComponentBreakdown) {
 TEST(EngineTest, CacheEvictionKeepsCountsCorrect) {
   EngineOptions opts;
   opts.plan_cache_capacity = 2;
-  opts.plan_cache_shards = 1;
   CountingEngine engine(opts);
   Database db = Social(25, 11);
   ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());

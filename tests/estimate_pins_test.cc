@@ -168,7 +168,6 @@ TEST_F(EstimatePinsTest, EngineRowsAtEveryLaneCount) {
     opts.seed = 20220808;
     opts.num_threads = 4;
     opts.intra_query_threads = lanes;
-    opts.intra_query_min_cost = 0.0;
     opts.adaptive = false;
     CountingEngine engine(opts);
     ASSERT_TRUE(engine.RegisterDatabase("db", Social(48, 5.0, 2024)).ok());

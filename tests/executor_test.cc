@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -166,8 +167,7 @@ class BatchDeterminismTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Rng rng(123);
-    Database db = SocialNetworkDb(250, 5.0, 0.5, rng);
-    ASSERT_TRUE(engine_.RegisterDatabase("g", std::move(db)).ok());
+    db_ = SocialNetworkDb(250, 5.0, 0.5, rng);
     const std::vector<std::string> queries = {
         "ans(x) :- F(x, y), F(x, z), y != z.",
         "ans(x, y) :- F(x, y), Adult(x).",
@@ -189,8 +189,18 @@ class BatchDeterminismTest : public ::testing::Test {
     }
   }
 
-  std::vector<double> Run(int num_threads) {
-    auto results = engine_.CountBatch(requests_, num_threads);
+  // An engine with a pool of `num_threads`: CountBatch runs one lane per
+  // pool thread.
+  std::unique_ptr<CountingEngine> MakeEngine(int num_threads) {
+    EngineOptions opts;
+    opts.num_threads = num_threads;
+    auto engine = std::make_unique<CountingEngine>(opts);
+    EXPECT_TRUE(engine->RegisterDatabase("g", db_).ok());
+    return engine;
+  }
+
+  std::vector<double> Run(CountingEngine& engine) {
+    auto results = engine.CountBatch(requests_);
     std::vector<double> estimates;
     for (const auto& r : results) {
       EXPECT_TRUE(r.ok()) << r.status().ToString();
@@ -199,7 +209,11 @@ class BatchDeterminismTest : public ::testing::Test {
     return estimates;
   }
 
-  CountingEngine engine_;
+  std::vector<double> Run(int num_threads) {
+    return Run(*MakeEngine(num_threads));
+  }
+
+  Database db_;
   std::vector<CountRequest> requests_;
 };
 
@@ -218,7 +232,9 @@ TEST_F(BatchDeterminismTest, ThreadCountDoesNotChangeEstimates) {
 }
 
 TEST_F(BatchDeterminismTest, RepeatedBatchesAreStable) {
-  EXPECT_EQ(Run(4), Run(4));
+  // The second batch runs on the plans the first one cached.
+  auto engine = MakeEngine(4);
+  EXPECT_EQ(Run(*engine), Run(*engine));
 }
 
 TEST_F(BatchDeterminismTest, BatchItemsGetDistinctSeeds) {
@@ -226,8 +242,8 @@ TEST_F(BatchDeterminismTest, BatchItemsGetDistinctSeeds) {
   // the *estimates* may differ even though the plans are shared. This
   // documents that seeds are per-item, not per-shape: both runs of the
   // batch must nevertheless agree with themselves.
-  auto a = engine_.CountBatch(requests_, 2);
-  auto b = engine_.CountBatch(requests_, 4);
+  auto a = MakeEngine(2)->CountBatch(requests_);
+  auto b = MakeEngine(4)->CountBatch(requests_);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_TRUE(a[i].ok());
@@ -237,7 +253,9 @@ TEST_F(BatchDeterminismTest, BatchItemsGetDistinctSeeds) {
 }
 
 TEST(CountBatchTest, ErrorsStayPositional) {
-  CountingEngine engine;
+  EngineOptions opts;
+  opts.num_threads = 2;
+  CountingEngine engine(opts);
   Rng rng(9);
   ASSERT_TRUE(
       engine.RegisterDatabase("g", SocialNetworkDb(30, 4.0, 0.5, rng)).ok());
@@ -249,7 +267,7 @@ TEST(CountBatchTest, ErrorsStayPositional) {
   requests[2].query = "ans(x) :- F(x, y).";
   requests[2].database = "missing";  // Unknown database.
 
-  auto results = engine.CountBatch(requests, 2);
+  auto results = engine.CountBatch(requests);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].ok());
   ASSERT_FALSE(results[1].ok());

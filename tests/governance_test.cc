@@ -242,7 +242,9 @@ TEST_F(GovernanceTest, ExpiredDeadlineBeforeAnyWorkIsTyped) {
 }
 
 TEST_F(GovernanceTest, BatchCancellationDoesNotPoisonSiblings) {
-  CountingEngine engine;
+  EngineOptions opts;
+  opts.num_threads = 1;  // One lane: the batch runs in index order.
+  CountingEngine engine(opts);
   ASSERT_TRUE(engine.RegisterDatabase("g", Social(50, 2)).ok());
   // All three items share one token; the failpoint cancels it as item 1
   // enters Count(). Sequential execution makes the hit index exact.
@@ -259,7 +261,7 @@ TEST_F(GovernanceTest, BatchCancellationDoesNotPoisonSiblings) {
   config.on_fire = [shared] { shared.Cancel(); };
   failpoint::ScopedFailpoint fp("engine.count", config);
 
-  auto results = engine.CountBatch(requests, /*num_threads=*/1);
+  auto results = engine.CountBatch(requests);
   ASSERT_EQ(results.size(), 3u);
   // Item 0 ran before the cancellation: a full, valid result.
   ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
@@ -275,7 +277,9 @@ TEST_F(GovernanceTest, BatchCancellationDoesNotPoisonSiblings) {
 }
 
 TEST_F(GovernanceTest, BatchItemsWithOwnTokensAreIndependent) {
-  CountingEngine engine;
+  EngineOptions opts;
+  opts.num_threads = 1;
+  CountingEngine engine(opts);
   ASSERT_TRUE(engine.RegisterDatabase("g", Social(50, 2)).ok());
   std::vector<CountRequest> requests(3);
   for (CountRequest& request : requests) {
@@ -283,7 +287,7 @@ TEST_F(GovernanceTest, BatchItemsWithOwnTokensAreIndependent) {
     request.database = "g";
   }
   requests[1].cancel_token.Cancel();
-  auto results = engine.CountBatch(requests, /*num_threads=*/1);
+  auto results = engine.CountBatch(requests);
   ASSERT_TRUE(results[0].ok());
   ASSERT_FALSE(results[1].ok());
   EXPECT_EQ(results[1].status().code(), StatusCode::kCancelled);
@@ -301,7 +305,6 @@ TEST_F(GovernanceTest, QuiescentGovernanceIsBitIdenticalAcrossLanes) {
     for (int lanes : {1, 2, 4}) {
       EngineOptions opts;
       opts.intra_query_threads = lanes;
-      opts.intra_query_min_cost = 0.0;  // Fan out regardless of cost.
       CountingEngine engine(opts);
       ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
       CountRequest request;

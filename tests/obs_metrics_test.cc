@@ -68,7 +68,7 @@ TEST(MetricsTest, HistogramLog2Buckets) {
   EXPECT_EQ(Histogram::BucketBound(7), 127u);
 }
 
-// TSan target: sharded counters hammered from many threads concurrently
+// TSan target: counters hammered from many threads concurrently
 // with snapshot reads; totals must not lose increments.
 TEST(MetricsTest, ConcurrentAddsFromManyThreadsSumExactly) {
   Counter& c =

@@ -11,8 +11,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "app/workload.h"
 #include "counting/dlm_counter.h"
 #include "counting/fptras.h"
 #include "counting/sampler.h"
@@ -167,8 +169,8 @@ TEST(DlmParallelTest, PartitionedEstimateIndependentOfLanes) {
   }
 }
 
-// Engine end to end: estimates pinned over the full intra-query x batch
-// thread grid (batch items and their intra-query tasks share one pool —
+// Engine end to end: estimates pinned over the full intra-query lanes x
+// pool size grid (batch items and their intra-query tasks share one pool —
 // the saturation case the help-draining executor exists for).
 TEST(EngineIntraQueryTest, EstimatesPinnedAcrossIntraAndBatchThreads) {
   Rng rng(4242);
@@ -200,16 +202,15 @@ TEST(EngineIntraQueryTest, EstimatesPinnedAcrossIntraAndBatchThreads) {
 
   std::optional<std::vector<double>> reference;
   for (int intra : {1, 2, 4}) {
-    for (int batch_threads : {1, 2, 4}) {
+    for (int threads : {1, 2, 4}) {
       EngineOptions opts;
       opts.epsilon = 0.3;
       opts.delta = 0.3;
-      opts.num_threads = 4;
+      opts.num_threads = threads;  // Batch lanes; intra lanes capped here.
       opts.intra_query_threads = intra;
-      opts.intra_query_min_cost = 0.0;  // Grant lanes regardless of cost.
       CountingEngine engine(opts);
       ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
-      auto results = engine.CountBatch(batch, batch_threads);
+      auto results = engine.CountBatch(batch);
       std::vector<double> estimates;
       for (const auto& r : results) {
         ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -219,18 +220,17 @@ TEST(EngineIntraQueryTest, EstimatesPinnedAcrossIntraAndBatchThreads) {
         reference = estimates;
       } else {
         EXPECT_EQ(estimates, *reference)
-            << "intra=" << intra << " batch=" << batch_threads;
+            << "intra=" << intra << " threads=" << threads;
       }
     }
   }
 }
 
-// The cost model: exact components never get lanes; estimated components
-// get them only past the cost threshold.
+// The automatic cost model: exact components never get lanes; estimated
+// components get them only past the cost threshold.
 TEST(EngineIntraQueryTest, CostModelKeepsCheapComponentsInline) {
   EngineOptions opts;
-  opts.intra_query_threads = 4;
-  opts.intra_query_min_cost = 1e300;  // Nothing clears the bar.
+  opts.intra_query_threads = 0;  // Automatic: the cost gate decides.
   CountingEngine engine(opts);
   Database db(6);
   ASSERT_TRUE(db.DeclareRelation("E", 2).ok());
@@ -243,6 +243,49 @@ TEST(EngineIntraQueryTest, CostModelKeepsCheapComponentsInline) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->parallel.lanes, 1);
   EXPECT_EQ(result->parallel.tasks, 0u);
+}
+
+// An explicit lane request is honoured for every estimated component, even
+// one the automatic cost gate keeps inline, and capped at the pool size.
+// The answer and its work counter are those of the inline run.
+TEST(EngineIntraQueryTest, ExplicitLaneRequestIsHonouredAndCapped) {
+  Rng rng(60);
+  const Database db = SocialNetworkDb(40, 8.0, 0.5, rng);
+  const std::string query =
+      "ans(a, c) :- F(a, b), F(b, c), F(c, d), F(d, a), a != c, b != d.";
+  auto count = [&](int lanes) {
+    EngineOptions opts;
+    opts.epsilon = 0.3;
+    opts.delta = 0.1;
+    opts.num_threads = 4;
+    opts.intra_query_threads = lanes;
+    CountingEngine engine(opts);
+    EXPECT_TRUE(engine.RegisterDatabase("g", db).ok());
+    auto result = engine.Count(query, "g");
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? *result : EngineResult{};
+  };
+
+  {
+    // The premise: an estimated component below the automatic gate.
+    CountingEngine engine;
+    ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
+    auto explanation = engine.Explain(query, "g");
+    ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
+    ASSERT_EQ(explanation->components.size(), 1u);
+    EXPECT_EQ(explanation->plan.strategy, Strategy::kFptrasTreewidth);
+    EXPECT_LT(explanation->plan.cost_estimate, kMinFanoutCost);
+  }
+
+  const EngineResult inline_run = count(1);
+  EXPECT_EQ(inline_run.parallel.lanes, 1);
+  for (const auto& [requested, granted] : {std::pair{2, 2}, std::pair{16, 4}}) {
+    SCOPED_TRACE("intra_query_threads=" + std::to_string(requested));
+    const EngineResult result = count(requested);
+    EXPECT_EQ(result.parallel.lanes, granted);
+    EXPECT_EQ(result.estimate, inline_run.estimate);
+    EXPECT_EQ(result.oracle_calls, inline_run.oracle_calls);
+  }
 }
 
 }  // namespace

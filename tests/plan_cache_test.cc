@@ -27,7 +27,7 @@ std::shared_ptr<const QueryPlan> PlanWithKey(const std::string& key) {
 }
 
 TEST(PlanCacheTest, LookupMissThenHit) {
-  PlanCache cache(8, 2);
+  PlanCache cache(8);
   EXPECT_EQ(cache.Lookup("a"), nullptr);
   cache.Insert("a", PlanWithKey("a"));
   auto hit = cache.Lookup("a");
@@ -42,8 +42,7 @@ TEST(PlanCacheTest, LookupMissThenHit) {
 }
 
 TEST(PlanCacheTest, LruEvictionDropsOldest) {
-  // Single shard so the LRU order is globally observable.
-  PlanCache cache(2, 1);
+  PlanCache cache(2);
   cache.Insert("a", PlanWithKey("a"));
   cache.Insert("b", PlanWithKey("b"));
   ASSERT_NE(cache.Lookup("a"), nullptr);  // "a" is now most recent.
@@ -56,10 +55,10 @@ TEST(PlanCacheTest, LruEvictionDropsOldest) {
   EXPECT_EQ(cache.Stats().entries, 2u);
 }
 
-TEST(PlanCacheTest, DistinctKeysInOneShardNeverCollide) {
-  // With one shard every key shares the same bucket space; exact key
-  // comparison must still keep the entries apart.
-  PlanCache cache(64, 1);
+TEST(PlanCacheTest, DistinctKeysNeverCollide) {
+  // Every key shares one index; exact key comparison must keep the
+  // entries apart.
+  PlanCache cache(64);
   for (int i = 0; i < 32; ++i) {
     const std::string key = "shape-" + std::to_string(i);
     cache.Insert(key, PlanWithKey(key));
@@ -73,7 +72,7 @@ TEST(PlanCacheTest, DistinctKeysInOneShardNeverCollide) {
 }
 
 TEST(PlanCacheTest, InsertReplacesExistingKey) {
-  PlanCache cache(4, 1);
+  PlanCache cache(4);
   cache.Insert("a", PlanWithKey("old"));
   cache.Insert("a", PlanWithKey("new"));
   auto plan = cache.Lookup("a");
@@ -83,7 +82,7 @@ TEST(PlanCacheTest, InsertReplacesExistingKey) {
 }
 
 TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {
-  PlanCache cache(8, 2);
+  PlanCache cache(8);
   cache.Insert("a", PlanWithKey("a"));
   ASSERT_NE(cache.Lookup("a"), nullptr);
   cache.Clear();
@@ -94,7 +93,7 @@ TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {
 }
 
 TEST(PlanCacheTest, ConcurrentMixedUseIsSafe) {
-  PlanCache cache(32, 4);
+  PlanCache cache(32);
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&cache, t] {

@@ -44,22 +44,20 @@ obs::ShapeProfile WarmProfile(int runs, double millis, uint64_t estimator_calls,
 }
 
 TEST(CostModelTest, ColdShapeUsesPlanEstimate) {
-  AdaptiveScheduler scheduler;
-  CostPrediction cold = scheduler.Predict(EstimatedPlan(5000.0), std::nullopt);
+  CostPrediction cold = PredictCost(EstimatedPlan(5000.0), std::nullopt);
   EXPECT_EQ(cold.source, CostSource::kPlanEstimate);
   EXPECT_DOUBLE_EQ(cold.cost_units, 5000.0);
   EXPECT_EQ(cold.oracle_calls, 0.0);  // Unknown until observed.
 
   // One observation is below kMinProfileRuns (2): still cold.
   CostPrediction one_run =
-      scheduler.Predict(EstimatedPlan(5000.0), WarmProfile(1, 3.0, 900));
+      PredictCost(EstimatedPlan(5000.0), WarmProfile(1, 3.0, 900));
   EXPECT_EQ(one_run.source, CostSource::kPlanEstimate);
 }
 
 TEST(CostModelTest, WarmShapeUsesObservedHistory) {
-  AdaptiveScheduler scheduler;
   CostPrediction warm =
-      scheduler.Predict(EstimatedPlan(5000.0), WarmProfile(3, 7.0, 900, 1200));
+      PredictCost(EstimatedPlan(5000.0), WarmProfile(3, 7.0, 900, 1200));
   EXPECT_EQ(warm.source, CostSource::kObservedProfile);
   EXPECT_DOUBLE_EQ(warm.cost_units, 900.0);   // Mean estimator calls.
   EXPECT_DOUBLE_EQ(warm.oracle_calls, 1200.0);
@@ -67,7 +65,6 @@ TEST(CostModelTest, WarmShapeUsesObservedHistory) {
 }
 
 TEST(BudgetSplitTest, CountingSharesSumToHalfEpsilonWithFloors) {
-  AdaptiveScheduler scheduler;
   std::vector<SchedulerComponent> components(3);
   for (auto& c : components) c.estimated = true;
   components[0].cost.cost_units = 1.0;      // Cheap: tight target.
@@ -77,7 +74,7 @@ TEST(BudgetSplitTest, CountingSharesSumToHalfEpsilonWithFloors) {
   const double epsilon = 0.3;
   const double delta = 0.06;
   std::vector<BudgetShare> shares =
-      scheduler.SplitBudgets(epsilon, delta, components, /*weighted=*/true);
+      SplitBudgets(epsilon, delta, components, /*weighted=*/true);
   ASSERT_EQ(shares.size(), components.size());
 
   double sum = 0.0;
@@ -98,13 +95,12 @@ TEST(BudgetSplitTest, CountingSharesSumToHalfEpsilonWithFloors) {
 }
 
 TEST(BudgetSplitTest, SingleCountingComponentKeepsFullEpsilon) {
-  AdaptiveScheduler scheduler;
   std::vector<SchedulerComponent> components(2);
   components[0].estimated = true;
   components[0].cost.cost_units = 100.0;
   components[1].estimated = false;  // Exact factor: no budget share.
   std::vector<BudgetShare> shares =
-      scheduler.SplitBudgets(0.25, 0.1, components, /*weighted=*/true);
+      SplitBudgets(0.25, 0.1, components, /*weighted=*/true);
   // Matches SplitBudget's single-component pass-through: halving would
   // double the sampling work for nothing.
   EXPECT_DOUBLE_EQ(shares[0].epsilon, 0.25);
@@ -113,14 +109,13 @@ TEST(BudgetSplitTest, SingleCountingComponentKeepsFullEpsilon) {
 }
 
 TEST(BudgetSplitTest, EvenCostsReduceToEvenSplit) {
-  AdaptiveScheduler scheduler;
   std::vector<SchedulerComponent> components(4);
   for (auto& c : components) {
     c.estimated = true;
     c.cost.cost_units = 777.0;
   }
   std::vector<BudgetShare> shares =
-      scheduler.SplitBudgets(0.4, 0.2, components, /*weighted=*/true);
+      SplitBudgets(0.4, 0.2, components, /*weighted=*/true);
   for (const BudgetShare& share : shares) {
     EXPECT_NEAR(share.epsilon, 0.4 / (2.0 * 4.0), 1e-12);
   }
@@ -131,7 +126,6 @@ TEST(BudgetSplitTest, EvenCostsReduceToEvenSplit) {
 // directly compare estimates bitwise). Equal weights through the
 // weighted formula would not do: its floor arithmetic rounds differently.
 TEST(BudgetSplitTest, UnweightedSplitIsSplitBudgetBitwise) {
-  AdaptiveScheduler scheduler;
   int mismatches = 0;
   std::string first_mismatch;
   for (size_t k = 1; k <= 8; ++k) {
@@ -148,7 +142,7 @@ TEST(BudgetSplitTest, UnweightedSplitIsSplitBudgetBitwise) {
       for (int step = 1; step < 1000; ++step) {
         const double epsilon = step / 1000.0;
         const double delta = 0.05 + step / 4000.0;
-        const std::vector<BudgetShare> shares = scheduler.SplitBudgets(
+        const std::vector<BudgetShare> shares = SplitBudgets(
             epsilon, delta, components, /*weighted=*/false);
         for (size_t i = 0; i < components.size(); ++i) {
           BudgetShare expected;  // Exact factors: zero share.
@@ -172,7 +166,6 @@ TEST(BudgetSplitTest, UnweightedSplitIsSplitBudgetBitwise) {
 }
 
 TEST(LaneGateTest, ObservedWallTimeReplacesStaticCostGate) {
-  AdaptiveScheduler scheduler;
   CostPrediction fast_warm;
   fast_warm.source = CostSource::kObservedProfile;
   fast_warm.millis = 0.5;  // Below kMinFanoutMillis: fan-out won't pay.
@@ -184,39 +177,38 @@ TEST(LaneGateTest, ObservedWallTimeReplacesStaticCostGate) {
   cheap_cold.cost_units = 10.0;
   CostPrediction costly_cold;
   costly_cold.cost_units = 1e12;
+  ASSERT_GE(costly_cold.cost_units, kMinFanoutCost);
 
-  const double static_gate = 1e8;
-  EXPECT_EQ(scheduler.PlanLanes(Strategy::kExact, slow_warm, 4, 4, static_gate),
-            1);
-  EXPECT_EQ(scheduler.PlanLanes(Strategy::kFptrasTreewidth, fast_warm, 4, 4,
-                                static_gate),
-            1);
-  EXPECT_EQ(scheduler.PlanLanes(Strategy::kFptrasTreewidth, slow_warm, 4, 4,
-                                static_gate),
-            4);
-  EXPECT_EQ(scheduler.PlanLanes(Strategy::kFptrasTreewidth, cheap_cold, 4, 4,
-                                static_gate),
-            1);
-  EXPECT_EQ(scheduler.PlanLanes(Strategy::kFptrasTreewidth, costly_cold, 4, 4,
-                                static_gate),
-            4);
+  // Automatic mode (0): the gates decide.
+  EXPECT_EQ(PlanLanes(Strategy::kExact, slow_warm, 0, 4), 1);
+  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, fast_warm, 0, 4), 1);
+  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, slow_warm, 0, 4), 4);
+  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, cheap_cold, 0, 4), 1);
+  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, costly_cold, 0, 4), 4);
+
+  // An explicit request skips both gates, is capped at the pool, and
+  // never fans out an exact component.
+  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, cheap_cold, 2, 4), 2);
+  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, fast_warm, 3, 4), 3);
+  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, cheap_cold, 1000, 4), 4);
+  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, costly_cold, 1, 4), 1);
+  EXPECT_EQ(PlanLanes(Strategy::kExact, costly_cold, 4, 4), 1);
 }
 
 TEST(TrialBudgetTest, PerCallFailureScalesWithPredictedCalls) {
-  AdaptiveScheduler scheduler;
   CostPrediction cold;  // No observed call count: keep the module default.
-  EXPECT_EQ(scheduler.PerCallFailure(0.1, cold), 0.0);
+  EXPECT_EQ(PerCallFailure(0.1, cold), 0.0);
 
   CostPrediction warm;
   warm.source = CostSource::kObservedProfile;
   warm.oracle_calls = 1e4;
-  const double failure = scheduler.PerCallFailure(0.1, warm);
+  const double failure = PerCallFailure(0.1, warm);
   // delta / (2 * safety * calls), far below the 1e-3 cap here.
   EXPECT_DOUBLE_EQ(
       failure, 0.1 / (2.0 * kTrialsSafetyFactor * 1e4));
 
   warm.oracle_calls = 1.0;  // Tiny prediction: the cap keeps >= ~7 trials.
-  EXPECT_DOUBLE_EQ(scheduler.PerCallFailure(0.9, warm), kMaxPerCallFailure);
+  EXPECT_DOUBLE_EQ(PerCallFailure(0.9, warm), kMaxPerCallFailure);
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +272,6 @@ EngineOptions BaseOptions(int lanes) {
   opts.seed = 20220607;
   opts.num_threads = 4;
   opts.intra_query_threads = lanes;
-  opts.intra_query_min_cost = 0.0;
   // The 8-node database is below the planner's brute-force threshold;
   // force the estimated strategies so these properties exercise the run
   // schedule (oracle calls, stop reasons) rather than exact enumeration.

@@ -53,8 +53,8 @@ struct RunOutput {
 };
 
 // One full fixed-seed run: a count per query plus a batch over all of
-// them, at the given lane count, against the named registration.
-RunOutput RunAll(CountingEngine& engine, int lanes) {
+// them, against the named registration.
+RunOutput RunAll(CountingEngine& engine) {
   RunOutput out;
   for (const std::string& q : Queries()) {
     CountRequest request;
@@ -73,7 +73,7 @@ RunOutput RunAll(CountingEngine& engine, int lanes) {
     request.database = "db";
     batch.push_back(request);
   }
-  auto results = engine.CountBatch(batch, lanes);
+  auto results = engine.CountBatch(batch);
   for (const auto& r : results) {
     EXPECT_TRUE(r.ok());
     if (!r.ok()) continue;
@@ -83,8 +83,11 @@ RunOutput RunAll(CountingEngine& engine, int lanes) {
   return out;
 }
 
+// `lanes` sizes the pool, so it is both the batch's lane count and the
+// intra-query lane request.
 CountingEngine MakeEngine(int lanes) {
   EngineOptions opts;
+  opts.num_threads = lanes;
   opts.intra_query_threads = lanes;
   return CountingEngine(opts);
 }
@@ -106,12 +109,12 @@ class StorageBackendTest : public ::testing::Test {
   RunOutput RunInMemory(int lanes) {
     CountingEngine engine = MakeEngine(lanes);
     EXPECT_TRUE(engine.RegisterDatabase("db", BuildDatabase()).ok());
-    return RunAll(engine, lanes);
+    return RunAll(engine);
   }
   RunOutput RunMapped(int lanes) {
     CountingEngine engine = MakeEngine(lanes);
     EXPECT_TRUE(engine.RegisterDatabaseFile("db", path_).ok());
-    return RunAll(engine, lanes);
+    return RunAll(engine);
   }
 
   std::string path_;

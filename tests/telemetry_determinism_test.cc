@@ -71,7 +71,6 @@ TEST(TelemetryDeterminismTest, TracingNeverPerturbsEstimates) {
       opts.seed = 20220607;
       opts.num_threads = 4;
       opts.intra_query_threads = lanes;
-      opts.intra_query_min_cost = 0.0;  // Grant lanes regardless of cost.
       CountingEngine engine(opts);
       ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
 
@@ -117,7 +116,6 @@ TEST(TelemetryDeterminismTest, MetricSnapshotsAreInvisible) {
     opts.delta = 0.3;
     opts.seed = 777;
     opts.intra_query_threads = 2;
-    opts.intra_query_min_cost = 0.0;
     CountingEngine engine(opts);
     EXPECT_TRUE(engine.RegisterDatabase("g", db).ok());
     if (storm) {
