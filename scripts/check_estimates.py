@@ -48,6 +48,8 @@ REQUIRED_METRICS = (
     "scheduler.early_stops",
     "scheduler.runs_saved",
     "storage.segment_opens",
+    "storage.projections_built",
+    "storage.projection_rows",
 )
 
 # Typed stop reasons an estimator execution may report (util/

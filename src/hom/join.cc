@@ -51,59 +51,54 @@ BagJoiner::BagJoiner(const Query& q, const Database& db,
         infeasible_ = true;
         continue;
       }
-      // Distinct involved variables, ordered by level.
-      std::map<int, int> level_to_var;  // level -> variable id.
-      for (int v : atom.vars) {
-        if (level_of[v] >= 0) level_to_var[level_of[v]] = v;
+      // same_as[p] is the first position of atom.vars[p]'s variable: a
+      // repeated variable's facts must agree on all of its positions.
+      const size_t arity = atom.vars.size();
+      std::vector<int> same_as(arity);
+      bool repeats = false;
+      for (size_t p = 0; p < arity; ++p) {
+        size_t first = 0;
+        while (atom.vars[first] != atom.vars[p]) ++first;
+        same_as[p] = static_cast<int>(first);
+        repeats = repeats || first != p;
       }
-      if (level_to_var.empty()) continue;
-      // First predicate-position of each involved variable.
-      std::vector<int> first_pos;
-      std::vector<int> levels;
-      for (const auto& [level, var] : level_to_var) {
-        int pos = -1;
-        for (size_t p = 0; p < atom.vars.size(); ++p) {
-          if (atom.vars[p] == var) {
-            pos = static_cast<int>(p);
-            break;
-          }
-        }
-        first_pos.push_back(pos);
-        levels.push_back(level);
-      }
-      // Repeated-variable position pairs that must agree within a fact.
-      std::vector<std::pair<int, int>> equal_pairs;
-      for (size_t p = 0; p < atom.vars.size(); ++p) {
-        for (size_t p2 = p + 1; p2 < atom.vars.size(); ++p2) {
-          if (atom.vars[p] == atom.vars[p2]) {
-            equal_pairs.push_back({static_cast<int>(p), static_cast<int>(p2)});
-          }
+      // First position of each involved variable, ordered by level.
+      std::map<int, int> level_to_pos;
+      for (size_t p = 0; p < arity; ++p) {
+        const int level = level_of[atom.vars[p]];
+        if (level >= 0 && same_as[p] == static_cast<int>(p)) {
+          level_to_pos[level] = static_cast<int>(p);
         }
       }
-      // Project into flat storage, filtering inconsistent facts.
-      Relation projection(static_cast<int>(levels.size()));
-      for (TupleView t : rel) {
-        bool consistent = true;
-        for (const auto& [p, p2] : equal_pairs) {
-          if (t[p] != t[p2]) {
-            consistent = false;
-            break;
-          }
-        }
-        if (!consistent) continue;
-        Value* dst = projection.AppendRow();
-        for (size_t k = 0; k < first_pos.size(); ++k) dst[k] = t[first_pos[k]];
+      if (level_to_pos.empty()) continue;
+      std::vector<int> positions;
+      Constraint constraint{&rel, nullptr, {}};
+      for (const auto& [level, pos] : level_to_pos) {
+        positions.push_back(pos);
+        constraint.levels.push_back(level);
       }
-      projection.Canonicalize();
-      if (projection.empty()) {
-        infeasible_ = true;
-        continue;
+      // Every column bound, in level order, with no filter: the
+      // relation's own sort order is the trie the descent needs. An atom
+      // that leaves columns unbound reads a deduplicated projection, so
+      // the pivot compares distinct-value widths.
+      bool borrowed = !repeats && positions.size() == arity;
+      for (size_t k = 0; k < positions.size() && borrowed; ++k) {
+        borrowed = positions[k] == static_cast<int>(k);
+      }
+      if (!borrowed) {
+        constraint.shared = db.Projection(
+            atom.relation, positions, repeats ? same_as : std::vector<int>{});
+        constraint.relation = constraint.shared.get();
+        if (constraint.relation->empty()) {
+          infeasible_ = true;
+          continue;
+        }
       }
       const int ci = static_cast<int>(constraints_.size());
-      for (size_t k = 0; k < levels.size(); ++k) {
-        active_[levels[k]].push_back({ci, static_cast<int>(k)});
+      for (size_t k = 0; k < constraint.levels.size(); ++k) {
+        active_[constraint.levels[k]].push_back({ci, static_cast<int>(k)});
       }
-      constraints_.push_back({std::move(projection), std::move(levels)});
+      constraints_.push_back(std::move(constraint));
     } else if (opts_.enforce_negated) {
       // A negated nullary atom is a pure guard: satisfiable iff the
       // relation is empty (there is no level to trigger a check at).
@@ -150,7 +145,7 @@ bool BagJoiner::Enumerate(
       constraints_.size());
   for (size_t c = 0; c < constraints_.size(); ++c) {
     ranges[c].reserve(depth + 1);
-    ranges[c].push_back({0, constraints_[c].projection.size()});
+    ranges[c].push_back({0, constraints_[c].relation->size()});
   }
   Tuple assignment(depth, 0);
   // assignment_by_var lets negated-atom checks read values by variable id.
@@ -200,7 +195,7 @@ bool BagJoiner::Enumerate(
         pivot_col = k;
       }
     }
-    const Relation& pivot_rel = constraints_[pivot].projection;
+    const Relation& pivot_rel = *constraints_[pivot].relation;
     auto [plo, phi] = ranges[pivot].back();
 
     size_t pos = plo;
@@ -220,7 +215,7 @@ bool BagJoiner::Enumerate(
         const auto [lo, hi] = ranges[c].back();
         const auto narrowed =
             c == pivot ? std::make_pair(wlo, whi)
-                       : constraints_[c].projection.NarrowRange(
+                       : constraints_[c].relation->NarrowRange(
                              lo, hi, static_cast<size_t>(k), w);
         if (narrowed.first == narrowed.second) {
           ok = false;

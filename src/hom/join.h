@@ -15,6 +15,7 @@
 #define CQCOUNT_HOM_JOIN_H_
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "query/query.h"
@@ -75,9 +76,13 @@ class BagJoiner {
   };
 
   /// `vars`: the (ordered, duplicate-free) variables to assign. The query
-  /// and database must outlive the joiner. Construction projects and
-  /// sorts the constraint relations once; per-variable domains (which
-  /// change per colour-coding trial) are passed to Enumerate.
+  /// and database must outlive the joiner. Construction copies no rows:
+  /// an atom whose variables bind every column of the relation in order,
+  /// none repeated, reads the database relation itself; any other atom
+  /// reads its sorted projection from the database's projection memo
+  /// (Structure::Projection), built once per snapshot. Per-variable
+  /// domains (which change per colour-coding trial) are passed to
+  /// Enumerate.
   BagJoiner(const Query& q, const Database& db, std::vector<int> vars,
             Options opts);
 
@@ -99,7 +104,10 @@ class BagJoiner {
 
  private:
   struct Constraint {
-    Relation projection;           // Columns ordered by level.
+    // Leading columns ordered by level: the database relation or a
+    // memoised projection, which `shared` keeps alive.
+    const Relation* relation;
+    std::shared_ptr<const Relation> shared;
     std::vector<int> levels;       // Ascending depths the columns bind.
   };
   struct NegatedCheck {

@@ -211,13 +211,20 @@ size_t Relation::GroupEnd(size_t from, size_t to, size_t col) const {
   return lo + simd::UpperBoundStrided(keys + lo * arity, arity, hi - lo, v);
 }
 
-Relation Relation::Project(const std::vector<int>& positions) const {
+Relation Relation::Project(const std::vector<int>& positions,
+                           const std::vector<int>& same_as) const {
   assert(!dirty_ && "read access to a non-canonical Relation");
+  assert(same_as.empty() || same_as.size() == static_cast<size_t>(arity_));
   Relation out(static_cast<int>(positions.size()));
   out.data_.reserve(num_rows_ * positions.size());
   const size_t arity = static_cast<size_t>(arity_);
   for (size_t i = 0; i < num_rows_; ++i) {
     const Value* row = base() + i * arity;
+    bool consistent = true;
+    for (size_t p = 0; p < same_as.size() && consistent; ++p) {
+      consistent = row[p] == row[same_as[p]];
+    }
+    if (!consistent) continue;
     Value* dst = out.AppendRow();
     for (size_t j = 0; j < positions.size(); ++j) {
       assert(positions[j] >= 0 && positions[j] < arity_);

@@ -387,8 +387,12 @@ class Relation {
   size_t GroupEnd(size_t from, size_t to, size_t col) const;
 
   /// Projects onto the given column positions (in the given order),
-  /// deduplicating the result. Requires canonical.
-  Relation Project(const std::vector<int>& positions) const;
+  /// deduplicating the result. A non-empty `same_as` (one entry per
+  /// column) first drops every row whose column p differs from column
+  /// `same_as[p]`: the repeated-variable filter of an atom such as
+  /// E(x, x), written {0, 0}. Requires canonical.
+  Relation Project(const std::vector<int>& positions,
+                   const std::vector<int>& same_as = {}) const;
 
   /// Returns the same tuple set with columns permuted: column i of the
   /// result is column `order[i]` of this relation. Requires canonical.

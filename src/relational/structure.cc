@@ -1,10 +1,70 @@
 #include "relational/structure.h"
 
 #include <cassert>
+#include <mutex>
+#include <tuple>
+
+#include "obs/metrics.h"
 
 namespace cqcount {
+namespace {
+
+// storage.projection_* metrics, registered at load so a `stats` dump lists
+// them before the first join. Added once per memo build, never per row
+// read.
+struct ProjectionMetrics {
+  obs::Counter& built = obs::MetricRegistry::Global().GetCounter(
+      "storage.projections_built",
+      "join projections built by database projection memos");
+  obs::Counter& rows = obs::MetricRegistry::Global().GetCounter(
+      "storage.projection_rows", "rows of the join projections built");
+
+  static ProjectionMetrics& Get() {
+    static ProjectionMetrics* metrics = new ProjectionMetrics();
+    return *metrics;
+  }
+};
+
+[[maybe_unused]] const ProjectionMetrics& kProjectionMetricsInit =
+    ProjectionMetrics::Get();
+
+}  // namespace
+
+struct Structure::ProjectionMemo {
+  using Key = std::tuple<std::string, std::vector<int>, std::vector<int>>;
+
+  // Held across each build, so concurrent first requests for a key wait
+  // for one build.
+  std::mutex mu;
+  std::map<Key, std::shared_ptr<const Relation>> entries;
+  // Values charged against the bound: rows x columns of each kept entry's
+  // source, an upper bound of its size known before the build.
+  uint64_t charged = 0;
+};
+
+Structure::Structure() : Structure(0) {}
+
+Structure::Structure(uint32_t universe_size)
+    : universe_size_(universe_size),
+      projections_(std::make_shared<ProjectionMemo>()) {}
+
+void Structure::DropProjections() {
+  // Loaders mutate once per fact; a memo that no copy shares and that is
+  // still empty is already fresh.
+  if (projections_ != nullptr && projections_.use_count() == 1) {
+    std::lock_guard<std::mutex> lock(projections_->mu);
+    if (projections_->entries.empty()) return;
+  }
+  projections_ = std::make_shared<ProjectionMemo>();
+}
+
+void Structure::set_universe_size(uint32_t n) {
+  DropProjections();
+  universe_size_ = n;
+}
 
 Status Structure::DeclareRelation(const std::string& name, int arity) {
+  DropProjections();
   if (arity < 0) {
     return Status::InvalidArgument("relation arity must be non-negative: " +
                                    name);
@@ -31,6 +91,7 @@ int Structure::Arity(const std::string& name) const {
 }
 
 Status Structure::AddFact(const std::string& name, Tuple t) {
+  DropProjections();
   auto it = relations_.find(name);
   if (it == relations_.end()) {
     return Status::NotFound("relation not declared: " + name);
@@ -48,6 +109,7 @@ Status Structure::AddFact(const std::string& name, Tuple t) {
 }
 
 Status Structure::AdoptRelation(const std::string& name, Relation relation) {
+  DropProjections();
   if (!relation.canonical()) {
     return Status::FailedPrecondition("adopting a non-canonical relation: " +
                                       name);
@@ -62,6 +124,7 @@ Status Structure::AdoptRelation(const std::string& name, Relation relation) {
 }
 
 void Structure::Canonicalize() {
+  DropProjections();
   for (auto& [name, rel] : relations_) rel.Canonicalize();
 }
 
@@ -79,8 +142,38 @@ const Relation& Structure::relation(const std::string& name) const {
 }
 
 Relation* Structure::mutable_relation(const std::string& name) {
+  DropProjections();
   auto it = relations_.find(name);
   return it == relations_.end() ? nullptr : &it->second;
+}
+
+std::shared_ptr<const Relation> Structure::Projection(
+    const std::string& name, const std::vector<int>& positions,
+    const std::vector<int>& same_as) const {
+  assert(projections_ != nullptr && "projection of a moved-from structure");
+  const Relation& source = relation(name);
+  auto build = [&] {
+    auto out =
+        std::make_shared<const Relation>(source.Project(positions, same_as));
+    ProjectionMetrics& metrics = ProjectionMetrics::Get();
+    metrics.built.Increment();
+    metrics.rows.Add(out->size());
+    return out;
+  };
+  ProjectionMemo& memo = *projections_;
+  const uint64_t charge = source.size() * positions.size();
+  const uint64_t bound = kProjectionMemoFactor * Size();
+  ProjectionMemo::Key key(name, positions, same_as);
+  {
+    std::lock_guard<std::mutex> lock(memo.mu);
+    auto it = memo.entries.find(key);
+    if (it != memo.entries.end()) return it->second;
+    if (memo.charged + charge <= bound) {
+      memo.charged += charge;
+      return memo.entries.emplace(std::move(key), build()).first->second;
+    }
+  }
+  return build();  // Past the bound: built for this caller, not kept.
 }
 
 std::vector<std::string> Structure::RelationNames() const {

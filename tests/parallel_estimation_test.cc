@@ -8,6 +8,7 @@
 // the engine end to end over a 1/2/4-intra x 1/2/4-batch grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -173,9 +174,6 @@ TEST(DlmParallelTest, PartitionedEstimateIndependentOfLanes) {
 // pool size grid (batch items and their intra-query tasks share one pool —
 // the saturation case the help-draining executor exists for).
 TEST(EngineIntraQueryTest, EstimatesPinnedAcrossIntraAndBatchThreads) {
-  Rng rng(4242);
-  RandomQueryOptions qopts;
-  qopts.forced_num_free = 2;
   std::vector<std::string> queries = {
       "ans(x, y) :- E(x, y), E(y, z), x != z.",
       "ans(x, y) :- E(x, y), E(x, z), y != z.",
@@ -208,12 +206,21 @@ TEST(EngineIntraQueryTest, EstimatesPinnedAcrossIntraAndBatchThreads) {
       opts.delta = 0.3;
       opts.num_threads = threads;  // Batch lanes; intra lanes capped here.
       opts.intra_query_threads = intra;
+      // The 8-node database is below the planner's brute-force threshold;
+      // force the estimator so the grid reaches DLM and its lanes.
+      opts.plan.exact_cost_limit = 0.0;
       CountingEngine engine(opts);
       ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
       auto results = engine.CountBatch(batch);
       std::vector<double> estimates;
       for (const auto& r : results) {
         ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(r->strategy, Strategy::kFptrasTreewidth);
+        EXPECT_GT(r->oracle_calls, 0u);
+        for (const ComponentResult& c : r->components) {
+          EXPECT_EQ(c.parallel.lanes, std::min(intra, threads))
+              << "intra=" << intra << " threads=" << threads;
+        }
         estimates.push_back(r->estimate);
       }
       if (!reference.has_value()) {

@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "relational/relation.h"
+#include "relational/structure.h"
 #include "util/random.h"
 
 namespace cqcount {
@@ -114,6 +117,62 @@ TEST(RelationConcurrencyTest, ConcurrentMixedReadPaths) {
   }
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+
+// Joiners, bag solvers and batch workers request projections of one
+// shared database snapshot concurrently: each key is built once, by its
+// first requester, and every thread receives that one object.
+TEST(RelationConcurrencyTest, ConcurrentProjectionRequestsBuildEachKeyOnce) {
+  Database db(64);
+  ASSERT_TRUE(db.AdoptRelation("R", BuildRelation(3, 64, 20000, 5)).ok());
+  struct Key {
+    std::vector<int> positions;
+    std::vector<int> same_as;
+  };
+  const std::vector<Key> keys = {
+      {{2, 1, 0}, {}}, {{1, 0}, {}}, {{2}, {}}, {{1, 0}, {0, 1, 1}}};
+  obs::Counter& built = obs::MetricRegistry::Global().GetCounter(
+      "storage.projections_built", "");
+  const uint64_t built_before = built.Value();
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 3;
+  // seen[w][k]: what thread w received for key k (the same every round).
+  std::vector<std::vector<std::shared_ptr<const Relation>>> seen(
+      kThreads, std::vector<std::shared_ptr<const Relation>>(keys.size()));
+  std::atomic<int> waiting{kThreads};
+  std::atomic<int> changed{0};
+  std::vector<std::thread> readers;
+  for (int w = 0; w < kThreads; ++w) {
+    readers.emplace_back([&, w] {
+      // Start together, so first requests of one key race.
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < keys.size(); ++i) {
+          // Odd threads walk the keys backwards, so different keys are
+          // requested concurrently too.
+          const size_t k = w % 2 == 0 ? i : keys.size() - 1 - i;
+          auto p = db.Projection("R", keys[k].positions, keys[k].same_as);
+          if (round > 0 && p != seen[w][k]) changed.fetch_add(1);
+          seen[w][k] = std::move(p);
+        }
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(changed.load(), 0);
+  EXPECT_EQ(built.Value() - built_before, keys.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    for (int w = 1; w < kThreads; ++w) {
+      EXPECT_EQ(seen[w][k], seen[0][k]) << "key " << k << " thread " << w;
+    }
+    EXPECT_EQ(*seen[0][k],
+              db.relation("R").Project(keys[k].positions, keys[k].same_as))
+        << "key " << k;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 // historical name only for the readers that look it up).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -32,6 +33,16 @@ Database DenseDatabase() {
   }
   db.Canonicalize();
   return db;
+}
+
+// The count ran the estimator (not the brute-force strategy the 8-node
+// database would otherwise plan) on `lanes` lanes per component.
+void ExpectEstimatedOnLanes(const EngineResult& result, int lanes) {
+  EXPECT_EQ(result.strategy, Strategy::kFptrasTreewidth);
+  EXPECT_GT(result.oracle_calls, 0u);
+  for (const ComponentResult& c : result.components) {
+    EXPECT_EQ(c.parallel.lanes, lanes);
+  }
 }
 
 struct Observed {
@@ -71,6 +82,7 @@ TEST(TelemetryDeterminismTest, TracingNeverPerturbsEstimates) {
       opts.seed = 20220607;
       opts.num_threads = 4;
       opts.intra_query_threads = lanes;
+      opts.plan.exact_cost_limit = 0.0;  // Reach DLM and its lanes.
       CountingEngine engine(opts);
       ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
 
@@ -78,6 +90,7 @@ TEST(TelemetryDeterminismTest, TracingNeverPerturbsEstimates) {
       for (const std::string& text : queries) {
         auto result = engine.Count(text, "g");
         ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ExpectEstimatedOnLanes(*result, lanes);
         observed.push_back({result->estimate, result->exact,
                             result->converged, result->oracle_calls});
       }
@@ -116,6 +129,7 @@ TEST(TelemetryDeterminismTest, MetricSnapshotsAreInvisible) {
     opts.delta = 0.3;
     opts.seed = 777;
     opts.intra_query_threads = 2;
+    opts.plan.exact_cost_limit = 0.0;  // Reach DLM and its lanes.
     CountingEngine engine(opts);
     EXPECT_TRUE(engine.RegisterDatabase("g", db).ok());
     if (storm) {
@@ -123,6 +137,10 @@ TEST(TelemetryDeterminismTest, MetricSnapshotsAreInvisible) {
     }
     auto result = engine.Count(query, "g");
     EXPECT_TRUE(result.ok());
+    if (result.ok()) {
+      ExpectEstimatedOnLanes(*result,
+                             std::min(2, engine.options().num_threads));
+    }
     return result.ok() ? std::make_pair(result->estimate, result->oracle_calls)
                        : std::make_pair(-1.0, uint64_t{0});
   };
