@@ -79,6 +79,8 @@ int Run(const std::string& json_path) {
     opts.delta = 0.2;
     opts.num_threads = 4;
     opts.intra_query_threads = intra;
+    // No exact probe: lanes exist only in the estimators.
+    opts.plan.exact_cost_limit = 0.0;
     CountingEngine engine(opts);
     Status s = engine.RegisterDatabase("g", db);
     if (!s.ok()) {

@@ -65,6 +65,9 @@ bool RunArm(const Database& db, const char* query, bool adaptive,
   opts.num_threads = 4;
   opts.intra_query_threads = 1;
   opts.adaptive = adaptive;
+  // No exact probe: both arms measure the estimators, which is where the
+  // adaptive scheduler acts.
+  opts.plan.exact_cost_limit = 0.0;
   CountingEngine engine(opts);
   Status s = engine.RegisterDatabase("g", db);
   if (!s.ok()) {

@@ -850,6 +850,16 @@ StatusOr<Explanation> CountingEngine::Explain(const std::string& query,
          << "  cost estimate: " << plan.cost_estimate
          << "  plan cache: " << (ce.plan_cache_hit ? "hit" : "miss")
          << "  intra-query lanes: " << ce.planned_lanes << "\n";
+    // The planner ran the exact count under the node cap (a cap of 0 runs
+    // none): an exact plan's cost estimate is the nodes it visited.
+    const double cap = opts_.plan.exact_cost_limit;
+    if (plan.strategy == Strategy::kExact) {
+      text << "  exact probe: " << plan.cost_estimate << " join nodes (cap "
+           << cap << ")\n";
+    } else if (cap > 0.0) {
+      text << "  exact probe: stopped at the cap of " << cap
+           << " join nodes\n";
+    }
     if (!ce.cost_source.empty()) {
       text << "  scheduled: cost source " << ce.cost_source
            << "  predicted " << ce.predicted_millis << " ms, "

@@ -101,7 +101,8 @@ struct CountRequest {
   double delta = 0.0;
   /// Per-request seed override (0 = derived from the engine seed).
   uint64_t seed = 0;
-  /// Forces the brute-force exact strategy regardless of the plan.
+  /// Forces the exact strategy (the uncapped join count) regardless of
+  /// the plan.
   bool force_exact = false;
   /// Wall-clock budget for this request in milliseconds (0 = unlimited).
   /// On expiry the engine returns an anytime partial answer assembled
@@ -285,7 +286,7 @@ class CountingEngine {
   StatusOr<EngineResult> Count(const std::string& query,
                                const std::string& database);
 
-  /// Exact count via the brute-force strategy (plans for provenance only).
+  /// Exact count via the exact strategy (plans for provenance only).
   StatusOr<EngineResult> CountExact(const std::string& query,
                                     const std::string& database);
 

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <tuple>
 
 #include "compile/passes.h"
+#include "hom/backtracking.h"
 
 namespace cqcount {
 namespace {
@@ -254,6 +257,31 @@ CanonicalShape CanonicalQueryShape(const Query& q) {
   return Canonicaliser(q).Run();
 }
 
+Query CanonicalQuery(const Query& q, const CanonicalShape& shape) {
+  Query out;
+  for (int v = 0; v < q.num_vars(); ++v) {
+    out.AddVariable("v" + std::to_string(v));
+  }
+  out.SetNumFree(q.num_free());
+  std::vector<Atom> atoms = q.atoms();
+  for (Atom& atom : atoms) {
+    for (int& v : atom.vars) v = shape.to_canonical[v];
+  }
+  std::sort(atoms.begin(), atoms.end(), [](const Atom& a, const Atom& b) {
+    return std::tie(a.relation, a.negated, a.vars) <
+           std::tie(b.relation, b.negated, b.vars);
+  });
+  for (Atom& atom : atoms) out.AddAtom(std::move(atom));
+  std::vector<std::pair<int, int>> diseqs;
+  for (const Disequality& d : q.disequalities()) {
+    diseqs.push_back(
+        std::minmax(shape.to_canonical[d.lhs], shape.to_canonical[d.rhs]));
+  }
+  std::sort(diseqs.begin(), diseqs.end());
+  for (const auto& [a, b] : diseqs) out.AddDisequality(a, b);
+  return out;
+}
+
 TreeDecomposition InstantiateDecomposition(
     const TreeDecomposition& canonical, const std::vector<int>& to_canonical) {
   std::vector<Vertex> from_canonical(to_canonical.size());
@@ -269,6 +297,21 @@ TreeDecomposition InstantiateDecomposition(
 }
 
 namespace {
+
+// Join nodes of the exact strategy's count of q when it finishes within
+// `cap` nodes. Nothing when it does not, when the cap is not positive, or
+// when db cannot serve q (a missing relation or a wrong arity).
+std::optional<uint64_t> ExactJoinNodes(const Query& q,
+                                       const CanonicalShape& shape,
+                                       const Database& db, double cap) {
+  if (!(cap > 0.0) || !q.CheckAgainstDatabase(db).ok()) return std::nullopt;
+  const uint64_t budget =
+      cap >= 0x1p64 ? UINT64_MAX : static_cast<uint64_t>(cap);
+  const JoinCount count =
+      CountAnswersJoin(CanonicalQuery(q, shape), db, budget);
+  if (!count.complete) return std::nullopt;
+  return count.nodes;
+}
 
 // The Figure-1 verdict from the two widths of H(phi).
 Classification Classify(const Query& q, double treewidth, double fhw) {
@@ -333,21 +376,22 @@ QueryPlan BuildQueryPlan(const Query& q, const CanonicalShape& shape,
   plan.classification = Classify(q, tw.width, fhw.width);
   const Classification& cls = plan.classification;
 
-  // Cost model (coarse): brute force enumerates ~n^vars assignments;
-  // the decomposition pipelines cost ~n^(width+1) per oracle call times a
-  // polylogarithmic number of calls.
+  // The exact strategy is priced by running it: the very count
+  // ExecuteExact runs, on the same canonical presentation, under the node
+  // cap. A plan therefore stays a function of (shape, snapshot). The
+  // decomposition pipelines cost ~n^(width+1) per oracle call times a
+  // polylogarithmic number of calls (coarse).
+  const std::optional<uint64_t> exact_nodes =
+      ExactJoinNodes(q, shape, db, opts.exact_cost_limit);
   const double n = std::max<double>(1.0, db.universe_size());
-  const double exact_cost =
-      std::pow(n, std::min<double>(q.num_vars(), 12.0)) *
-      std::max<uint64_t>(1, q.atoms().size());
   const double tw_cost = std::pow(n, std::min(tw.width + 1.0, 12.0)) * 64.0;
   const double fhw_cost = std::pow(n, std::min(fhw.width + 1.0, 12.0)) * 64.0;
 
-  if (exact_cost <= opts.exact_cost_limit) {
+  if (exact_nodes.has_value()) {
     plan.strategy = Strategy::kExact;
     plan.objective = WidthObjective::kTreewidth;
     plan.decomposition = tw;
-    plan.cost_estimate = exact_cost;
+    plan.cost_estimate = static_cast<double>(*exact_nodes);
   } else if (cls.fpras && !cls.fptras_bounded_arity) {
     // Pure CQ beyond the bounded-arity regime: the counting-automaton
     // FPRAS is the only tractable route (Theorem 16).

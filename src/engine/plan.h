@@ -23,7 +23,8 @@ namespace cqcount {
 
 /// Counting strategy selected by the planner.
 enum class Strategy {
-  /// Brute-force exact enumeration (small instances; always correct).
+  /// Exact count by the output-sensitive join (CountAnswersJoin): chosen
+  /// when the join finishes within PlanOptions::exact_cost_limit nodes.
   kExact,
   /// FPTRAS over a treewidth-optimised decomposition (Theorem 5).
   kFptrasTreewidth,
@@ -82,8 +83,10 @@ inline constexpr double kFhwThreshold = 4.0;
 struct PlanOptions {
   /// Exact-width search is used for hypergraphs up to this many variables.
   int exact_decomposition_limit = 14;
-  /// Brute-force exact counting is selected below this estimated cost
-  /// (roughly: tuples enumerated).
+  /// Cap on the join nodes (candidate values tried, summed over levels)
+  /// of the exact strategy's count. The planner runs that count under the
+  /// cap and selects exact when it finishes; 0 runs no count and never
+  /// selects exact.
   double exact_cost_limit = 1e6;
 };
 
@@ -99,7 +102,8 @@ struct QueryPlan {
   /// Decomposition of the canonical hypergraph (bags hold canonical
   /// variable indices). Instantiate per query with InstantiateDecomposition.
   FWidthResult decomposition;
-  /// Rough cost estimate of executing the plan (arbitrary units).
+  /// Cost estimate of executing the plan: the join nodes the exact count
+  /// visited, or a coarse n^(width+1) figure for the estimators.
   double cost_estimate = 0.0;
 };
 
@@ -113,11 +117,18 @@ Classification ClassifyQuery(const Query& q, const PlanOptions& opts);
 /// Builds a plan for (q, db): classifies the shape per Figure 1, selects a
 /// strategy, and computes the decomposition the strategy needs. `shape` must
 /// be CanonicalQueryShape(q). Both width searches always run — even when
-/// the planner ends up choosing brute force — because the classification
-/// verdict is part of every plan's provenance (Explain contract); the cost
-/// is bounded by exact_decomposition_limit and amortised by the cache.
+/// the planner ends up choosing the exact count — because the
+/// classification verdict is part of every plan's provenance (Explain
+/// contract); the cost is bounded by exact_decomposition_limit and
+/// amortised by the cache. When db serves q, the exact count runs once
+/// under PlanOptions::exact_cost_limit nodes to price the exact strategy.
 QueryPlan BuildQueryPlan(const Query& q, const CanonicalShape& shape,
                          const Database& db, const PlanOptions& opts);
+
+/// q in canonical variable numbering, with its atoms and disequalities
+/// sorted: isomorphic queries give the same query, so the exact count of
+/// it (and its node count) depends on the shape alone.
+Query CanonicalQuery(const Query& q, const CanonicalShape& shape);
 
 /// Maps a canonical-space decomposition back onto the variables of a query
 /// with the given canonical mapping (inverse of `to_canonical`).

@@ -62,8 +62,8 @@ inline constexpr double kMaxPerCallFailure = 1e-3;
 /// kMinFanoutCost gate on warm shapes): fan-out setup costs ~sub-ms, so
 /// only estimates observed to run at least this long get workers.
 inline constexpr double kMinFanoutMillis = 5.0;
-/// Planned cost (QueryPlan::cost_estimate, the coarse units of
-/// PlanOptions::exact_cost_limit) at which a component gets lanes in
+/// Planned cost (QueryPlan::cost_estimate, an estimator's coarse
+/// n^(width+1) figure) at which a component gets lanes in
 /// automatic mode: every component of the non-adaptive engine, a cold
 /// shape of the adaptive one. Sized so fan-out setup (per-lane oracle forks and
 /// solver contexts, ~sub-ms) is paid only on counts that run long enough

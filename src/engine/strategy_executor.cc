@@ -3,8 +3,8 @@
 #include <string>
 
 #include "automata/fpras.h"
-#include "counting/exact_count.h"
 #include "counting/fptras.h"
+#include "hom/backtracking.h"
 #include "util/cancel.h"
 
 namespace cqcount {
@@ -22,15 +22,19 @@ FWidthResult InstantiatePlanDecomposition(const ExecContext& ctx) {
 }
 
 StatusOr<ExecOutcome> ExecuteExact(const ExecContext& ctx) {
-  // Brute force has no internal checkpoints (the planner only picks it
-  // for tiny instances); honour an already-fired governor up front.
+  // The join has no internal checkpoints (the planner picks it only when
+  // it finished within the node cap; force_exact runs it regardless), so
+  // honour an already-fired governor up front.
   if (ctx.governor != nullptr &&
       ctx.governor->Check() != GovernanceState::kRunning) {
     return ctx.governor->ToStatus("exact count");
   }
+  // The count the planner priced, on the same canonical presentation,
+  // without the cap.
   ExecOutcome outcome;
-  outcome.estimate =
-      static_cast<double>(ExactCountAnswersBruteForce(*ctx.query, *ctx.db));
+  outcome.estimate = static_cast<double>(
+      CountAnswersJoin(CanonicalQuery(*ctx.query, *ctx.shape), *ctx.db)
+          .answers);
   outcome.exact = true;
   outcome.lower_bound = outcome.upper_bound = outcome.estimate;
   return outcome;

@@ -1,6 +1,6 @@
 #include "hom/backtracking.h"
 
-#include <numeric>
+#include <algorithm>
 
 #include "decomposition/elimination_order.h"
 #include "hom/join.h"
@@ -12,6 +12,50 @@ namespace {
 // constraint propagation tight.
 std::vector<int> SearchOrder(const Query& q) {
   return MinFillOrder(q.BuildHypergraph());
+}
+
+// The answer count's order: the free variables first, then the existential
+// ones. Within each group the next variable is the one with the most
+// neighbours already placed through positive atoms, which narrow its
+// candidates; ties go in min-fill order. Min-fill alone breaks its ties by
+// variable index, and on a canonically numbered query that scatters a
+// path: a 3-path of one free variable visited 534,726 nodes for 2,746 in
+// this order.
+std::vector<int> AnswerSearchOrder(const Query& q) {
+  const int n = q.num_vars();
+  std::vector<std::vector<int>> neighbours(n);
+  for (const Atom& atom : q.atoms()) {
+    if (atom.negated) continue;
+    for (int u : atom.vars) {
+      for (int v : atom.vars) {
+        if (u != v) neighbours[u].push_back(v);
+      }
+    }
+  }
+  for (std::vector<int>& list : neighbours) {
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+  }
+  const std::vector<int> min_fill = SearchOrder(q);
+  std::vector<int> order;
+  std::vector<bool> placed(n, false);
+  std::vector<int> placed_neighbours(n, 0);
+  for (const bool free_group : {true, false}) {
+    for (;;) {
+      int next = -1;
+      for (int v : min_fill) {
+        if (placed[v] || (v < q.num_free()) != free_group) continue;
+        if (next < 0 || placed_neighbours[v] > placed_neighbours[next]) {
+          next = v;
+        }
+      }
+      if (next < 0) break;
+      placed[next] = true;
+      order.push_back(next);
+      for (int w : neighbours[next]) ++placed_neighbours[w];
+    }
+  }
+  return order;
 }
 
 }  // namespace
@@ -51,6 +95,24 @@ uint64_t CountAnswersBrute(const Query& q, const Database& db) {
   });
   answers.Canonicalize();
   return answers.size();
+}
+
+JoinCount CountAnswersJoin(const Query& q, const Database& db,
+                           uint64_t node_budget) {
+  BagJoiner::Options opts;
+  opts.enforce_negated = true;
+  opts.enforce_disequalities = true;
+  const BagJoiner joiner(q, db, AnswerSearchOrder(q), opts);
+  JoinCount count;
+  count.complete = joiner.Enumerate(
+      nullptr,
+      [&count](const Tuple&) {
+        ++count.answers;
+        return true;
+      },
+      {.distinct_prefix = q.num_free(), .node_budget = node_budget},
+      &count.nodes);
+  return count;
 }
 
 bool DecideSolutionBrute(const Query& q, const Database& db) {

@@ -133,12 +133,17 @@ BagJoiner::BagJoiner(const Query& q, const Database& db,
   }
 }
 
-bool BagJoiner::Enumerate(
-    const VarDomains* domains,
-    const std::function<bool(const Tuple&)>& callback) const {
+bool BagJoiner::Enumerate(const VarDomains* domains,
+                          const std::function<bool(const Tuple&)>& callback,
+                          const SearchLimits& limits, uint64_t* nodes) const {
+  if (nodes != nullptr) *nodes = 0;
   if (infeasible_) return true;
   const int depth = static_cast<int>(vars_.size());
   const Value n = static_cast<Value>(db_.universe_size());
+  const int prefix = limits.distinct_prefix < 0
+                         ? depth
+                         : std::min(limits.distinct_prefix, depth);
+  uint64_t tried = 0;
 
   // Per-constraint range stacks; ranges[c].back() is the live range.
   std::vector<std::vector<std::pair<size_t, size_t>>> ranges(
@@ -152,10 +157,23 @@ bool BagJoiner::Enumerate(
   std::vector<Value> value_of(query_.num_vars(), 0);
   Tuple negated_scratch;  // Reused per negated-atom membership probe.
 
+  // What a finished subtree tells the level above it. kNextPrefix
+  // unwinds every level at or past `prefix`: the current prefix has its
+  // extension, so the level before it moves on to its next value.
+  enum class Next { kContinue, kNextPrefix, kStop };
+  // A level returns what its subtree said unless it goes on to its next
+  // value.
+  auto unwinds = [prefix](Next next, int d) {
+    return next == Next::kStop || (next == Next::kNextPrefix && d >= prefix);
+  };
+
   // Recursive lambda (self-passing, avoiding std::function dispatch in
-  // the descent). Returns false if the callback requested a stop.
-  auto descend = [&](auto&& self, int d) -> bool {
-    if (d == depth) return callback(assignment);
+  // the descent).
+  auto descend = [&](auto&& self, int d) -> Next {
+    if (d == depth) {
+      if (!callback(assignment)) return Next::kStop;
+      return prefix < depth ? Next::kNextPrefix : Next::kContinue;
+    }
 
     // Checks triggered once vars_[d] is assigned.
     auto passes_checks = [&](Value w) {
@@ -175,12 +193,14 @@ bool BagJoiner::Enumerate(
     if (active.empty()) {
       // Unconstrained level: scan the whole (domain-restricted) universe.
       for (Value w = 0; w < n; ++w) {
+        if (++tried > limits.node_budget) return Next::kStop;
         if (domains && !domains->Allows(vars_[d], w)) continue;
         if (!passes_checks(w)) continue;
         assignment[d] = w;
-        if (!self(self, d + 1)) return false;
+        const Next next = self(self, d + 1);
+        if (unwinds(next, d)) return next;
       }
-      return true;
+      return Next::kContinue;
     }
 
     // Pivot: the active constraint with the smallest live range.
@@ -200,6 +220,7 @@ bool BagJoiner::Enumerate(
 
     size_t pos = plo;
     while (pos < phi) {
+      if (++tried > limits.node_budget) return Next::kStop;
       const Value w = pivot_rel.At(pos, pivot_col);
       // The pivot scans groups in order: the group starts at `pos`, so
       // only its end needs searching.
@@ -224,19 +245,20 @@ bool BagJoiner::Enumerate(
         ranges[c].push_back(narrowed);
         ++pushed;
       }
+      Next next = Next::kContinue;
       if (ok && passes_checks(w)) {
         assignment[d] = w;
-        if (!self(self, d + 1)) {
-          for (size_t i = 0; i < pushed; ++i) ranges[active[i].first].pop_back();
-          return false;
-        }
+        next = self(self, d + 1);
       }
       for (size_t i = 0; i < pushed; ++i) ranges[active[i].first].pop_back();
+      if (unwinds(next, d)) return next;
     }
-    return true;
+    return Next::kContinue;
   };
 
-  return descend(descend, 0);
+  const Next result = descend(descend, 0);
+  if (nodes != nullptr) *nodes = tried;
+  return result != Next::kStop;
 }
 
 Relation BagJoiner::Materialise(const VarDomains* domains) const {

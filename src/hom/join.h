@@ -10,10 +10,14 @@
 // With `vars` = a decomposition bag this computes Sol(phi, D, B) (Lemma 48);
 // the leapfrog-style pivot intersection keeps the work close to the output
 // size, which is bounded by ||D||^fcn(H[B]) (Grohe-Marx / AGM). With
-// `vars` = vars(phi) it enumerates full solutions (brute-force baseline).
+// `vars` = vars(phi) it enumerates full solutions (brute-force baseline);
+// with the free variables first and a distinct prefix of their number
+// (SearchLimits), it visits each answer once, with one existential
+// witness (the exact strategy's count).
 #ifndef CQCOUNT_HOM_JOIN_H_
 #define CQCOUNT_HOM_JOIN_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -65,6 +69,18 @@ void ApplyOverlay(VarDomains& domains,
 /// overlaid twice the FIRST save (its original domain) wins.
 void RestoreOverlay(VarDomains& domains, SavedDomains& saved);
 
+/// How far one BagJoiner::Enumerate call searches.
+struct SearchLimits {
+  /// Report each assignment to the first `distinct_prefix` variables at
+  /// most once, with its first extension: after a full assignment the
+  /// descent moves on to the next prefix. Negative reports every
+  /// assignment; 0 stops at the first.
+  int distinct_prefix = -1;
+  /// Candidate values the descent may try, summed over levels. Trying one
+  /// more stops it.
+  uint64_t node_budget = UINT64_MAX;
+};
+
 /// Joint enumeration of satisfying assignments over an ordered variable set.
 class BagJoiner {
  public:
@@ -88,10 +104,15 @@ class BagJoiner {
 
   /// Invokes `callback` once per satisfying assignment under `domains`
   /// (may be null), in lexicographic order of the tuple (values aligned
-  /// with the `vars` order). The callback returns false to stop;
-  /// Enumerate then returns false.
+  /// with the `vars` order), or once per distinct prefix under `limits`.
+  /// The callback returns false to stop; Enumerate then returns false, as
+  /// it does when the node budget runs out. `nodes` (may be null)
+  /// receives the candidate values tried, which exceed the budget exactly
+  /// when the budget stopped the descent.
   bool Enumerate(const VarDomains* domains,
-                 const std::function<bool(const Tuple&)>& callback) const;
+                 const std::function<bool(const Tuple&)>& callback,
+                 const SearchLimits& limits = {},
+                 uint64_t* nodes = nullptr) const;
 
   /// Materialises all satisfying assignments as a Relation over `vars`.
   Relation Materialise(const VarDomains* domains) const;

@@ -37,13 +37,7 @@ struct ExecutorMetrics {
 
 }  // namespace
 
-Executor::Executor(int num_threads) {
-  num_threads = std::max(1, num_threads);
-  workers_.reserve(num_threads);
-  for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
+Executor::Executor(int num_threads) : num_threads_(std::max(1, num_threads)) {}
 
 Executor::~Executor() {
   {
@@ -64,6 +58,14 @@ void Executor::Submit(std::function<void()> task) {
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Workers start on the first helper: an engine that only ever runs
+    // one lane starts no thread.
+    if (workers_.empty()) {
+      workers_.reserve(num_threads_);
+      for (int i = 0; i < num_threads_; ++i) {
+        workers_.emplace_back([this] { WorkerLoop(); });
+      }
+    }
     queue_.push(std::move(task));
   }
   ExecutorMetrics::Get().submitted.Increment();

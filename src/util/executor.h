@@ -38,6 +38,8 @@ namespace cqcount {
 /// A fixed-size worker pool running lane-partitioned index spaces.
 class Executor {
  public:
+  /// Starts no thread: the workers start on the first helper lane a
+  /// ParallelForLanes call submits.
   explicit Executor(int num_threads);
   /// Runs every still-queued lane closure (each finds its index space
   /// exhausted and returns), then joins the workers.
@@ -68,18 +70,20 @@ class Executor {
   LaneStats ParallelForLanes(size_t num_tasks, int num_lanes,
                              const std::function<void(int, size_t)>& task);
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  /// The configured size, whether or not the workers have started.
+  int num_threads() const { return num_threads_; }
 
  private:
   /// Enqueues one helper lane's closure for some worker.
   void Submit(std::function<void()> task);
   void WorkerLoop();
 
+  const int num_threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::queue<std::function<void()>> queue_;
   bool shutdown_ = false;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_;  // Empty until the first Submit.
 };
 
 }  // namespace cqcount

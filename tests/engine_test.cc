@@ -55,16 +55,18 @@ TEST(EngineTest, SmallInstancePlansChooseExact) {
   ASSERT_TRUE(engine.RegisterDatabase("g", Social(30, 3)).ok());
   auto result = engine.Count("ans(x) :- F(x, y), F(x, z), y != z.", "g");
   ASSERT_TRUE(result.ok());
-  // 30^3 assignments is far below the exact-cost limit: planner picks the
-  // brute-force strategy and the answer is exact.
+  // The exact join visits about a hundred nodes, far below the node cap:
+  // the planner picks the exact strategy and the answer is exact.
   EXPECT_EQ(result->strategy, Strategy::kExact);
   EXPECT_TRUE(result->exact);
 }
 
 TEST(EngineTest, ApproxPathMatchesDirectPipelineBitwise) {
-  // Universe large enough that the planner rejects brute force.
+  // No exact probe: the planner runs the FPTRAS.
   Database db = Social(300, 4);
-  CountingEngine engine;
+  EngineOptions opts;
+  opts.plan.exact_cost_limit = 0.0;
+  CountingEngine engine(opts);
   ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
 
   const std::string query = "ans(x) :- F(x, y), F(x, z), y != z.";
@@ -134,7 +136,11 @@ TEST(EngineTest, IsomorphicQueriesShareOnePlan) {
 }
 
 TEST(EngineTest, DatabasesScopePlansIndependently) {
-  CountingEngine engine;
+  // A node cap between the two databases' exact joins of the query (119
+  // nodes on the small one, 1,176 on the large one).
+  EngineOptions opts;
+  opts.plan.exact_cost_limit = 500.0;
+  CountingEngine engine(opts);
   ASSERT_TRUE(engine.RegisterDatabase("small", Social(30, 7)).ok());
   ASSERT_TRUE(engine.RegisterDatabase("large", Social(300, 8)).ok());
 
@@ -192,7 +198,9 @@ TEST(EngineTest, WidePureCqVerdictNamesTheFprasItRuns) {
     ASSERT_TRUE(db.AddFact("Event", std::move(t)).ok());
   }
   db.Canonicalize();
-  CountingEngine engine;
+  EngineOptions opts;
+  opts.plan.exact_cost_limit = 0.0;  // No exact probe.
+  CountingEngine engine(opts);
   ASSERT_TRUE(engine.RegisterDatabase("events", std::move(db)).ok());
   const std::string query = "ans(a, b, c) :- Event(a, b, c, d, e, f).";
   auto explanation = engine.Explain(query, "events");
@@ -244,7 +252,11 @@ TEST(EngineTest, DatabaseFreeClassificationMatchesThePlan) {
 }
 
 TEST(EngineTest, ReregistrationInvalidatesCachedPlans) {
-  CountingEngine engine;
+  // A node cap between the two databases' exact joins of the query (119
+  // and 1,179 nodes).
+  EngineOptions opts;
+  opts.plan.exact_cost_limit = 500.0;
+  CountingEngine engine(opts);
   ASSERT_TRUE(engine.RegisterDatabase("g", Social(30, 12)).ok());
   const std::string query = "ans(x) :- F(x, y), F(x, z), y != z.";
   auto small = engine.Count(query, "g");
@@ -297,13 +309,15 @@ TEST(EngineTest, DisconnectedQueryFactorsIntoComponents) {
 }
 
 TEST(EngineTest, FactoringLowersPlannedCost) {
-  // 120^4 assignments monolithically (far beyond brute force) vs two
-  // 120^2 components: factoring turns an estimation workload back into
-  // two cheap exact counts.
+  // 14,400 answers monolithically (43,320 join nodes, past the cap) vs
+  // two components of 120 answers (240 nodes each): factoring turns an
+  // estimation workload back into two cheap exact counts.
   Database db = Social(120, 21);
-  CountingEngine factored;
+  EngineOptions factored_opts;
+  factored_opts.plan.exact_cost_limit = 10'000.0;
+  CountingEngine factored(factored_opts);
   ASSERT_TRUE(factored.RegisterDatabase("g", db).ok());
-  EngineOptions monolithic_opts;
+  EngineOptions monolithic_opts = factored_opts;
   monolithic_opts.compile.factor_components = false;
   CountingEngine monolithic(monolithic_opts);
   ASSERT_TRUE(monolithic.RegisterDatabase("g", db).ok());
@@ -345,11 +359,15 @@ TEST(EngineTest, ExistentialComponentCollapsesToBooleanFactor) {
 }
 
 TEST(EngineTest, ComponentBudgetSplitIsRecorded) {
-  CountingEngine engine;
+  // A node cap between the exact joins of the two component shapes on
+  // this database: 360 nodes for F(x, a), F(a, b), 240 for F(y, c).
+  EngineOptions opts;
+  opts.plan.exact_cost_limit = 300.0;
+  CountingEngine engine(opts);
   ASSERT_TRUE(engine.RegisterDatabase("g", Social(120, 23)).ok());
 
-  // Two estimated counting components (120^3 per component is past the
-  // exact-cost limit): epsilon/(2k) each, delta/k each.
+  // Two estimated counting components (each past the node cap):
+  // epsilon/(2k) each, delta/k each.
   CountRequest request;
   request.query = "ans(x, y) :- F(x, a), F(a, b), F(y, c), F(c, d).";
   request.database = "g";

@@ -14,6 +14,7 @@
 #include "app/workload.h"
 #include "counting/fptras.h"
 #include "engine/engine.h"
+#include "hom/backtracking.h"
 #include "query/parser.h"
 #include "relational/segment.h"
 #include "relational/simd.h"
@@ -153,25 +154,43 @@ void ExpectEnginePin(CountingEngine& engine, const EnginePin& pin) {
   EXPECT_EQ(result->oracle_calls, pin.oracle_calls);
 }
 
+// An engine row and the node cap of the engine that counts it. A cap of
+// 0 runs no exact probe, which keeps a row on its estimator.
+struct CappedEnginePin {
+  EnginePin pin;
+  double exact_cost_limit;
+};
+
 // The scheduler's adaptive-off path through the engine, with the lane
-// gate opened so the 4-lane run really fans out.
+// gate opened so the 4-lane run really fans out. Under the default node
+// cap the six-cycle plans exact and equals brute force.
 TEST_F(EstimatePinsTest, EngineRowsAtEveryLaneCount) {
-  const EnginePin pins[] = {
-      {"six-cycle", kSixCycle, 2095, false, 46904},
-      {"path-diseq", "ans(x) :- F(x, y), F(y, z), x != z.", 48, true, 0},
+  const Database db = Social(48, 5.0, 2024);
+  const double default_cap = PlanOptions{}.exact_cost_limit;
+  const double six_cycle_answers =
+      static_cast<double>(CountAnswersBrute(MustParse(kSixCycle), db));
+  const CappedEnginePin rows[] = {
+      {{"six-cycle", kSixCycle, 2095, false, 46904}, 0.0},
+      {{"path-diseq", "ans(x) :- F(x, y), F(y, z), x != z.", 48, true, 0},
+       default_cap},
+      {{"six-cycle exact", kSixCycle, six_cycle_answers, true, 0},
+       default_cap},
   };
   for (int lanes : {1, 4}) {
     SCOPED_TRACE("intra_query_threads=" + std::to_string(lanes));
-    EngineOptions opts;
-    opts.epsilon = 0.2;
-    opts.delta = 0.2;
-    opts.seed = 20220808;
-    opts.num_threads = 4;
-    opts.intra_query_threads = lanes;
-    opts.adaptive = false;
-    CountingEngine engine(opts);
-    ASSERT_TRUE(engine.RegisterDatabase("db", Social(48, 5.0, 2024)).ok());
-    for (const EnginePin& pin : pins) ExpectEnginePin(engine, pin);
+    for (const CappedEnginePin& row : rows) {
+      EngineOptions opts;
+      opts.epsilon = 0.2;
+      opts.delta = 0.2;
+      opts.seed = 20220808;
+      opts.num_threads = 4;
+      opts.intra_query_threads = lanes;
+      opts.adaptive = false;
+      opts.plan.exact_cost_limit = row.exact_cost_limit;
+      CountingEngine engine(opts);
+      ASSERT_TRUE(engine.RegisterDatabase("db", db).ok());
+      ExpectEnginePin(engine, row.pin);
+    }
   }
 }
 
@@ -205,19 +224,29 @@ class StoragePinsTest : public EstimatePinsTest {
     EstimatePinsTest::TearDown();
   }
 
-  // Default EngineOptions; the last row forces the FPTRAS oracle path.
+  // Default EngineOptions, except that the estimated rows run with no
+  // exact probe, so they keep the estimator paths they pin; the last row
+  // forces the FPTRAS oracle path.
   void ExpectPins(bool mapped) {
-    const EnginePin pins[] = {
-        {"path2", "ans(x) :- E(x, y), F(y, z), y != z.", 400, false, 1598},
-        {"negation", "ans(x, y) :- E(x, y), L(x), !F(y, x).", 3716, true, 0},
-        {"boolean", "ans() :- E(x, y), F(y, z), x != z.", 1, false, 1},
-        {"fptras", "ans(x) :- E(x, y), E(x, z), y != z.", 400, false, 1598},
+    const double default_cap = PlanOptions{}.exact_cost_limit;
+    const CappedEnginePin rows[] = {
+        {{"path2", "ans(x) :- E(x, y), F(y, z), y != z.", 400, false, 1598},
+         0.0},
+        {{"negation", "ans(x, y) :- E(x, y), L(x), !F(y, x).", 3716, true, 0},
+         default_cap},
+        {{"boolean", "ans() :- E(x, y), F(y, z), x != z.", 1, false, 1}, 0.0},
+        {{"fptras", "ans(x) :- E(x, y), E(x, z), y != z.", 400, false, 1598},
+         0.0},
     };
-    CountingEngine engine;
-    ASSERT_TRUE((mapped ? engine.RegisterDatabaseFile("db", path_)
-                        : engine.RegisterDatabase("db", StorageDatabase()))
-                    .ok());
-    for (const EnginePin& pin : pins) ExpectEnginePin(engine, pin);
+    for (const CappedEnginePin& row : rows) {
+      EngineOptions opts;
+      opts.plan.exact_cost_limit = row.exact_cost_limit;
+      CountingEngine engine(opts);
+      ASSERT_TRUE((mapped ? engine.RegisterDatabaseFile("db", path_)
+                          : engine.RegisterDatabase("db", StorageDatabase()))
+                      .ok());
+      ExpectEnginePin(engine, row.pin);
+    }
   }
 
   std::string path_;

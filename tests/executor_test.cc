@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -35,6 +36,44 @@ TEST(ExecutorTest, CallerAndEveryWorkerLaneRunEveryTaskOnce) {
   executor.ParallelForLanes(counts.size(), executor.num_threads() + 1,
                             [&](int, size_t i) { counts[i].fetch_add(1); });
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
+}
+
+// Threads of this process, from the `Threads:` line of /proc/self/status.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(ExecutorTest, ConstructionAndOneLaneStartNoThread) {
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  {
+    Executor executor(4);
+    EXPECT_EQ(executor.num_threads(), 4);
+    std::atomic<int> ran{0};
+    executor.ParallelForLanes(10, 1, [&](int, size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 10);
+    EXPECT_EQ(ProcessThreads(), before);
+    {
+      // An engine's pool, set-up and one-lane counts start none either.
+      CountingEngine engine;
+      Rng rng(5);
+      const Database db = SocialNetworkDb(30, 4.0, 0.5, rng);
+      ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
+      ASSERT_TRUE(
+          engine.Count("ans(x) :- F(x, y), F(y, z), x != z.", "g").ok());
+      EXPECT_EQ(ProcessThreads(), before);
+    }
+    // The first helper lane starts every worker.
+    executor.ParallelForLanes(10, 2, [&](int, size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 20);
+    EXPECT_EQ(ProcessThreads(), before + 4);
+  }
+  EXPECT_EQ(ProcessThreads(), before);
 }
 
 TEST(ExecutorTest, ConcurrentLaneLoopsDoNotInterfere) {

@@ -20,7 +20,7 @@
 namespace cqcount {
 namespace {
 
-// Large enough that the planner rejects brute force. NOTE: the path
+// With EstimatorOptions the path query runs the FPTRAS. NOTE: the path
 // query's answer set is sparse enough that the DLM frontier expansion
 // resolves it into singletons (an exact resolution, zero sampling runs);
 // good for validation / typed-status tests, NOT for run-boundary tests.
@@ -54,6 +54,14 @@ CountRequest SamplingRequest() {
   request.epsilon = 0.45;
   request.delta = 0.1;
   return request;
+}
+
+// Engine options that keep every count on its estimator: no exact probe,
+// so the typed statuses, run boundaries and lanes under test are reached.
+EngineOptions EstimatorOptions() {
+  EngineOptions opts;
+  opts.plan.exact_cost_limit = 0.0;
+  return opts;
 }
 
 class GovernanceTest : public ::testing::Test {
@@ -143,7 +151,7 @@ TEST_F(GovernanceTest, PreCancelledTokenReturnsTypedCancelled) {
 }
 
 TEST_F(GovernanceTest, OracleCallCapReturnsResourceExhausted) {
-  CountingEngine engine;
+  CountingEngine engine(EstimatorOptions());
   ASSERT_TRUE(engine.RegisterDatabase("g", Social(300, 4)).ok());
   CountRequest request;
   request.query = kApproxQuery;
@@ -156,7 +164,7 @@ TEST_F(GovernanceTest, OracleCallCapReturnsResourceExhausted) {
 }
 
 TEST_F(GovernanceTest, CancelAtRunBoundaryYieldsPartialWithBounds) {
-  CountingEngine engine;
+  CountingEngine engine(EstimatorOptions());
   ASSERT_TRUE(engine.RegisterDatabase("g", CycleDb()).ok());
   CountRequest request = SamplingRequest();
 
@@ -196,7 +204,7 @@ TEST_F(GovernanceTest, CancelAtRunBoundaryYieldsPartialWithBounds) {
 }
 
 TEST_F(GovernanceTest, ManualClockDeadlineYieldsPartialWithBounds) {
-  CountingEngine engine;
+  CountingEngine engine(EstimatorOptions());
   ASSERT_TRUE(engine.RegisterDatabase("g", CycleDb()).ok());
   ManualClock clock(0);
   CountRequest request = SamplingRequest();
@@ -303,7 +311,7 @@ TEST_F(GovernanceTest, QuiescentGovernanceIsBitIdenticalAcrossLanes) {
   double baseline = 0.0;
   for (int pass = 0; pass < 2; ++pass) {
     for (int lanes : {1, 2, 4}) {
-      EngineOptions opts;
+      EngineOptions opts = EstimatorOptions();
       opts.intra_query_threads = lanes;
       CountingEngine engine(opts);
       ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
@@ -331,7 +339,7 @@ TEST_F(GovernanceTest, RandomCancelPointsKeepAnytimeInvariants) {
   // contains both its own estimate and the uninterrupted same-seed
   // answer. Cut points at or past the last run boundary reproduce the
   // full answer bit for bit.
-  CountingEngine engine;
+  CountingEngine engine(EstimatorOptions());
   ASSERT_TRUE(engine.RegisterDatabase("g", CycleDb()).ok());
 
   auto full = engine.Count(SamplingRequest());
@@ -380,7 +388,7 @@ TEST_F(GovernanceTest, CancelWinsOverArmedEarlyStop) {
   // fires after run 1) must still produce the PR-style hard-bounded
   // partial with "cancelled" as the typed first cause — not an adaptive
   // stop reason, and not a lost interval.
-  EngineOptions opts;
+  EngineOptions opts = EstimatorOptions();
   opts.adaptive = true;
   CountingEngine engine(opts);
   ASSERT_TRUE(engine.RegisterDatabase("g", CycleDb()).ok());
@@ -413,7 +421,7 @@ TEST_F(GovernanceTest, CancelWinsOverArmedEarlyStop) {
 }
 
 TEST_F(GovernanceTest, DeadlineWinsOverArmedEarlyStop) {
-  EngineOptions opts;
+  EngineOptions opts = EstimatorOptions();
   opts.adaptive = true;
   CountingEngine engine(opts);
   ASSERT_TRUE(engine.RegisterDatabase("g", CycleDb()).ok());

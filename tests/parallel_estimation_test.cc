@@ -266,6 +266,7 @@ TEST(EngineIntraQueryTest, ExplicitLaneRequestIsHonouredAndCapped) {
     opts.delta = 0.1;
     opts.num_threads = 4;
     opts.intra_query_threads = lanes;
+    opts.plan.exact_cost_limit = 0.0;  // Keep the count on DLM's lanes.
     CountingEngine engine(opts);
     EXPECT_TRUE(engine.RegisterDatabase("g", db).ok());
     auto result = engine.Count(query, "g");
@@ -275,7 +276,9 @@ TEST(EngineIntraQueryTest, ExplicitLaneRequestIsHonouredAndCapped) {
 
   {
     // The premise: an estimated component below the automatic gate.
-    CountingEngine engine;
+    EngineOptions opts;
+    opts.plan.exact_cost_limit = 0.0;
+    CountingEngine engine(opts);
     ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
     auto explanation = engine.Explain(query, "g");
     ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();

@@ -15,6 +15,8 @@
 #include "app/graph_gen.h"
 #include "app/workload.h"
 #include "engine/engine.h"
+#include "hom/backtracking.h"
+#include "query/parser.h"
 #include "util/cancel.h"
 #include "util/failpoint.h"
 
@@ -307,6 +309,49 @@ TEST_F(ResultJsonTest, ForceExact) {
   EXPECT_EQ(doc.Text("exact"), "true");
   EXPECT_EQ(doc.Text("components[0].strategy"), "exact");
   EXPECT_EQ(doc.Number("components[0].epsilon"), 0.0);
+}
+
+// An exact plan's cost estimate is the join nodes the planner's probe
+// visited; explain prints them against the cap, and says where the probe
+// stopped for a component it left to an estimator.
+TEST_F(ResultJsonTest, ExactPlanCostIsItsJoinNodes) {
+  const Database db = Social(120, 2);
+  const char* text = "ans(x) :- F(x, y), F(x, z), y != z.";
+  auto query = ParseQuery(text);
+  ASSERT_TRUE(query.ok());
+  const JoinCount probe = CountAnswersJoin(
+      CanonicalQuery(*query, CanonicalQueryShape(*query)), db);
+  ASSERT_GT(probe.nodes, 0u);
+
+  CountingEngine engine;
+  ASSERT_TRUE(engine.RegisterDatabase("s", db).ok());
+  auto explanation = engine.Explain(text, "s");
+  ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
+  const JsonDoc explain = Parse(explanation->ToJson());
+  EXPECT_EQ(explain.Text("strategy"), "exact");
+  EXPECT_EQ(explain.Number("cost_estimate"), static_cast<double>(probe.nodes));
+  EXPECT_EQ(explain.Number("components[0].cost_estimate"),
+            static_cast<double>(probe.nodes));
+  EXPECT_NE(explanation->text.find("exact probe: " +
+                                   std::to_string(probe.nodes) +
+                                   " join nodes (cap 1e+06)"),
+            std::string::npos)
+      << explanation->text;
+  const JsonDoc count = CheckCountJson(engine.Count(text, "s"));
+  EXPECT_EQ(count.Number("estimate"), static_cast<double>(probe.answers));
+  EXPECT_EQ(count.Number("oracle_calls"), 0.0);
+
+  // A cap below the probe's nodes leaves the component to the FPTRAS.
+  EngineOptions capped;
+  capped.plan.exact_cost_limit = static_cast<double>(probe.nodes - 1);
+  CountingEngine estimator(capped);
+  ASSERT_TRUE(estimator.RegisterDatabase("s", db).ok());
+  auto estimated = estimator.Explain(text, "s");
+  ASSERT_TRUE(estimated.ok()) << estimated.status().ToString();
+  EXPECT_EQ(Parse(estimated->ToJson()).Text("strategy"), "fptras-tw");
+  EXPECT_NE(estimated->text.find("exact probe: stopped at the cap of "),
+            std::string::npos)
+      << estimated->text;
 }
 
 TEST_F(ResultJsonTest, PartialResultFromManualClockDeadline) {
