@@ -3,7 +3,8 @@
 // Usage:
 //   cli count    <query> <database-file> [epsilon] [delta] [--json]
 //                [--trace FILE] [--metrics]
-//   cli exact    <query> <database-file>
+//   cli exact    <query> <database-file> [--intra-threads N]
+//                [--timeout-ms N] [--json]
 //   cli explain  <query> <database-file> [--json]
 //   cli batch    <query-file> <database-file> [--threads N] [--epsilon E]
 //                [--delta D] [--trace FILE] [--metrics]
@@ -71,7 +72,9 @@ int Usage() {
       "the accuracy scheduler:\n"
       "                                                     cost-weighted "
       "budget split + CLT early stop)\n"
-      "  cli exact    <query> <db-file>                     engine exact "
+      "  cli exact    <query> <db-file> [--intra-threads N] [--timeout-ms N] "
+      "[--json]\n"
+      "                                                     engine exact "
       "count\n"
       "  cli explain  <query> <db-file> [--json]            plan + Figure 1 "
       "verdict,\n"
@@ -121,8 +124,8 @@ CountingEngine MakeEngine(double epsilon, double delta,
   EngineOptions opts;
   if (epsilon > 0) opts.epsilon = epsilon;
   if (delta > 0) opts.delta = delta;
-  // -1 keeps the engine default (automatic: pool-sized lanes for wide
-  // queries, inline for cheap/exact components).
+  // -1 keeps the engine default (automatic: pool-sized lanes for long
+  // counts, inline for cheap components).
   if (intra_threads >= 0) opts.intra_query_threads = intra_threads;
   // <= 0 keeps the engine's default pool size.
   if (threads > 0) opts.num_threads = threads;
@@ -204,7 +207,8 @@ int main(int argc, char** argv) {
   if (command == "count" || command == "exact" || command == "explain" ||
       command == "stats") {
     // count supports [epsilon] [delta] positionals plus --intra-threads
-    // and the telemetry flags; stats takes [epsilon] [delta].
+    // and the telemetry flags, which exact shares; stats takes [epsilon]
+    // [delta].
     double epsilon = 0.0;
     double delta = 0.0;
     int intra_threads = -1;
@@ -214,50 +218,48 @@ int main(int argc, char** argv) {
     bool as_json = false;
     bool dump_metrics = false;
     std::string trace_path;
-    if (command == "count" || command == "stats" || command == "explain") {
-      int positional = 0;
-      for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--intra-threads") {
-          if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for --intra-threads\n");
-            return 2;
-          }
-          intra_threads = std::atoi(argv[++i]);
-        } else if (arg == "--timeout-ms") {
-          if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for --timeout-ms\n");
-            return 2;
-          }
-          timeout_ms = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--max-oracle-calls") {
-          if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for --max-oracle-calls\n");
-            return 2;
-          }
-          max_oracle_calls = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--trace") {
-          if (i + 1 >= argc) {
-            std::fprintf(stderr, "missing value for --trace\n");
-            return 2;
-          }
-          trace_path = argv[++i];
-        } else if (arg == "--adaptive") {
-          adaptive = true;
-        } else if (arg == "--json") {
-          as_json = true;
-        } else if (arg == "--metrics") {
-          dump_metrics = true;
-        } else if (positional == 0) {
-          epsilon = std::atof(arg.c_str());
-          ++positional;
-        } else if (positional == 1) {
-          delta = std::atof(arg.c_str());
-          ++positional;
-        } else {
-          std::fprintf(stderr, "too many count arguments: %s\n", arg.c_str());
-          return Usage();
+    int positional = 0;
+    for (int i = 4; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--intra-threads") {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "missing value for --intra-threads\n");
+          return 2;
         }
+        intra_threads = std::atoi(argv[++i]);
+      } else if (arg == "--timeout-ms") {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "missing value for --timeout-ms\n");
+          return 2;
+        }
+        timeout_ms = std::strtoull(argv[++i], nullptr, 10);
+      } else if (arg == "--max-oracle-calls") {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "missing value for --max-oracle-calls\n");
+          return 2;
+        }
+        max_oracle_calls = std::strtoull(argv[++i], nullptr, 10);
+      } else if (arg == "--trace") {
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "missing value for --trace\n");
+          return 2;
+        }
+        trace_path = argv[++i];
+      } else if (arg == "--adaptive") {
+        adaptive = true;
+      } else if (arg == "--json") {
+        as_json = true;
+      } else if (arg == "--metrics") {
+        dump_metrics = true;
+      } else if (positional == 0) {
+        epsilon = std::atof(arg.c_str());
+        ++positional;
+      } else if (positional == 1) {
+        delta = std::atof(arg.c_str());
+        ++positional;
+      } else {
+        std::fprintf(stderr, "too many count arguments: %s\n", arg.c_str());
+        return Usage();
       }
     }
     if (!trace_path.empty()) obs::TraceSink::Global().Enable();

@@ -393,7 +393,7 @@ std::vector<CountingEngine::ComponentSchedule> CountingEngine::Schedule(
     const Strategy strategy = force_exact ? Strategy::kExact : plan.strategy;
     // Lanes are scheduling only: the estimate is the same at every lane
     // count.
-    schedule[i].lanes = PlanLanes(strategy, schedule[i].cost,
+    schedule[i].lanes = PlanLanes(strategy, plan, schedule[i].cost,
                                   opts_.intra_query_threads,
                                   pool_->num_threads());
     inputs[i].estimated = strategy != Strategy::kExact;
@@ -817,7 +817,12 @@ StatusOr<Explanation> CountingEngine::Explain(const std::string& query,
     const BudgetShare& share = schedule[i].share;
     ce.epsilon = share.epsilon;
     ce.delta = share.delta;
-    ce.planned_lanes = schedule[i].lanes;
+    // The schedule's lane grant, with the exact gate's reason.
+    std::string lane_reason;
+    ce.planned_lanes =
+        PlanLanes(plan.strategy, plan, schedule[i].cost,
+                  opts_.intra_query_threads, pool_->num_threads(),
+                  &lane_reason);
     ce.observed = cache_.Profile(planned.keys[i]);
     if (opts_.adaptive) {
       const CostPrediction& cost = schedule[i].cost;
@@ -849,7 +854,9 @@ StatusOr<Explanation> CountingEngine::Explain(const std::string& query,
     text << "\n"
          << "  cost estimate: " << plan.cost_estimate
          << "  plan cache: " << (ce.plan_cache_hit ? "hit" : "miss")
-         << "  intra-query lanes: " << ce.planned_lanes << "\n";
+         << "  intra-query lanes: " << ce.planned_lanes;
+    if (!lane_reason.empty()) text << " (" << lane_reason << ")";
+    text << "\n";
     // The planner ran the exact count under the node cap (a cap of 0 runs
     // none): an exact plan's cost estimate is the nodes it visited.
     const double cap = opts_.plan.exact_cost_limit;

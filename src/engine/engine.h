@@ -57,17 +57,20 @@ struct EngineOptions {
   /// Size of the engine's one worker pool, shared by CountBatch items and
   /// intra-query lanes (0 = hardware concurrency).
   int num_threads = 4;
-  /// Intra-query parallelism: lanes ONE estimated count may fan out
-  /// across on the engine's pool (the estimator's sampling runs, sample
-  /// batches and exact-phase sub-boxes, each lane on its own fork of the
-  /// oracle stack — see README "Parallel estimation & determinism
-  /// model"). 0 = automatic: pool-sized lanes for components predicted to
-  /// run long (scheduler.h: a planned cost of kMinFanoutCost; with
-  /// `adaptive`, an observed mean of kMinFanoutMillis once a shape has
-  /// history), inline otherwise. N != 0 = N lanes for every estimated component,
-  /// capped at the pool size (1 = off). Exact components always run
-  /// inline. Estimates are bit-identical at every setting
-  /// (counter-derived per-task seeds).
+  /// Intra-query parallelism: lanes ONE count may fan out across on the
+  /// engine's pool. An estimate spreads its sampling runs, sample batches
+  /// and exact-phase sub-boxes, each lane on its own fork of the oracle
+  /// stack; an exact count spreads the kJoinWindows windows of its join's
+  /// first variable over one shared joiner (see README "Parallel
+  /// estimation & determinism model"). 0 = automatic: pool-sized lanes
+  /// for components predicted to run long (scheduler.h: an exact join of
+  /// kMinExactFanoutNodes nodes; otherwise a planned cost of
+  /// kMinFanoutCost, or with `adaptive` an observed mean of
+  /// kMinFanoutMillis once a shape has history), inline otherwise. N != 0
+  /// = N lanes for every component, capped at the pool size (1 = off). An
+  /// exact component without a free variable always runs inline. Counts
+  /// are bit-identical at every setting (counter-derived per-task seeds;
+  /// an exact count is a sum of fixed windows).
   int intra_query_threads = 0;
   /// Opt-in adaptive accuracy scheduling (see engine/scheduler.h): cost
   /// predictions from the plan cache's ShapeProfile history drive a
@@ -365,7 +368,8 @@ class CountingEngine {
   /// Explain). Adaptive: costs predicted from the shapes' observed
   /// history weight the epsilon split. Otherwise: SplitBudget's even
   /// shares and the plans' static cost estimates. Exact factors (and
-  /// every factor under `force_exact`) get a zero share and one lane.
+  /// every factor under `force_exact`) get a zero share; PlanLanes grants
+  /// every component its lanes.
   std::vector<ComponentSchedule> Schedule(const PlannedQuery& planned,
                                           double epsilon, double delta,
                                           bool adaptive,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "obs/metrics.h"
 
@@ -38,6 +39,17 @@ struct SchedulerMetrics {
 // (schema validation) even on code paths that never touch it.
 [[maybe_unused]] const SchedulerMetrics& kSchedulerMetricsInit =
     SchedulerMetrics::Get();
+
+// `count` with its digits in groups of three: 57835 -> "57,835".
+std::string GroupThousands(double count) {
+  const std::string digits = std::to_string(static_cast<uint64_t>(count));
+  std::string grouped;
+  for (size_t i = 0; i < digits.size(); ++i) {
+    if (i > 0 && (digits.size() - i) % 3 == 0) grouped += ',';
+    grouped += digits[i];
+  }
+  return grouped;
+}
 
 }  // namespace
 
@@ -108,17 +120,41 @@ std::vector<BudgetShare> SplitBudgets(
   return shares;
 }
 
-int PlanLanes(Strategy strategy, const CostPrediction& cost,
-              int requested_lanes, int pool_lanes) {
-  // Exact strategies are decision-free scans: nothing to partition.
-  if (strategy == Strategy::kExact) return 1;
+int PlanLanes(Strategy strategy, const QueryPlan& plan,
+              const CostPrediction& cost, int requested_lanes,
+              int pool_lanes, std::string* reason) {
+  // Only an exact component's reason is reported.
+  const bool exact = strategy == Strategy::kExact;
+  if (!exact) reason = nullptr;
+  if (exact && plan.classification.num_free == 0) {
+    if (reason != nullptr) *reason = "no free variable";
+    return 1;
+  }
   pool_lanes = std::max(1, pool_lanes);
-  if (requested_lanes != 0) return std::clamp(requested_lanes, 1, pool_lanes);
-  // Automatic: observed wall time replaces the static cost-unit gate once
-  // a shape has history.
-  const bool long_enough = cost.source == CostSource::kObservedProfile
-                               ? cost.millis >= kMinFanoutMillis
-                               : cost.cost_units >= kMinFanoutCost;
+  if (requested_lanes != 0) {
+    if (reason != nullptr) *reason = "requested";
+    return std::clamp(requested_lanes, 1, pool_lanes);
+  }
+  bool long_enough = false;
+  if (exact && plan.strategy != Strategy::kExact) {
+    if (reason != nullptr) *reason = "exact probe stopped at the cap";
+    long_enough = true;
+  } else if (exact) {
+    // The gate reads the plan's measured join nodes: an observed profile
+    // counts estimator calls, which an exact count makes none of.
+    long_enough = plan.cost_estimate >= kMinExactFanoutNodes;
+    if (reason != nullptr) {
+      *reason = "exact join of " + GroupThousands(plan.cost_estimate) +
+                (long_enough ? " nodes >= " : " nodes < ") +
+                GroupThousands(kMinExactFanoutNodes);
+    }
+  } else {
+    // Observed wall time replaces the static cost-unit gate once a shape
+    // has history.
+    long_enough = cost.source == CostSource::kObservedProfile
+                      ? cost.millis >= kMinFanoutMillis
+                      : cost.cost_units >= kMinFanoutCost;
+  }
   return long_enough ? pool_lanes : 1;
 }
 

@@ -18,12 +18,13 @@
 //     guarantee — prod(1+eps_i) <= e^{eps/2} <= 1+eps and
 //     prod(1-eps_i) >= 1 - eps/2 >= 1-eps for eps in (0, 1] — so the
 //     reweighting is free. The delta/n union bound is unchanged.
-//  3. Work gating. In automatic lane mode, lane grants use observed wall
-//     time instead of the static kMinFanoutCost gate once a shape has
-//     history, and the colour-coding trial budget is sized against the
-//     PREDICTED oracle-call count (times kTrialsSafetyFactor) rather than
-//     the 20M-call worst-case cap, shrinking the log(1/per-call-failure)
-//     trial factor.
+//  3. Work gating. In automatic lane mode, estimated components' lane
+//     grants use observed wall time instead of the static kMinFanoutCost
+//     gate once a shape has history (exact components always read their
+//     plan's join nodes), and the colour-coding trial budget is sized
+//     against the PREDICTED oracle-call count (times kTrialsSafetyFactor)
+//     rather than the 20M-call worst-case cap, shrinking the
+//     log(1/per-call-failure) trial factor.
 //
 // The non-adaptive engine uses the same two entry points: SplitBudgets
 // without weights returns SplitBudget's even shares bit for bit, and in
@@ -44,6 +45,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "compile/compiled_query.h"
@@ -63,12 +65,22 @@ inline constexpr double kMaxPerCallFailure = 1e-3;
 /// only estimates observed to run at least this long get workers.
 inline constexpr double kMinFanoutMillis = 5.0;
 /// Planned cost (QueryPlan::cost_estimate, an estimator's coarse
-/// n^(width+1) figure) at which a component gets lanes in
-/// automatic mode: every component of the non-adaptive engine, a cold
-/// shape of the adaptive one. Sized so fan-out setup (per-lane oracle forks and
-/// solver contexts, ~sub-ms) is paid only on counts that run long enough
-/// to amortise it; millisecond estimates stay inline.
+/// n^(width+1) figure) at which an estimated component gets lanes in
+/// automatic mode: every estimated component of the non-adaptive engine,
+/// a cold shape of the adaptive one. Sized so fan-out setup (per-lane
+/// oracle forks and solver contexts, ~sub-ms) is paid only on counts that
+/// run long enough to amortise it; millisecond estimates stay inline.
+/// Exact components have their own gate, kMinExactFanoutNodes.
 inline constexpr double kMinFanoutCost = 1e8;
+/// Join nodes (an exact plan's QueryPlan::cost_estimate, measured by the
+/// planner's probe) at which an exact component with a free variable gets
+/// lanes in automatic mode, adaptive or not: its count then runs as
+/// kJoinWindows windows of the first search variable's values
+/// (CountAnswersJoinSplit). The fastest measured node costs about 50 ns,
+/// so 10^4 nodes is about 0.5 ms, where fan-out stops dominating. A
+/// force_exact component whose plan is not exact is past the gate: its
+/// probe stopped at the cap or did not run.
+inline constexpr double kMinExactFanoutNodes = 1e4;
 
 /// Observed executions a shape needs before predictions switch from the
 /// planner's static estimate to the profile history.
@@ -142,14 +154,21 @@ std::vector<BudgetShare> SplitBudgets(
     double epsilon, double delta,
     const std::vector<SchedulerComponent>& components, bool weighted);
 
-/// Lanes to grant one component. Exact strategies get 1. An explicit
-/// request (`requested_lanes` != 0) gets clamp(requested_lanes, 1,
-/// pool_lanes). Automatic mode (0) grants `pool_lanes` when the component
-/// is predicted to run long enough: observed shapes when their mean wall
-/// time clears kMinFanoutMillis, cold shapes when their planned cost
-/// clears kMinFanoutCost; otherwise 1.
-int PlanLanes(Strategy strategy, const CostPrediction& cost,
-              int requested_lanes, int pool_lanes);
+/// Lanes to grant one component that runs `strategy` under `plan`. An
+/// exact component without a free variable gets 1: its count stops at the
+/// first solution. Otherwise an explicit request (`requested_lanes` != 0)
+/// gets clamp(requested_lanes, 1, pool_lanes). Automatic mode (0) grants
+/// `pool_lanes` when the component is predicted to run long enough: an
+/// exact one when its plan's join nodes reach kMinExactFanoutNodes; an
+/// estimated one when its shape's observed mean wall time clears
+/// kMinFanoutMillis, or, without history, its planned cost clears
+/// kMinFanoutCost; otherwise 1. `reason` (may be null) receives why for
+/// an exact component, as explain prints it: "no free variable",
+/// "requested", "exact probe stopped at the cap" or "exact join of 57,835
+/// nodes >= 10,000"; it is left alone for an estimated one.
+int PlanLanes(Strategy strategy, const QueryPlan& plan,
+              const CostPrediction& cost, int requested_lanes,
+              int pool_lanes, std::string* reason = nullptr);
 
 /// Adaptive colour-coding per-call failure budget: delta / (2 * safety *
 /// predicted calls), capped at kMaxPerCallFailure. Returns 0 (keep the

@@ -4,6 +4,8 @@
 
 #include "decomposition/elimination_order.h"
 #include "hom/join.h"
+#include "util/cancel.h"
+#include "util/executor.h"
 
 namespace cqcount {
 namespace {
@@ -58,6 +60,26 @@ std::vector<int> AnswerSearchOrder(const Query& q) {
   return order;
 }
 
+BagJoiner AnswerJoiner(const Query& q, const Database& db) {
+  BagJoiner::Options opts;
+  opts.enforce_negated = true;
+  opts.enforce_disequalities = true;
+  return BagJoiner(q, db, AnswerSearchOrder(q), opts);
+}
+
+// One descent of the answer count under `limits`.
+JoinCount CountWith(const BagJoiner& joiner, const SearchLimits& limits) {
+  JoinCount count;
+  count.complete = joiner.Enumerate(
+      nullptr,
+      [&count](const Tuple&) {
+        ++count.answers;
+        return true;
+      },
+      limits, &count.nodes);
+  return count;
+}
+
 }  // namespace
 
 bool EnumerateSolutions(const Query& q, const Database& db,
@@ -99,19 +121,50 @@ uint64_t CountAnswersBrute(const Query& q, const Database& db) {
 
 JoinCount CountAnswersJoin(const Query& q, const Database& db,
                            uint64_t node_budget) {
-  BagJoiner::Options opts;
-  opts.enforce_negated = true;
-  opts.enforce_disequalities = true;
-  const BagJoiner joiner(q, db, AnswerSearchOrder(q), opts);
+  return CountWith(AnswerJoiner(q, db), {.distinct_prefix = q.num_free(),
+                                         .node_budget = node_budget});
+}
+
+JoinCount CountAnswersJoinSplit(const Query& q, const Database& db,
+                                Executor* pool, int lanes,
+                                const ResourceGovernor* governor,
+                                ParallelStats* parallel) {
+  const BagJoiner joiner = AnswerJoiner(q, db);
+  const SearchLimits limits{.distinct_prefix = q.num_free()};
+  auto stopped = [governor] {
+    return governor != nullptr &&
+           governor->Check() != GovernanceState::kRunning;
+  };
+  *parallel = {};
+  if (q.num_free() == 0) {
+    return stopped() ? JoinCount{} : CountWith(joiner, limits);
+  }
+  const std::vector<Value> cuts = joiner.FirstLevelCuts(kJoinWindows);
+  // Each window sums into its own slot; a skipped one stays incomplete.
+  std::vector<JoinCount> windows(kJoinWindows);
+  auto run_window = [&](size_t i) {
+    if (stopped()) return;
+    SearchLimits window = limits;
+    window.first_begin = cuts[i];
+    window.first_end = cuts[i + 1];
+    windows[i] = CountWith(joiner, window);
+  };
+  if (pool != nullptr && lanes > 1) {
+    const Executor::LaneStats stats = pool->ParallelForLanes(
+        kJoinWindows, lanes, [&](int, size_t i) { run_window(i); });
+    parallel->lanes = lanes;
+    parallel->worker_tasks = stats.worker_ran;
+  } else {
+    for (size_t i = 0; i < kJoinWindows; ++i) run_window(i);
+  }
+  parallel->tasks = kJoinWindows;
   JoinCount count;
-  count.complete = joiner.Enumerate(
-      nullptr,
-      [&count](const Tuple&) {
-        ++count.answers;
-        return true;
-      },
-      {.distinct_prefix = q.num_free(), .node_budget = node_budget},
-      &count.nodes);
+  count.complete = true;
+  for (const JoinCount& window : windows) {
+    count.answers += window.answers;
+    count.nodes += window.nodes;
+    count.complete = count.complete && window.complete;
+  }
   return count;
 }
 

@@ -14,6 +14,7 @@
 
 #include "query/query.h"
 #include "relational/structure.h"
+#include "util/estimate_outcome.h"
 
 namespace cqcount {
 
@@ -47,8 +48,30 @@ struct JoinCount {
 /// costs one existential witness; a query without free variables stops
 /// at its first solution. Deterministic: the same query and database give
 /// the same node count. Stops after `node_budget` nodes (incomplete).
+/// The first search variable is free whenever q has a free variable, so
+/// answers with different values of it are different answers: the split
+/// count below relies on that.
 JoinCount CountAnswersJoin(const Query& q, const Database& db,
                            uint64_t node_budget = UINT64_MAX);
+
+/// Windows the split count cuts the first search variable's values into.
+inline constexpr int kJoinWindows = 64;
+
+/// CountAnswersJoin without a budget, split into windows: the values of
+/// the first search variable are cut into kJoinWindows fixed windows
+/// (BagJoiner::FirstLevelCuts), one task each over one shared joiner, run
+/// across `lanes` lanes of `pool` (in order on the caller when `pool` is
+/// null or `lanes` is 1). The windows' answer sets are disjoint, so their
+/// answers add up to the unsplit count, and so do their nodes. A query
+/// without free variables, whose count stops at its first solution,
+/// runs unsplit. `governor` (may be null) is checked before each window,
+/// or once before the unsplit count; once it has fired the rest are
+/// skipped and the count is incomplete. `parallel` receives the lanes,
+/// the windows as tasks (0 when unsplit) and those a pool worker ran.
+JoinCount CountAnswersJoinSplit(const Query& q, const Database& db,
+                                Executor* pool, int lanes,
+                                const ResourceGovernor* governor,
+                                ParallelStats* parallel);
 
 /// True iff Sol(phi, D) is non-empty.
 bool DecideSolutionBrute(const Query& q, const Database& db);

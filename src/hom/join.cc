@@ -2,9 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <map>
 
 namespace cqcount {
+namespace {
+
+// First row of [lo, hi) whose column 0 is at least `v`: the rows are
+// sorted by column 0.
+size_t FirstAtLeast(const Relation& rel, size_t lo, size_t hi, Value v) {
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (rel.At(mid, 0) < v) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
 
 void ApplyOverlay(VarDomains& domains,
                   const std::vector<DomainRestriction>& extra,
@@ -144,6 +162,8 @@ bool BagJoiner::Enumerate(const VarDomains* domains,
                          ? depth
                          : std::min(limits.distinct_prefix, depth);
   uint64_t tried = 0;
+  const bool windowed = limits.first_begin > 0 ||
+                        limits.first_end < std::numeric_limits<Value>::max();
 
   // Per-constraint range stacks; ranges[c].back() is the live range.
   std::vector<std::vector<std::pair<size_t, size_t>>> ranges(
@@ -191,8 +211,10 @@ bool BagJoiner::Enumerate(const VarDomains* domains,
 
     const auto& active = active_[d];
     if (active.empty()) {
-      // Unconstrained level: scan the whole (domain-restricted) universe.
-      for (Value w = 0; w < n; ++w) {
+      // Unconstrained level: scan the whole (domain-restricted) universe,
+      // on the first level only the window.
+      const Value end = d == 0 ? std::min(n, limits.first_end) : n;
+      for (Value w = d == 0 ? limits.first_begin : 0; w < end; ++w) {
         if (++tried > limits.node_budget) return Next::kStop;
         if (domains && !domains->Allows(vars_[d], w)) continue;
         if (!passes_checks(w)) continue;
@@ -217,6 +239,11 @@ bool BagJoiner::Enumerate(const VarDomains* domains,
     }
     const Relation& pivot_rel = *constraints_[pivot].relation;
     auto [plo, phi] = ranges[pivot].back();
+    if (d == 0 && windowed) {
+      // The first level is every constraint's first column.
+      plo = FirstAtLeast(pivot_rel, plo, phi, limits.first_begin);
+      phi = FirstAtLeast(pivot_rel, plo, phi, limits.first_end);
+    }
 
     size_t pos = plo;
     while (pos < phi) {
@@ -259,6 +286,27 @@ bool BagJoiner::Enumerate(const VarDomains* domains,
   const Next result = descend(descend, 0);
   if (nodes != nullptr) *nodes = tried;
   return result != Next::kStop;
+}
+
+std::vector<Value> BagJoiner::FirstLevelCuts(int windows) const {
+  assert(!vars_.empty() && windows > 0);
+  std::vector<Value> cuts(static_cast<size_t>(windows) + 1, 0);
+  cuts.back() = std::numeric_limits<Value>::max();
+  // The first level's pivot: the constraint with the fewest rows, the
+  // first of them on ties, as in Enumerate.
+  const Relation* pivot = nullptr;
+  for (const auto& [c, k] : active_[0]) {
+    const Relation* rel = constraints_[c].relation;
+    if (pivot == nullptr || rel->size() < pivot->size()) pivot = rel;
+  }
+  const uint64_t rows =
+      pivot != nullptr ? pivot->size() : db_.universe_size();
+  for (int i = 1; i < windows; ++i) {
+    const uint64_t row = rows * static_cast<uint64_t>(i) /
+                         static_cast<uint64_t>(windows);
+    cuts[i] = pivot != nullptr ? pivot->At(row, 0) : static_cast<Value>(row);
+  }
+  return cuts;
 }
 
 Relation BagJoiner::Materialise(const VarDomains* domains) const {

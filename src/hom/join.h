@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -79,6 +80,14 @@ struct SearchLimits {
   /// Candidate values the descent may try, summed over levels. Trying one
   /// more stops it.
   uint64_t node_budget = UINT64_MAX;
+  /// The window [first_begin, first_end) of values the first variable may
+  /// take; the default admits every value. The first level scans only the
+  /// window's values (its pivot is the one the unwindowed descent picks),
+  /// so the windows of a cut (BagJoiner::FirstLevelCuts) visit between
+  /// them the nodes of the unwindowed descent, and report its assignments
+  /// when `distinct_prefix` is not 0 (0 stops each window at its first).
+  Value first_begin = 0;
+  Value first_end = std::numeric_limits<Value>::max();
 };
 
 /// Joint enumeration of satisfying assignments over an ordered variable set.
@@ -113,6 +122,16 @@ class BagJoiner {
                  const std::function<bool(const Tuple&)>& callback,
                  const SearchLimits& limits = {},
                  uint64_t* nodes = nullptr) const;
+
+  /// Cuts the first variable's values into `windows` windows for
+  /// SearchLimits: cuts[i] and cuts[i + 1] bound window i, from 0 to the
+  /// default `first_end`. Each window holds about 1/windows of the rows of
+  /// the first level's smallest constraint, which the descent pivots on
+  /// there and which is sorted by that variable first; values can cluster
+  /// in a small part of the universe. With no constraint on the first
+  /// variable the universe is sliced evenly. The cut depends on the query
+  /// and database alone. Requires a non-empty `vars`.
+  std::vector<Value> FirstLevelCuts(int windows) const;
 
   /// Materialises all satisfying assignments as a Relation over `vars`.
   Relation Materialise(const VarDomains* domains) const;

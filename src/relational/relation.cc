@@ -1,7 +1,6 @@
 #include "relational/relation.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "relational/simd.h"
 
@@ -82,18 +81,40 @@ void Relation::Canonicalize() {
     }
     return;
   }
-  // General arity: argsort row indices, then gather unique rows.
-  std::vector<uint32_t> index(num_rows_);
-  std::iota(index.begin(), index.end(), 0u);
+  // General arity: argsort row indices, then gather unique rows. The sort
+  // runs on the first two columns packed into one integer, as for arity
+  // 2; only rows that tie on them compare their remaining columns.
+  struct KeyedRow {
+    uint64_t key;
+    uint32_t row;
+  };
   const Value* base = data_.data();
-  std::sort(index.begin(), index.end(), [&](uint32_t a, uint32_t b) {
-    return CompareValues(base + a * arity, base + b * arity, arity) < 0;
-  });
+  std::vector<KeyedRow> index(num_rows_);
+  for (size_t i = 0; i < num_rows_; ++i) {
+    const Value* row = base + i * arity;
+    index[i] = {(static_cast<uint64_t>(row[0]) << 32) | row[1],
+                static_cast<uint32_t>(i)};
+  }
+  std::sort(index.begin(), index.end(),
+            [](const KeyedRow& a, const KeyedRow& b) { return a.key < b.key; });
+  for (size_t lo = 0; lo < num_rows_;) {
+    size_t hi = lo + 1;
+    while (hi < num_rows_ && index[hi].key == index[lo].key) ++hi;
+    if (hi - lo > 1) {
+      std::sort(index.begin() + lo, index.begin() + hi,
+                [&](const KeyedRow& a, const KeyedRow& b) {
+                  return CompareValues(base + a.row * arity + 2,
+                                       base + b.row * arity + 2,
+                                       arity - 2) < 0;
+                });
+    }
+    lo = hi;
+  }
   std::vector<Value> sorted;
   sorted.reserve(data_.size());
   size_t out_rows = 0;
   for (size_t i = 0; i < num_rows_; ++i) {
-    const Value* row = base + index[i] * arity;
+    const Value* row = base + index[i].row * arity;
     if (out_rows > 0 &&
         CompareValues(sorted.data() + (out_rows - 1) * arity, row, arity) ==
             0) {

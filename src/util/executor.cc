@@ -37,7 +37,11 @@ struct ExecutorMetrics {
 
 }  // namespace
 
-Executor::Executor(int num_threads) : num_threads_(std::max(1, num_threads)) {}
+Executor::Executor(int num_threads) : num_threads_(std::max(1, num_threads)) {
+#if defined(__linux__)
+  has_affinity_ = sched_getaffinity(0, sizeof(affinity_), &affinity_) == 0;
+#endif
+}
 
 Executor::~Executor() {
   {
@@ -142,6 +146,10 @@ Executor::LaneStats Executor::ParallelForLanes(
 }
 
 void Executor::WorkerLoop() {
+#if defined(__linux__)
+  // Best effort: a worker that keeps its creator's mask still runs.
+  if (has_affinity_) sched_setaffinity(0, sizeof(affinity_), &affinity_);
+#endif
   for (;;) {
     std::function<void()> task;
     {

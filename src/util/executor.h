@@ -23,6 +23,10 @@
 #ifndef CQCOUNT_UTIL_EXECUTOR_H_
 #define CQCOUNT_UTIL_EXECUTOR_H_
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -39,7 +43,10 @@ namespace cqcount {
 class Executor {
  public:
   /// Starts no thread: the workers start on the first helper lane a
-  /// ParallelForLanes call submits.
+  /// ParallelForLanes call submits. Records the constructing thread's CPU
+  /// affinity (Linux), which every worker applies when it starts: a
+  /// thread inherits its creator's mask, and the first submitter may be
+  /// pinned to one CPU.
   explicit Executor(int num_threads);
   /// Runs every still-queued lane closure (each finds its index space
   /// exhausted and returns), then joins the workers.
@@ -79,6 +86,10 @@ class Executor {
   void WorkerLoop();
 
   const int num_threads_;
+#if defined(__linux__)
+  cpu_set_t affinity_{};
+  bool has_affinity_ = false;
+#endif
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::queue<std::function<void()>> queue_;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "app/graph_gen.h"
 #include "query/parser.h"
 #include "test_util.h"
+#include "util/executor.h"
 
 namespace cqcount {
 namespace {
@@ -79,6 +82,28 @@ TEST(BacktrackingTest, ExistentialWitnessRequired) {
   EXPECT_EQ(CountAnswersBrute(q, db), 1u);
 }
 
+// The split count of (q, db) against its unsplit count: the same answers
+// and nodes at 1, 2 and 4 lanes of a 4-thread pool. With a free variable
+// it runs kJoinWindows windows, whose answers and nodes therefore sum to
+// the unsplit ones; without one it is never split.
+void ExpectSplitCountMatches(const Query& q, const Database& db,
+                             const JoinCount& unsplit) {
+  static Executor pool(4);
+  for (int lanes : {1, 2, 4}) {
+    SCOPED_TRACE("lanes " + std::to_string(lanes));
+    ParallelStats parallel;
+    const JoinCount split =
+        CountAnswersJoinSplit(q, db, &pool, lanes, nullptr, &parallel);
+    EXPECT_TRUE(split.complete);
+    EXPECT_EQ(split.answers, unsplit.answers);
+    EXPECT_EQ(split.nodes, unsplit.nodes);
+    const bool windows = q.num_free() > 0;
+    EXPECT_EQ(parallel.lanes, windows ? lanes : 1);
+    EXPECT_EQ(parallel.tasks, windows ? uint64_t{kJoinWindows} : 0u);
+    EXPECT_LE(parallel.worker_tasks, parallel.tasks);
+  }
+}
+
 // The budget contract of CountAnswersJoin on one (q, db): the count is
 // complete exactly when its node count is within the budget, a repeated
 // run visits the same nodes, and a budget that stops the join still
@@ -103,6 +128,7 @@ void ExpectJoinCountMatchesBruteForce(const Query& q, const Database& db,
       EXPECT_EQ(capped.answers, count.answers) << "budget " << budget;
     }
   }
+  ExpectSplitCountMatches(q, db, count);
 }
 
 TEST(CountAnswersJoinTest, BooleanQueryStopsAtItsFirstSolution) {
@@ -158,10 +184,10 @@ TEST(CountAnswersJoinTest, EdgeCasesMatchBruteForce) {
   }
 }
 
-// Property: the output-sensitive join equals the enumerate-and-deduplicate
-// reference on random ECQs (negated atoms, disequalities, repeated
-// variables), cycling through no free variables, all variables free and
-// random projections.
+// Property: the output-sensitive join, unsplit and split into windows on
+// lanes, equals the enumerate-and-deduplicate reference on random ECQs
+// (negated atoms, disequalities, repeated variables), cycling through no
+// free variables, all variables free and random projections.
 class CountAnswersJoinPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CountAnswersJoinPropertyTest, MatchesBruteForce) {

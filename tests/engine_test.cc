@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "app/graph_gen.h"
 #include "app/workload.h"
 #include "counting/exact_count.h"
 #include "counting/fptras.h"
+#include "hom/backtracking.h"
 #include "query/parser.h"
 
 namespace cqcount {
@@ -462,6 +464,51 @@ TEST(EngineTest, FactoredBatchesStayDeterministicAcrossThreadCounts) {
                                "ans(u) :- F(u, w), F(p, q), p != q.",
                            },
                            /*copies=*/2);
+}
+
+// Exact components past the join-node gate run in windows across the
+// pool's lanes: at every pool size and lane request the count is the
+// brute-force one, and the lanes granted are min(N or pool, pool).
+TEST(EngineTest, ExactCountsOnLanesMatchBruteForce) {
+  Rng rng(7);
+  const Database db = GraphToDatabase(RandomGraphWithEdges(60, 500, rng), "F");
+  for (const char* text : {
+           "ans(a, d) :- F(a, b), F(b, c), F(c, d), !F(a, d), a != c.",
+           "ans(a, c) :- F(a, b), F(b, c), F(c, d), F(d, a), a != c, b != d.",
+       }) {
+    SCOPED_TRACE(text);
+    auto q = ParseQuery(text);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    const double brute = static_cast<double>(CountAnswersBrute(*q, db));
+    {
+      // The premise: an exact plan past the gate.
+      CountingEngine engine;
+      ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
+      auto explanation = engine.Explain(text, "g");
+      ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
+      ASSERT_EQ(explanation->plan.strategy, Strategy::kExact);
+      ASSERT_GE(explanation->plan.cost_estimate, kMinExactFanoutNodes);
+    }
+    for (int threads : {1, 2, 4, 8}) {
+      for (int intra : {0, 1, 3, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " intra=" + std::to_string(intra));
+        EngineOptions opts;
+        opts.num_threads = threads;
+        opts.intra_query_threads = intra;
+        CountingEngine engine(opts);
+        ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
+        auto result = engine.Count(text, "g");
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_TRUE(result->exact);
+        EXPECT_EQ(result->estimate, brute);
+        const int lanes = intra == 0 ? threads : std::min(intra, threads);
+        EXPECT_EQ(result->parallel.lanes, lanes);
+        EXPECT_EQ(result->parallel.tasks,
+                  lanes > 1 ? uint64_t{kJoinWindows} : 0u);
+      }
+    }
+  }
 }
 
 TEST(EngineTest, ExplainShowsPerComponentBreakdown) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -137,6 +141,59 @@ TEST(ExecutorTest, SaturatedPoolWithScopedWaitsCompletes) {
   });
   EXPECT_EQ(started, lanes);
   EXPECT_EQ(inner.load(), lanes * 8);
+}
+
+// The workers take the CPU mask of the thread that built the pool, not
+// that of the thread whose ParallelForLanes first starts them: a caller
+// pinned to one CPU must not pin the whole pool there.
+TEST(ExecutorTest, WorkersKeepTheConstructorsCpuMask) {
+#if defined(__linux__)
+  cpu_set_t constructed;
+  CPU_ZERO(&constructed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(constructed), &constructed), 0);
+  if (CPU_COUNT(&constructed) < 2) {
+    GTEST_SKIP() << "fewer than 2 CPUs allowed";
+  }
+  Executor executor(2);
+  // Pin the caller to its first allowed CPU until the test ends.
+  struct RestoreMask {
+    cpu_set_t mask;
+    ~RestoreMask() { sched_setaffinity(0, sizeof(mask), &mask); }
+  } restore{constructed};
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &constructed)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+
+  // Both tasks wait (bounded) until both lanes hold one, so a worker runs
+  // the second.
+  std::mutex mu;
+  std::condition_variable all_started;
+  int started = 0;
+  bool worker_ran = false;
+  cpu_set_t worker_mask;
+  CPU_ZERO(&worker_mask);
+  executor.ParallelForLanes(2, 2, [&](int lane, size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++started == 2) all_started.notify_all();
+    all_started.wait_for(lock, std::chrono::seconds(10),
+                         [&] { return started == 2; });
+    if (lane != 0) {
+      worker_ran =
+          sched_getaffinity(0, sizeof(worker_mask), &worker_mask) == 0;
+    }
+  });
+  ASSERT_TRUE(worker_ran);
+  EXPECT_TRUE(CPU_EQUAL(&worker_mask, &constructed));
+  EXPECT_FALSE(CPU_EQUAL(&worker_mask, &one));
+#else
+  GTEST_SKIP() << "CPU affinity is set on Linux only";
+#endif
 }
 
 TEST(ExecutorTest, DeeplyNestedLanesTerminate) {

@@ -13,7 +13,9 @@
 #include "app/graph_gen.h"
 #include "app/workload.h"
 #include "engine/engine.h"
+#include "hom/backtracking.h"
 #include "obs/metrics.h"
+#include "query/parser.h"
 #include "util/cancel.h"
 #include "util/failpoint.h"
 
@@ -247,6 +249,56 @@ TEST_F(GovernanceTest, ExpiredDeadlineBeforeAnyWorkIsTyped) {
   auto result = engine.Count(request);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+// An exact count checks its governor before each of its windows. Past
+// the planner's cap (here 0) its length is unknown, so a force_exact count
+// runs in windows at one lane too: a deadline that expires a few windows
+// in returns the typed status, and a quiescent governor leaves the answer
+// alone.
+TEST_F(GovernanceTest, DeadlineStopsAnExactCountBetweenWindows) {
+  const Database db = Social(300, 4);
+  auto query = ParseQuery(kApproxQuery);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const double reference = static_cast<double>(CountAnswersBrute(*query, db));
+  for (int lanes : {1, 4}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    EngineOptions opts = EstimatorOptions();
+    opts.num_threads = 4;
+    opts.intra_query_threads = lanes;
+    CountingEngine engine(opts);
+    ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
+    CountRequest request;
+    request.query = kApproxQuery;
+    request.database = "g";
+    request.force_exact = true;
+    for (uint64_t budget : {uint64_t{0}, uint64_t{1} << 40}) {
+      request.time_budget_ms = budget;
+      auto quiet = engine.Count(request);
+      ASSERT_TRUE(quiet.ok()) << quiet.status().ToString();
+      EXPECT_FALSE(quiet->partial);
+      EXPECT_EQ(quiet->estimate, reference);
+      EXPECT_EQ(quiet->parallel.lanes, lanes);
+      EXPECT_EQ(quiet->parallel.tasks, uint64_t{kJoinWindows});
+    }
+
+    // Auto-stepping clock: the governor's construction reads 0 (deadline
+    // 5), the component boundary reads 1, and the windows read 2, 3, 4 and
+    // then 5, which has expired: the remaining windows are skipped.
+    ManualClock clock(0, 1);
+    request.time_budget_ms = 5;
+    request.clock = &clock;
+    auto stopped = engine.Count(request);
+    ASSERT_FALSE(stopped.ok());
+    EXPECT_EQ(stopped.status().code(), StatusCode::kDeadlineExceeded);
+    // In order on one lane, exactly three windows ran before the check
+    // that fired; concurrent lanes may race a few more clock reads.
+    if (lanes == 1) {
+      EXPECT_EQ(clock.Peek(), 6u);
+    } else {
+      EXPECT_GE(clock.Peek(), 6u);
+    }
+  }
 }
 
 TEST_F(GovernanceTest, BatchCancellationDoesNotPoisonSiblings) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "query/parser.h"
@@ -305,6 +307,65 @@ TEST_P(BagJoinerPropertyTest, MatchesNaiveSemantics) {
           << q.ToString() << ": first pass built " << built_by_first;
     }
   }
+
+  // The windows of a cut enumerate, in order and between them, exactly
+  // the unwindowed assignments, and visit exactly its nodes.
+  if (bag.empty()) return;
+  BagJoiner joiner(q, db, bag, opts);
+  uint64_t nodes = 0;
+  joiner.Enumerate(use_domains ? &domains : nullptr,
+                   [](const Tuple&) { return true; }, {}, &nodes);
+  for (int windows : {1, 3, 64}) {
+    const std::vector<Value> cuts = joiner.FirstLevelCuts(windows);
+    ASSERT_EQ(cuts.size(), static_cast<size_t>(windows) + 1);
+    std::vector<Tuple> split;
+    uint64_t split_nodes = 0;
+    for (int i = 0; i < windows; ++i) {
+      EXPECT_LE(cuts[i], cuts[i + 1]);
+      SearchLimits window;
+      window.first_begin = cuts[i];
+      window.first_end = cuts[i + 1];
+      uint64_t window_nodes = 0;
+      joiner.Enumerate(use_domains ? &domains : nullptr,
+                       [&](const Tuple& t) {
+                         split.push_back(t);
+                         return true;
+                       },
+                       window, &window_nodes);
+      split_nodes += window_nodes;
+    }
+    EXPECT_EQ(split, slow) << q.ToString() << " windows " << windows;
+    EXPECT_EQ(split_nodes, nodes) << q.ToString() << " windows " << windows;
+  }
+}
+
+// The cut follows the first level's smallest constraint, not the
+// universe: values clustered in a small part of a large universe still
+// fill every window about equally. Without a constraint on the first
+// variable the universe is sliced evenly.
+TEST(BagJoinerTest, FirstLevelCutsFollowTheSmallestConstraint) {
+  Database db(10000);
+  ASSERT_TRUE(db.DeclareRelation("R", 1).ok());
+  ASSERT_TRUE(db.DeclareRelation("S", 2).ok());
+  for (Value v = 9000; v < 9640; ++v) ASSERT_TRUE(db.AddFact("R", {v}).ok());
+  for (Value v = 0; v < 10000; ++v) {
+    ASSERT_TRUE(db.AddFact("S", {v, v}).ok());
+  }
+  db.Canonicalize();
+  const Query q = Parse("ans(x, y) :- S(x, y), R(x).");
+  BagJoiner joiner(q, db, {0, 1}, {});
+  const std::vector<Value> cuts = joiner.FirstLevelCuts(64);
+  ASSERT_EQ(cuts.size(), 65u);
+  EXPECT_EQ(cuts.front(), 0u);
+  EXPECT_EQ(cuts.back(), std::numeric_limits<Value>::max());
+  // R's 640 rows, 10 to a window.
+  for (int i = 1; i < 64; ++i) EXPECT_EQ(cuts[i], 9000u + 10u * i);
+
+  // y first: only a disequality binds it, so its level is unconstrained.
+  const Query free_first = Parse("ans(y, x) :- R(x), x != y.");
+  BagJoiner unconstrained(free_first, db, {0, 1}, {});
+  const std::vector<Value> slices = unconstrained.FirstLevelCuts(64);
+  for (int i = 1; i < 64; ++i) EXPECT_EQ(slices[i], 10000u * i / 64);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BagJoinerPropertyTest,

@@ -233,8 +233,9 @@ TEST(EngineIntraQueryTest, EstimatesPinnedAcrossIntraAndBatchThreads) {
   }
 }
 
-// The automatic cost model: exact components never get lanes; estimated
-// components get them only past the cost threshold.
+// The automatic cost model keeps cheap components inline: this exact
+// component's join is far below kMinExactFanoutNodes, and estimated
+// components get lanes only past kMinFanoutCost.
 TEST(EngineIntraQueryTest, CostModelKeepsCheapComponentsInline) {
   EngineOptions opts;
   opts.intra_query_threads = 0;  // Automatic: the cost gate decides.

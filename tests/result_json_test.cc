@@ -337,6 +337,13 @@ TEST_F(ResultJsonTest, ExactPlanCostIsItsJoinNodes) {
                                    " join nodes (cap 1e+06)"),
             std::string::npos)
       << explanation->text;
+  // Below the lane gate, which explain says.
+  ASSERT_LT(probe.nodes, kMinExactFanoutNodes);
+  EXPECT_NE(explanation->text.find("intra-query lanes: 1 (exact join of "),
+            std::string::npos)
+      << explanation->text;
+  EXPECT_NE(explanation->text.find(" nodes < 10,000)"), std::string::npos)
+      << explanation->text;
   const JsonDoc count = CheckCountJson(engine.Count(text, "s"));
   EXPECT_EQ(count.Number("estimate"), static_cast<double>(probe.answers));
   EXPECT_EQ(count.Number("oracle_calls"), 0.0);
@@ -352,6 +359,42 @@ TEST_F(ResultJsonTest, ExactPlanCostIsItsJoinNodes) {
   EXPECT_NE(estimated->text.find("exact probe: stopped at the cap of "),
             std::string::npos)
       << estimated->text;
+}
+
+// An exact count past the join-node gate reports its split in the
+// `parallel` fields: the pool's lanes and one task per window, in the
+// profile and per component. Explain gives each exact component's lane
+// reason.
+TEST_F(ResultJsonTest, SplitExactCount) {
+  Rng rng(7);
+  const Database db = GraphToDatabase(RandomGraphWithEdges(60, 500, rng), "F");
+  const char* text = "ans(a, d) :- F(a, b), F(b, c), F(c, d), !F(a, d), a != c.";
+  EngineOptions opts;
+  opts.num_threads = 4;
+  CountingEngine engine(opts);
+  ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
+  const JsonDoc doc = CheckCountJson(engine.Count(text, "g"));
+  EXPECT_EQ(doc.Text("components[0].strategy"), "exact");
+  EXPECT_EQ(doc.Number("components[0].lanes"), 4.0);
+  EXPECT_EQ(doc.Number("profile.lanes"), 4.0);
+  EXPECT_EQ(doc.Number("profile.tasks"), kJoinWindows);
+  EXPECT_EQ(doc.Number("profile.components[0].lanes"), 4.0);
+  EXPECT_EQ(doc.Number("profile.components[0].tasks"), kJoinWindows);
+  EXPECT_LE(doc.Number("profile.components[0].worker_tasks"), kJoinWindows);
+
+  auto split = engine.Explain(text, "g");
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  EXPECT_GE(split->plan.cost_estimate, kMinExactFanoutNodes);
+  EXPECT_NE(split->text.find("intra-query lanes: 4 (exact join of "),
+            std::string::npos)
+      << split->text;
+  EXPECT_NE(split->text.find(" nodes >= 10,000)"), std::string::npos)
+      << split->text;
+  auto boolean = engine.Explain("ans() :- F(a, b), F(b, c), a != c.", "g");
+  ASSERT_TRUE(boolean.ok()) << boolean.status().ToString();
+  EXPECT_NE(boolean->text.find("intra-query lanes: 1 (no free variable)"),
+            std::string::npos)
+      << boolean->text;
 }
 
 TEST_F(ResultJsonTest, PartialResultFromManualClockDeadline) {

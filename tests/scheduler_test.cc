@@ -178,21 +178,83 @@ TEST(LaneGateTest, ObservedWallTimeReplacesStaticCostGate) {
   CostPrediction costly_cold;
   costly_cold.cost_units = 1e12;
   ASSERT_GE(costly_cold.cost_units, kMinFanoutCost);
+  const QueryPlan plan = EstimatedPlan(0.0);  // Estimates read the cost.
+  const Strategy tw = Strategy::kFptrasTreewidth;
 
   // Automatic mode (0): the gates decide.
-  EXPECT_EQ(PlanLanes(Strategy::kExact, slow_warm, 0, 4), 1);
-  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, fast_warm, 0, 4), 1);
-  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, slow_warm, 0, 4), 4);
-  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, cheap_cold, 0, 4), 1);
-  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, costly_cold, 0, 4), 4);
+  EXPECT_EQ(PlanLanes(tw, plan, fast_warm, 0, 4), 1);
+  EXPECT_EQ(PlanLanes(tw, plan, slow_warm, 0, 4), 4);
+  EXPECT_EQ(PlanLanes(tw, plan, cheap_cold, 0, 4), 1);
+  EXPECT_EQ(PlanLanes(tw, plan, costly_cold, 0, 4), 4);
 
-  // An explicit request skips both gates, is capped at the pool, and
-  // never fans out an exact component.
-  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, cheap_cold, 2, 4), 2);
-  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, fast_warm, 3, 4), 3);
-  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, cheap_cold, 1000, 4), 4);
-  EXPECT_EQ(PlanLanes(Strategy::kFptrasTreewidth, costly_cold, 1, 4), 1);
-  EXPECT_EQ(PlanLanes(Strategy::kExact, costly_cold, 4, 4), 1);
+  // An explicit request skips both gates and is capped at the pool.
+  EXPECT_EQ(PlanLanes(tw, plan, cheap_cold, 2, 4), 2);
+  EXPECT_EQ(PlanLanes(tw, plan, fast_warm, 3, 4), 3);
+  EXPECT_EQ(PlanLanes(tw, plan, cheap_cold, 1000, 4), 4);
+  EXPECT_EQ(PlanLanes(tw, plan, costly_cold, 1, 4), 1);
+  // Only an exact component's grant carries a reason.
+  std::string reason = "untouched";
+  EXPECT_EQ(PlanLanes(tw, plan, costly_cold, 0, 4, &reason), 4);
+  EXPECT_EQ(reason, "untouched");
+}
+
+// An exact plan with `num_free` free variables whose probe visited
+// `nodes` join nodes.
+QueryPlan ExactPlan(double nodes, int num_free) {
+  QueryPlan plan;
+  plan.strategy = Strategy::kExact;
+  plan.cost_estimate = nodes;
+  plan.classification.num_free = num_free;
+  return plan;
+}
+
+// Exact components get lanes from their plan's measured join nodes, in
+// automatic mode whether or not the shape has history; a count without a
+// free variable is never split.
+TEST(LaneGateTest, ExactComponentsGateOnTheirJoinNodes) {
+  const Strategy exact = Strategy::kExact;
+  const CostPrediction cold = ColdPrediction(ExactPlan(57835, 1));
+  const QueryPlan above = ExactPlan(57835, 1);
+  const QueryPlan below = ExactPlan(4224, 1);
+  const QueryPlan boolean = ExactPlan(1e6, 0);
+  ASSERT_GE(above.cost_estimate, kMinExactFanoutNodes);
+  ASSERT_LT(below.cost_estimate, kMinExactFanoutNodes);
+
+  std::string reason;
+  EXPECT_EQ(PlanLanes(exact, above, cold, 0, 4, &reason), 4);
+  EXPECT_EQ(reason, "exact join of 57,835 nodes >= 10,000");
+  EXPECT_EQ(PlanLanes(exact, below, cold, 0, 4, &reason), 1);
+  EXPECT_EQ(reason, "exact join of 4,224 nodes < 10,000");
+  EXPECT_EQ(PlanLanes(exact, boolean, cold, 0, 4, &reason), 1);
+  EXPECT_EQ(reason, "no free variable");
+
+  // An explicit request grants min(N, pool) to every exact component
+  // with a free variable, below the gate too; never to one without.
+  EXPECT_EQ(PlanLanes(exact, below, cold, 2, 4, &reason), 2);
+  EXPECT_EQ(reason, "requested");
+  EXPECT_EQ(PlanLanes(exact, below, cold, 1000, 4), 4);
+  EXPECT_EQ(PlanLanes(exact, above, cold, 1, 4), 1);
+  EXPECT_EQ(PlanLanes(exact, boolean, cold, 4, 4), 1);
+
+  // A warm adaptive shape: its profile counts no estimator calls and its
+  // observed time does not decide; the plan's join nodes still do.
+  CostPrediction fast_warm;
+  fast_warm.source = CostSource::kObservedProfile;
+  fast_warm.cost_units = 1.0;
+  fast_warm.millis = 0.5;
+  CostPrediction slow_warm = fast_warm;
+  slow_warm.millis = 50.0;
+  EXPECT_EQ(PlanLanes(exact, above, fast_warm, 0, 4), 4);
+  EXPECT_EQ(PlanLanes(exact, below, slow_warm, 0, 4), 1);
+
+  // force_exact over a plan the probe left to an estimator is past the
+  // gate.
+  QueryPlan past_cap = EstimatedPlan(10.0);
+  past_cap.classification.num_free = 1;
+  EXPECT_EQ(PlanLanes(exact, past_cap, cold, 0, 4, &reason), 4);
+  EXPECT_EQ(reason, "exact probe stopped at the cap");
+  // A one-thread pool has one lane to give.
+  EXPECT_EQ(PlanLanes(exact, above, cold, 0, 1), 1);
 }
 
 TEST(TrialBudgetTest, PerCallFailureScalesWithPredictedCalls) {
