@@ -1,19 +1,23 @@
 // cqcount command-line interface.
 //
 // Usage:
-//   cli count    <query> <database-file> [epsilon] [delta] [--json]
-//                [--trace FILE] [--metrics]
-//   cli exact    <query> <database-file> [--intra-threads N]
-//                [--timeout-ms N] [--json]
-//   cli explain  <query> <database-file> [--json]
-//   cli batch    <query-file> <database-file> [--threads N] [--epsilon E]
-//                [--delta D] [--trace FILE] [--metrics]
-//                (positional [threads] [epsilon] [delta] also accepted)
-//   cli stats    <query> <database-file> [epsilon] [delta]
+//   cli count    <query> <database-file> [epsilon] [delta] [flags]
+//   cli exact    <query> <database-file> [flags]
+//   cli explain  <query> <database-file> [flags]
+//   cli stats    <query> <database-file> [epsilon] [delta] [flags]
+//   cli batch    <query-file> <database-file> [threads] [epsilon] [delta]
+//                [flags]
 //   cli fpras    <query> <database-file> [epsilon]
 //   cli sample   <query> <database-file> [count]
 //   cli classify <query>
 //   cli pack     <database-file> <segment-file>
+//
+// The engine commands (count, exact, explain, stats, batch) take the same
+// flags, anywhere after the database file: --epsilon E, --delta D,
+// --threads N (the engine's pool), --intra-threads N (lanes per count; 0
+// automatic), --timeout-ms N, --max-oracle-calls N, --adaptive, --json,
+// --trace FILE and --metrics. A positional sets the flag of its name. An
+// unknown flag, a malformed value or an extra positional exits 2.
 //
 // <query> is a Datalog-style string such as
 //   'ans(x) :- F(x, y), F(x, z), y != z.'
@@ -33,20 +37,27 @@
 // Telemetry: --trace FILE writes a Chrome trace_event JSON of the run
 // (chrome://tracing / Perfetto); --metrics dumps the process metric
 // registry to stderr after the command; `stats` runs one count and dumps
-// the registry JSON to stdout; `count --json` prints
+// the registry JSON to stdout; `count --json` and `exact --json` print
 // EngineResult::ToJson() (the result, its per-component records and the
-// derived profile); `explain --json` prints Explanation::ToJson() (the
-// per-component plans, budget split and observed shape history) without
-// executing.
+// derived profile); `batch --json` prints one such document per line, in
+// item order ({"error": "<status>"} for a failed item); `explain --json`
+// prints Explanation::ToJson() (the per-component plans, budget split and
+// observed shape history) without executing.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "automata/fpras.h"
 #include "counting/sampler.h"
 #include "engine/engine.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/parser.h"
@@ -61,47 +72,40 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  cli count    <query> <db-file> [epsilon] [delta] "
-      "[--intra-threads N] [--timeout-ms N] [--max-oracle-calls N] "
-      "[--adaptive] [--json] [--trace FILE] [--metrics]\n"
-      "                                                     engine count "
-      "(auto strategy; on timeout, an\n"
-      "                                                     anytime partial "
-      "estimate with hard bounds;\n"
-      "                                                     --adaptive arms "
-      "the accuracy scheduler:\n"
-      "                                                     cost-weighted "
-      "budget split + CLT early stop)\n"
-      "  cli exact    <query> <db-file> [--intra-threads N] [--timeout-ms N] "
-      "[--json]\n"
-      "                                                     engine exact "
-      "count\n"
-      "  cli explain  <query> <db-file> [--json]            plan + Figure 1 "
-      "verdict,\n"
-      "                                                     per-component "
-      "breakdown\n"
-      "  cli batch    <query-file> <db-file> [--threads N] [--epsilon E] "
-      "[--delta D] [--intra-threads N] [--adaptive] [--trace FILE] "
-      "[--metrics]\n"
-      "                                                     concurrent "
-      "batch counts\n"
-      "                                                     (positional "
-      "[threads] [epsilon] [delta] also accepted)\n"
-      "  cli stats    <query> <db-file> [epsilon] [delta]   run one count, "
-      "dump metric registry JSON\n"
-      "  cli fpras    <query> <db-file> [epsilon]           FPRAS "
-      "(Thm 16, pure CQ)\n"
-      "  cli sample   <query> <db-file> [count]             answer "
-      "samples\n"
-      "  cli classify <query>                               Figure 1 "
-      "verdict (no db)\n"
-      "  cli pack     <db-file> <segment-file>              pack a text "
-      "database into a\n"
-      "                                                     mmap-able "
-      "columnar segment\n"
-      "                                                     (all db-taking "
-      "commands accept\n"
-      "                                                     either format)\n");
+      "  cli count    <query> <db-file> [epsilon] [delta] [flags]\n"
+      "      engine count (auto strategy; on timeout, an anytime partial\n"
+      "      estimate with hard bounds)\n"
+      "  cli exact    <query> <db-file> [flags]\n"
+      "      engine exact count\n"
+      "  cli explain  <query> <db-file> [flags]\n"
+      "      plan + Figure 1 verdict, per-component breakdown\n"
+      "  cli stats    <query> <db-file> [epsilon] [delta] [flags]\n"
+      "      run one count, dump the metric registry JSON\n"
+      "  cli batch    <query-file> <db-file> [threads] [epsilon] [delta] "
+      "[flags]\n"
+      "      concurrent batch counts\n"
+      "  cli fpras    <query> <db-file> [epsilon]\n"
+      "      FPRAS (Thm 16, pure CQ)\n"
+      "  cli sample   <query> <db-file> [count]\n"
+      "      answer samples\n"
+      "  cli classify <query>\n"
+      "      Figure 1 verdict (no db)\n"
+      "  cli pack     <db-file> <segment-file>\n"
+      "      pack a text database into a mmap-able columnar segment (all\n"
+      "      db-taking commands accept either format)\n"
+      "flags of count, exact, explain, stats and batch (a positional sets\n"
+      "the flag of its name):\n"
+      "  --epsilon E, --delta D   accuracy target\n"
+      "  --threads N              engine pool size\n"
+      "  --intra-threads N        lanes per count (0 = automatic)\n"
+      "  --timeout-ms N           deadline per count\n"
+      "  --max-oracle-calls N     oracle-call cap per count\n"
+      "  --adaptive               accuracy scheduler: cost-weighted budget\n"
+      "                           split + CLT early stop\n"
+      "  --json                   JSON output (batch: one document per "
+      "line)\n"
+      "  --trace FILE             Chrome trace of the run\n"
+      "  --metrics                metric registry to stderr\n");
   return 2;
 }
 
@@ -118,18 +122,119 @@ StatusOr<std::vector<std::string>> ReadQueryFile(const std::string& path) {
   return queries;
 }
 
-CountingEngine MakeEngine(double epsilon, double delta,
-                          int intra_threads = -1, bool adaptive = false,
-                          int threads = 0) {
+// The settings of the engine commands (count, exact, explain, stats,
+// batch), which all take the same flags. Zero keeps the engine's default.
+struct EngineArgs {
+  double epsilon = 0.0;
+  double delta = 0.0;
+  int threads = 0;          // <= 0: the engine's default pool size.
+  int intra_threads = -1;   // -1: automatic lanes.
+  uint64_t timeout_ms = 0;  // 0: no deadline.
+  uint64_t max_oracle_calls = 0;
+  bool adaptive = false;
+  bool json = false;
+  bool metrics = false;
+  std::string trace_path;
+};
+
+// Reads all of `text` as a number into `out`.
+template <typename T>
+bool ParseNumber(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, out);
+  return error == std::errc() && stop == end;
+}
+
+// The flags that take a value, by name without the "--"; a command's
+// positionals set the same settings. A setter fails when its text does
+// not parse.
+using Setter = bool (*)(const char* text, EngineArgs& args);
+const std::map<std::string, Setter>& ValueFlags() {
+  static const auto* flags = new std::map<std::string, Setter>{
+      {"epsilon",
+       [](const char* t, EngineArgs& a) { return ParseNumber(t, a.epsilon); }},
+      {"delta",
+       [](const char* t, EngineArgs& a) { return ParseNumber(t, a.delta); }},
+      {"threads",
+       [](const char* t, EngineArgs& a) { return ParseNumber(t, a.threads); }},
+      {"intra-threads",
+       [](const char* t, EngineArgs& a) {
+         return ParseNumber(t, a.intra_threads);
+       }},
+      {"timeout-ms",
+       [](const char* t, EngineArgs& a) {
+         return ParseNumber(t, a.timeout_ms);
+       }},
+      {"max-oracle-calls",
+       [](const char* t, EngineArgs& a) {
+         return ParseNumber(t, a.max_oracle_calls);
+       }},
+      {"trace",
+       [](const char* t, EngineArgs& a) {
+         a.trace_path = t;
+         return true;
+       }},
+  };
+  return *flags;
+}
+
+// Parses argv[4..] of an engine command: its flags anywhere, and its
+// positionals in order (count and stats: epsilon, delta; batch: threads,
+// epsilon, delta; exact and explain: none). Only "--" starts a flag, so
+// "-1" is a positional. Prints why and returns false on an unknown flag,
+// a missing or malformed value, or an extra positional.
+bool ParseEngineArgs(const std::string& command, int argc, char** argv,
+                     EngineArgs& args) {
+  std::vector<std::string> positionals;
+  if (command == "count" || command == "stats") {
+    positionals = {"epsilon", "delta"};
+  } else if (command == "batch") {
+    positionals = {"threads", "epsilon", "delta"};
+  }
+  size_t next_positional = 0;
+  for (int i = 4; i < argc; ++i) {
+    const std::string arg = argv[i];
+    bool* on = arg == "--adaptive" ? &args.adaptive
+               : arg == "--json"   ? &args.json
+               : arg == "--metrics" ? &args.metrics
+                                    : nullptr;
+    if (on != nullptr) {
+      *on = true;
+      continue;
+    }
+    std::string name;
+    if (arg.rfind("--", 0) == 0) {
+      name = arg.substr(2);
+      if (ValueFlags().count(name) == 0) {
+        std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+        return false;
+      }
+      if (++i >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+        return false;
+      }
+    } else if (next_positional < positionals.size()) {
+      name = positionals[next_positional++];
+    } else {
+      std::fprintf(stderr, "too many %s arguments: %s\n", command.c_str(),
+                   arg.c_str());
+      return false;
+    }
+    if (!ValueFlags().at(name)(argv[i], args)) {
+      std::fprintf(stderr, "bad value for %s: %s\n", name.c_str(), argv[i]);
+      return false;
+    }
+  }
+  return true;
+}
+
+CountingEngine MakeEngine(const EngineArgs& args) {
   EngineOptions opts;
-  if (epsilon > 0) opts.epsilon = epsilon;
-  if (delta > 0) opts.delta = delta;
-  // -1 keeps the engine default (automatic: pool-sized lanes for long
-  // counts, inline for cheap components).
-  if (intra_threads >= 0) opts.intra_query_threads = intra_threads;
-  // <= 0 keeps the engine's default pool size.
-  if (threads > 0) opts.num_threads = threads;
-  opts.adaptive = adaptive;
+  if (args.epsilon > 0) opts.epsilon = args.epsilon;
+  if (args.delta > 0) opts.delta = args.delta;
+  if (args.intra_threads >= 0) opts.intra_query_threads = args.intra_threads;
+  if (args.threads > 0) opts.num_threads = args.threads;
+  opts.adaptive = args.adaptive;
   return CountingEngine(opts);
 }
 
@@ -150,6 +255,118 @@ bool WriteTraceFile(const std::string& path) {
 void DumpMetrics() {
   std::fputs(obs::MetricRegistry::Global().ToJson().c_str(), stderr);
   std::fputc('\n', stderr);
+}
+
+// Writes the trace and dumps the metrics an engine command asked for,
+// then returns `code`, or 1 when the trace cannot be written.
+int FinishEngineCommand(const EngineArgs& args, int code) {
+  if (!args.trace_path.empty()) {
+    obs::TraceSink::Global().Disable();
+    if (!WriteTraceFile(args.trace_path)) return 1;
+  }
+  if (args.metrics) DumpMetrics();
+  return code;
+}
+
+// The text report of one count: the estimate, then provenance lines.
+void PrintCount(const EngineResult& result) {
+  std::printf("%.2f%s%s\n", result.estimate, result.exact ? " (exact)" : "",
+              result.partial ? " (partial)" : "");
+  if (result.partial) {
+    std::printf("# partial: reason=%s bounds=[%.2f, %.2f]\n",
+                result.partial_reason.c_str(), result.lower_bound,
+                result.upper_bound);
+  }
+  unsigned long long dp_decides = 0;
+  bool dp_prepared = true;
+  for (const ComponentResult& comp : result.components) {
+    dp_decides += comp.dp_prepared_decides;
+    dp_prepared = dp_prepared && comp.dp_prepared_path;
+  }
+  std::printf(
+      "# strategy=%s width=%.2f components=%d oracle_calls=%llu "
+      "dp_prepared_decides=%llu%s plan=%s plan_ms=%.2f exec_ms=%.2f\n",
+      StrategyName(result.strategy), result.width, result.num_components,
+      static_cast<unsigned long long>(result.oracle_calls), dp_decides,
+      dp_prepared ? "" : " dp=monolithic-fallback",
+      result.plan_cache_hit ? "cached" : "built", result.plan_millis,
+      result.exec_millis);
+  std::printf("# parallel: lanes=%d tasks=%llu worker_tasks=%llu\n",
+              result.parallel.lanes,
+              static_cast<unsigned long long>(result.parallel.tasks),
+              static_cast<unsigned long long>(result.parallel.worker_tasks));
+  if (result.adaptive) {
+    for (size_t c = 0; c < result.components.size(); ++c) {
+      const ComponentResult& comp = result.components[c];
+      if (!comp.executed) continue;
+      std::printf(
+          "#   adaptive %zu: stop=%s runs=%d/%d rounds=%d cost=%s "
+          "predicted_calls=%.0f observed_calls=%llu\n",
+          c, StopReasonName(comp.stop_reason), comp.completed_runs,
+          comp.total_runs, comp.rounds_executed, comp.cost_source.c_str(),
+          comp.predicted_oracle_calls,
+          static_cast<unsigned long long>(comp.estimator_calls));
+    }
+  }
+  if (result.num_components > 1) {
+    for (size_t c = 0; c < result.components.size(); ++c) {
+      const ComponentResult& comp = result.components[c];
+      if (!comp.executed) {
+        // A false nullary guard zeroes the product before execution.
+        std::printf("#   component %zu: skipped (false guard) strategy=%s "
+                    "plan=%s\n",
+                    c, StrategyName(comp.strategy),
+                    comp.plan_cache_hit ? "cached" : "built");
+        continue;
+      }
+      std::printf(
+          "#   component %zu: factor=%.2f strategy=%s%s epsilon=%.3g "
+          "plan=%s\n",
+          c, comp.estimate, StrategyName(comp.strategy),
+          comp.existential ? " (existential)" : "", comp.epsilon,
+          comp.plan_cache_hit ? "cached" : "built");
+    }
+  }
+}
+
+// Runs `requests` as one batch and prints one line per item, in item
+// order: its estimate, or with `json` its EngineResult::ToJson() (a
+// failed item prints {"error": "<status>"}). The summary goes to stdout,
+// or to stderr with `json`, so that every stdout line is one document.
+// Returns 1 when an item failed.
+int PrintBatch(CountingEngine& engine,
+               const std::vector<CountRequest>& requests, bool json) {
+  auto results = engine.CountBatch(requests);
+  int failures = 0;
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (!results[i].ok()) {
+      ++failures;
+      const std::string status = results[i].status().ToString();
+      if (json) {
+        std::printf("{\"error\": \"%s\"}\n", obs::JsonEscape(status).c_str());
+      } else {
+        std::printf("[%zu] error: %s\n", i, status.c_str());
+      }
+      continue;
+    }
+    const EngineResult& r = *results[i];
+    if (json) {
+      std::printf("%s\n", r.ToJson().c_str());
+      continue;
+    }
+    std::printf("[%zu] %.2f%s  strategy=%s components=%d plan=%s\n", i,
+                r.estimate, r.exact ? " (exact)" : "", StrategyName(r.strategy),
+                r.num_components, r.plan_cache_hit ? "cached" : "built");
+  }
+  PlanCacheStats stats = engine.CacheStats();
+  std::fprintf(json ? stderr : stdout,
+               "# %zu queries, %d failed | plan cache: %llu hits, %llu "
+               "misses, %llu evictions\n",
+               results.size(), failures,
+               static_cast<unsigned long long>(stats.hits),
+               static_cast<unsigned long long>(stats.misses),
+               static_cast<unsigned long long>(stats.evictions));
+  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace
@@ -205,66 +422,22 @@ int main(int argc, char** argv) {
   }
 
   if (command == "count" || command == "exact" || command == "explain" ||
-      command == "stats") {
-    // count supports [epsilon] [delta] positionals plus --intra-threads
-    // and the telemetry flags, which exact shares; stats takes [epsilon]
-    // [delta].
-    double epsilon = 0.0;
-    double delta = 0.0;
-    int intra_threads = -1;
-    unsigned long long timeout_ms = 0;
-    unsigned long long max_oracle_calls = 0;
-    bool adaptive = false;
-    bool as_json = false;
-    bool dump_metrics = false;
-    std::string trace_path;
-    int positional = 0;
-    for (int i = 4; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--intra-threads") {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "missing value for --intra-threads\n");
-          return 2;
-        }
-        intra_threads = std::atoi(argv[++i]);
-      } else if (arg == "--timeout-ms") {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "missing value for --timeout-ms\n");
-          return 2;
-        }
-        timeout_ms = std::strtoull(argv[++i], nullptr, 10);
-      } else if (arg == "--max-oracle-calls") {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "missing value for --max-oracle-calls\n");
-          return 2;
-        }
-        max_oracle_calls = std::strtoull(argv[++i], nullptr, 10);
-      } else if (arg == "--trace") {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "missing value for --trace\n");
-          return 2;
-        }
-        trace_path = argv[++i];
-      } else if (arg == "--adaptive") {
-        adaptive = true;
-      } else if (arg == "--json") {
-        as_json = true;
-      } else if (arg == "--metrics") {
-        dump_metrics = true;
-      } else if (positional == 0) {
-        epsilon = std::atof(arg.c_str());
-        ++positional;
-      } else if (positional == 1) {
-        delta = std::atof(arg.c_str());
-        ++positional;
-      } else {
-        std::fprintf(stderr, "too many count arguments: %s\n", arg.c_str());
-        return Usage();
+      command == "stats" || command == "batch") {
+    EngineArgs args;
+    if (!ParseEngineArgs(command, argc, argv, args)) return Usage();
+    std::vector<std::string> queries = {argv[2]};
+    if (command == "batch") {
+      auto file = ReadQueryFile(argv[2]);
+      if (!file.ok()) {
+        std::fprintf(stderr, "error: %s\n", file.status().ToString().c_str());
+        return 1;
       }
+      queries = std::move(*file);
     }
-    if (!trace_path.empty()) obs::TraceSink::Global().Enable();
-    CountingEngine engine =
-        MakeEngine(epsilon, delta, intra_threads, adaptive);
+    if (!args.trace_path.empty()) obs::TraceSink::Global().Enable();
+    // --threads sizes the engine's one pool, which batch items and their
+    // intra-query lanes share.
+    CountingEngine engine = MakeEngine(args);
     Status registered = engine.RegisterDatabaseFile("db", db_path);
     if (!registered.ok()) {
       std::fprintf(stderr, "database error: %s\n",
@@ -276,26 +449,34 @@ int main(int argc, char** argv) {
       if (!explanation.ok()) {
         std::fprintf(stderr, "error: %s\n",
                      explanation.status().ToString().c_str());
-        return 1;
+        return FinishEngineCommand(args, 1);
       }
-      if (as_json) {
+      if (args.json) {
         std::printf("%s\n", explanation->ToJson().c_str());
       } else {
         std::fputs(explanation->text.c_str(), stdout);
       }
-      return 0;
+      return FinishEngineCommand(args, 0);
     }
-    CountRequest count_request;
-    count_request.query = argv[2];
-    count_request.database = "db";
-    count_request.force_exact = command == "exact";
-    count_request.time_budget_ms = timeout_ms;
-    count_request.max_oracle_calls = max_oracle_calls;
-    auto result = engine.Count(count_request);
+    std::vector<CountRequest> requests;
+    for (const std::string& q : queries) {
+      CountRequest request;
+      request.query = q;
+      request.database = "db";
+      request.force_exact = command == "exact";
+      request.time_budget_ms = args.timeout_ms;
+      request.max_oracle_calls = args.max_oracle_calls;
+      requests.push_back(request);
+    }
+    if (command == "batch") {
+      return FinishEngineCommand(args,
+                                 PrintBatch(engine, requests, args.json));
+    }
+    auto result = engine.Count(requests[0]);
     if (!result.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    result.status().ToString().c_str());
-      return 1;
+      return FinishEngineCommand(args, 1);
     }
     if (command == "stats") {
       // One count (estimate to stderr as provenance), registry to stdout.
@@ -304,189 +485,12 @@ int main(int argc, char** argv) {
                    StrategyName(result->strategy),
                    static_cast<unsigned long long>(result->oracle_calls));
       std::printf("%s\n", obs::MetricRegistry::Global().ToJson().c_str());
-      if (!trace_path.empty()) {
-        obs::TraceSink::Global().Disable();
-        if (!WriteTraceFile(trace_path)) return 1;
-      }
-      return 0;
-    }
-    if (!trace_path.empty()) {
-      obs::TraceSink::Global().Disable();
-      if (!WriteTraceFile(trace_path)) return 1;
-    }
-    if (as_json) {
+    } else if (args.json) {
       std::printf("%s\n", result->ToJson().c_str());
-      if (dump_metrics) DumpMetrics();
-      return 0;
+    } else {
+      PrintCount(*result);
     }
-    std::printf("%.2f%s%s\n", result->estimate,
-                result->exact ? " (exact)" : "",
-                result->partial ? " (partial)" : "");
-    if (result->partial) {
-      std::printf("# partial: reason=%s bounds=[%.2f, %.2f]\n",
-                  result->partial_reason.c_str(), result->lower_bound,
-                  result->upper_bound);
-    }
-    unsigned long long dp_decides = 0;
-    bool dp_prepared = true;
-    for (const ComponentResult& comp : result->components) {
-      dp_decides += comp.dp_prepared_decides;
-      dp_prepared = dp_prepared && comp.dp_prepared_path;
-    }
-    std::printf(
-        "# strategy=%s width=%.2f components=%d oracle_calls=%llu "
-        "dp_prepared_decides=%llu%s plan=%s plan_ms=%.2f exec_ms=%.2f\n",
-        StrategyName(result->strategy), result->width,
-        result->num_components,
-        static_cast<unsigned long long>(result->oracle_calls), dp_decides,
-        dp_prepared ? "" : " dp=monolithic-fallback",
-        result->plan_cache_hit ? "cached" : "built", result->plan_millis,
-        result->exec_millis);
-    std::printf(
-        "# parallel: lanes=%d tasks=%llu worker_tasks=%llu\n",
-        result->parallel.lanes,
-        static_cast<unsigned long long>(result->parallel.tasks),
-        static_cast<unsigned long long>(result->parallel.worker_tasks));
-    if (result->adaptive) {
-      for (size_t c = 0; c < result->components.size(); ++c) {
-        const ComponentResult& comp = result->components[c];
-        if (!comp.executed) continue;
-        std::printf(
-            "#   adaptive %zu: stop=%s runs=%d/%d rounds=%d cost=%s "
-            "predicted_calls=%.0f observed_calls=%llu\n",
-            c, StopReasonName(comp.stop_reason), comp.completed_runs,
-            comp.total_runs, comp.rounds_executed, comp.cost_source.c_str(),
-            comp.predicted_oracle_calls,
-            static_cast<unsigned long long>(comp.estimator_calls));
-      }
-    }
-    if (result->num_components > 1) {
-      for (size_t c = 0; c < result->components.size(); ++c) {
-        const ComponentResult& comp = result->components[c];
-        if (!comp.executed) {
-          // A false nullary guard zeroes the product before execution.
-          std::printf("#   component %zu: skipped (false guard) strategy=%s "
-                      "plan=%s\n",
-                      c, StrategyName(comp.strategy),
-                      comp.plan_cache_hit ? "cached" : "built");
-          continue;
-        }
-        std::printf(
-            "#   component %zu: factor=%.2f strategy=%s%s epsilon=%.3g "
-            "plan=%s\n",
-            c, comp.estimate, StrategyName(comp.strategy),
-            comp.existential ? " (existential)" : "", comp.epsilon,
-            comp.plan_cache_hit ? "cached" : "built");
-      }
-    }
-    if (dump_metrics) DumpMetrics();
-    return 0;
-  }
-
-  if (command == "batch") {
-    // --threads/--epsilon/--delta overrides; bare positionals (threads,
-    // epsilon, delta in that order) are kept for compatibility.
-    int threads = 0;
-    double epsilon = 0.0;
-    double delta = 0.0;
-    int intra_threads = -1;
-    bool adaptive = false;
-    bool dump_metrics = false;
-    std::string trace_path;
-    int positional = 0;
-    for (int i = 4; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto flag_value = [&](const char* name) -> const char* {
-        if (arg != name) return nullptr;
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "missing value for %s\n", name);
-          std::exit(2);
-        }
-        return argv[++i];
-      };
-      if (const char* v = flag_value("--threads")) {
-        threads = std::atoi(v);
-      } else if (const char* v = flag_value("--epsilon")) {
-        epsilon = std::atof(v);
-      } else if (const char* v = flag_value("--delta")) {
-        delta = std::atof(v);
-      } else if (const char* v = flag_value("--intra-threads")) {
-        intra_threads = std::atoi(v);
-      } else if (const char* v = flag_value("--trace")) {
-        trace_path = v;
-      } else if (arg == "--adaptive") {
-        adaptive = true;
-      } else if (arg == "--metrics") {
-        dump_metrics = true;
-      } else if (arg.rfind("--", 0) == 0) {
-        // Only "--" prefixes are flags: "-1" stays a valid positional
-        // (threads <= 0 selects the engine's default pool).
-        std::fprintf(stderr, "unknown batch flag: %s\n", arg.c_str());
-        return Usage();
-      } else {
-        switch (positional++) {
-          case 0: threads = std::atoi(arg.c_str()); break;
-          case 1: epsilon = std::atof(arg.c_str()); break;
-          case 2: delta = std::atof(arg.c_str()); break;
-          default:
-            std::fprintf(stderr, "too many batch arguments: %s\n",
-                         arg.c_str());
-            return Usage();
-        }
-      }
-    }
-    auto queries = ReadQueryFile(argv[2]);
-    if (!queries.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   queries.status().ToString().c_str());
-      return 1;
-    }
-    if (!trace_path.empty()) obs::TraceSink::Global().Enable();
-    // --threads sizes the engine's one pool, which the batch items and
-    // their intra-query lanes share.
-    CountingEngine engine =
-        MakeEngine(epsilon, delta, intra_threads, adaptive, threads);
-    Status registered = engine.RegisterDatabaseFile("db", db_path);
-    if (!registered.ok()) {
-      std::fprintf(stderr, "database error: %s\n",
-                   registered.ToString().c_str());
-      return 1;
-    }
-    std::vector<CountRequest> requests;
-    for (const std::string& q : *queries) {
-      CountRequest request;
-      request.query = q;
-      request.database = "db";
-      requests.push_back(request);
-    }
-    auto results = engine.CountBatch(requests);
-    int failures = 0;
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok()) {
-        ++failures;
-        std::printf("[%zu] error: %s\n", i,
-                    results[i].status().ToString().c_str());
-        continue;
-      }
-      const EngineResult& r = *results[i];
-      std::printf("[%zu] %.2f%s  strategy=%s components=%d plan=%s\n", i,
-                  r.estimate, r.exact ? " (exact)" : "",
-                  StrategyName(r.strategy), r.num_components,
-                  r.plan_cache_hit ? "cached" : "built");
-    }
-    PlanCacheStats stats = engine.CacheStats();
-    std::printf(
-        "# %zu queries, %d failed | plan cache: %llu hits, %llu misses, "
-        "%llu evictions\n",
-        results.size(), failures, static_cast<unsigned long long>(stats.hits),
-        static_cast<unsigned long long>(stats.misses),
-        static_cast<unsigned long long>(stats.evictions));
-    if (!trace_path.empty()) {
-      obs::TraceSink::Global().Disable();
-      if (!WriteTraceFile(trace_path)) return 1;
-    }
-    if (dump_metrics) DumpMetrics();
-    return failures == 0 ? 0 : 1;
+    return FinishEngineCommand(args, 0);
   }
 
   // The remaining commands drive pipeline pieces directly.

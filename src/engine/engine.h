@@ -60,17 +60,18 @@ struct EngineOptions {
   /// Intra-query parallelism: lanes ONE count may fan out across on the
   /// engine's pool. An estimate spreads its sampling runs, sample batches
   /// and exact-phase sub-boxes, each lane on its own fork of the oracle
-  /// stack; an exact count spreads the kJoinWindows windows of its join's
-  /// first variable over one shared joiner (see README "Parallel
-  /// estimation & determinism model"). 0 = automatic: pool-sized lanes
-  /// for components predicted to run long (scheduler.h: an exact join of
+  /// stack; an exact count on more than one lane spreads the kJoinWindows
+  /// windows of its join's first variable over one shared joiner, and on
+  /// one lane runs as one descent (see README "Parallel estimation &
+  /// determinism model"). 0 = automatic: pool-sized lanes for components
+  /// predicted to run long (scheduler.h: an exact join of
   /// kMinExactFanoutNodes nodes; otherwise a planned cost of
   /// kMinFanoutCost, or with `adaptive` an observed mean of
   /// kMinFanoutMillis once a shape has history), inline otherwise. N != 0
   /// = N lanes for every component, capped at the pool size (1 = off). An
   /// exact component without a free variable always runs inline. Counts
   /// are bit-identical at every setting (counter-derived per-task seeds;
-  /// an exact count is a sum of fixed windows).
+  /// an exact count's windows add up to its one descent).
   int intra_query_threads = 0;
   /// Opt-in adaptive accuracy scheduling (see engine/scheduler.h): cost
   /// predictions from the plan cache's ShapeProfile history drive a

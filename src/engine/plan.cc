@@ -299,8 +299,10 @@ TreeDecomposition InstantiateDecomposition(
 namespace {
 
 // Join nodes of the exact strategy's count of q when it finishes within
-// `cap` nodes. Nothing when it does not, when the cap is not positive, or
-// when db cannot serve q (a missing relation or a wrong arity).
+// `cap` nodes: ExecuteExact's count, as one descent with no governor (a
+// request's governor is built after planning). Nothing when it does not,
+// when the cap is not positive, or when db cannot serve q (a missing
+// relation or a wrong arity).
 std::optional<uint64_t> ExactJoinNodes(const Query& q,
                                        const CanonicalShape& shape,
                                        const Database& db, double cap) {

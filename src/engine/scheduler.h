@@ -76,10 +76,10 @@ inline constexpr double kMinFanoutCost = 1e8;
 /// planner's probe) at which an exact component with a free variable gets
 /// lanes in automatic mode, adaptive or not: its count then runs as
 /// kJoinWindows windows of the first search variable's values
-/// (CountAnswersJoinSplit). The fastest measured node costs about 50 ns,
-/// so 10^4 nodes is about 0.5 ms, where fan-out stops dominating. A
-/// force_exact component whose plan is not exact is past the gate: its
-/// probe stopped at the cap or did not run.
+/// (CountAnswersJoin), not as one descent. The fastest measured node
+/// costs about 50 ns, so 10^4 nodes is about 0.5 ms, where fan-out stops
+/// dominating. A force_exact component whose plan is not exact is past
+/// the gate: its probe stopped at the cap or did not run.
 inline constexpr double kMinExactFanoutNodes = 1e4;
 
 /// Observed executions a shape needs before predictions switch from the

@@ -23,26 +23,17 @@ FWidthResult InstantiatePlanDecomposition(const ExecContext& ctx) {
 
 StatusOr<ExecOutcome> ExecuteExact(const ExecContext& ctx) {
   // The count the planner priced, on the same canonical presentation,
-  // without the cap. It runs in windows when it has lanes, or when its
-  // length is unknown (force_exact past the planner's cap), so that the
-  // governor, checked before each window, can stop it; otherwise as one
-  // descent after one check.
-  ExecOutcome outcome;
-  const Query canonical = CanonicalQuery(*ctx.query, *ctx.shape);
-  JoinCount count;
-  if (ctx.intra_threads > 1 || ctx.plan->strategy != Strategy::kExact) {
-    count = CountAnswersJoinSplit(canonical, *ctx.db, ctx.pool,
-                                  ctx.intra_threads, ctx.governor,
-                                  &outcome.parallel);
-  } else if (ctx.governor == nullptr ||
-             ctx.governor->Check() == GovernanceState::kRunning) {
-    count = CountAnswersJoin(canonical, *ctx.db);
-  }
+  // without the cap, on the granted lanes. The descent polls the governor.
+  const JoinCount count =
+      CountAnswersJoin(CanonicalQuery(*ctx.query, *ctx.shape), *ctx.db,
+                       UINT64_MAX, ctx.governor, ctx.pool, ctx.intra_threads);
   // Only a fired governor leaves the uncapped count incomplete.
   if (!count.complete) return ctx.governor->ToStatus("exact count");
+  ExecOutcome outcome;
   outcome.estimate = static_cast<double>(count.answers);
   outcome.exact = true;
   outcome.lower_bound = outcome.upper_bound = outcome.estimate;
+  outcome.parallel = count.parallel;
   return outcome;
 }
 

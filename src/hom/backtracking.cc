@@ -4,7 +4,6 @@
 
 #include "decomposition/elimination_order.h"
 #include "hom/join.h"
-#include "util/cancel.h"
 #include "util/executor.h"
 
 namespace cqcount {
@@ -120,44 +119,27 @@ uint64_t CountAnswersBrute(const Query& q, const Database& db) {
 }
 
 JoinCount CountAnswersJoin(const Query& q, const Database& db,
-                           uint64_t node_budget) {
-  return CountWith(AnswerJoiner(q, db), {.distinct_prefix = q.num_free(),
-                                         .node_budget = node_budget});
-}
-
-JoinCount CountAnswersJoinSplit(const Query& q, const Database& db,
-                                Executor* pool, int lanes,
-                                const ResourceGovernor* governor,
-                                ParallelStats* parallel) {
+                           uint64_t node_budget,
+                           const ResourceGovernor* governor, Executor* pool,
+                           int lanes) {
   const BagJoiner joiner = AnswerJoiner(q, db);
-  const SearchLimits limits{.distinct_prefix = q.num_free()};
-  auto stopped = [governor] {
-    return governor != nullptr &&
-           governor->Check() != GovernanceState::kRunning;
-  };
-  *parallel = {};
-  if (q.num_free() == 0) {
-    return stopped() ? JoinCount{} : CountWith(joiner, limits);
+  const SearchLimits limits{.distinct_prefix = q.num_free(),
+                            .node_budget = node_budget,
+                            .governor = governor};
+  if (pool == nullptr || lanes <= 1 || q.num_free() == 0 ||
+      node_budget != UINT64_MAX) {
+    return CountWith(joiner, limits);
   }
   const std::vector<Value> cuts = joiner.FirstLevelCuts(kJoinWindows);
-  // Each window sums into its own slot; a skipped one stays incomplete.
+  // Each window sums into its own slot.
   std::vector<JoinCount> windows(kJoinWindows);
-  auto run_window = [&](size_t i) {
-    if (stopped()) return;
-    SearchLimits window = limits;
-    window.first_begin = cuts[i];
-    window.first_end = cuts[i + 1];
-    windows[i] = CountWith(joiner, window);
-  };
-  if (pool != nullptr && lanes > 1) {
-    const Executor::LaneStats stats = pool->ParallelForLanes(
-        kJoinWindows, lanes, [&](int, size_t i) { run_window(i); });
-    parallel->lanes = lanes;
-    parallel->worker_tasks = stats.worker_ran;
-  } else {
-    for (size_t i = 0; i < kJoinWindows; ++i) run_window(i);
-  }
-  parallel->tasks = kJoinWindows;
+  const Executor::LaneStats stats =
+      pool->ParallelForLanes(kJoinWindows, lanes, [&](int, size_t i) {
+        SearchLimits window = limits;
+        window.first_begin = cuts[i];
+        window.first_end = cuts[i + 1];
+        windows[i] = CountWith(joiner, window);
+      });
   JoinCount count;
   count.complete = true;
   for (const JoinCount& window : windows) {
@@ -165,6 +147,9 @@ JoinCount CountAnswersJoinSplit(const Query& q, const Database& db,
     count.nodes += window.nodes;
     count.complete = count.complete && window.complete;
   }
+  count.parallel = {.lanes = lanes,
+                    .tasks = kJoinWindows,
+                    .worker_tasks = stats.worker_ran};
   return count;
 }
 

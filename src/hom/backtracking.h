@@ -36,10 +36,18 @@ struct JoinCount {
   uint64_t answers = 0;
   /// Candidate values the join tried, summed over levels.
   uint64_t nodes = 0;
-  /// True when the join finished within its node budget: `answers` is
-  /// then |Ans(phi, D)|, otherwise a lower bound.
+  /// True when the join finished within its node budget and before its
+  /// governor fired: `answers` is then |Ans(phi, D)|, otherwise a lower
+  /// bound.
   bool complete = false;
+  /// The lanes the count ran on and its windows as tasks (0 when it ran
+  /// as one descent).
+  ParallelStats parallel;
 };
+
+/// Windows a count on several lanes cuts the first search variable's
+/// values into.
+inline constexpr int kJoinWindows = 64;
 
 /// |Ans(phi, D)| by one join over vars(phi), the free variables first and
 /// then the existential ones; within each group the next variable has the
@@ -47,31 +55,21 @@ struct JoinCount {
 /// prefix has a solution the join moves to the next prefix, so an answer
 /// costs one existential witness; a query without free variables stops
 /// at its first solution. Deterministic: the same query and database give
-/// the same node count. Stops after `node_budget` nodes (incomplete).
-/// The first search variable is free whenever q has a free variable, so
-/// answers with different values of it are different answers: the split
-/// count below relies on that.
+/// the same node count. The count stops (incomplete) after `node_budget`
+/// nodes, or at the first poll after `governor` (may be null) has fired
+/// (SearchLimits::governor).
+///
+/// It runs as one descent on the caller, unless it has more than one
+/// lane of `pool`, a free variable and no budget. Then the first search
+/// variable, which is free, has its values cut into kJoinWindows fixed
+/// windows (BagJoiner::FirstLevelCuts), one task each over one shared
+/// joiner across `lanes` lanes. Answers with different values of that
+/// variable are different answers, so the windows' answers add up to the
+/// one descent's count, and so do their nodes.
 JoinCount CountAnswersJoin(const Query& q, const Database& db,
-                           uint64_t node_budget = UINT64_MAX);
-
-/// Windows the split count cuts the first search variable's values into.
-inline constexpr int kJoinWindows = 64;
-
-/// CountAnswersJoin without a budget, split into windows: the values of
-/// the first search variable are cut into kJoinWindows fixed windows
-/// (BagJoiner::FirstLevelCuts), one task each over one shared joiner, run
-/// across `lanes` lanes of `pool` (in order on the caller when `pool` is
-/// null or `lanes` is 1). The windows' answer sets are disjoint, so their
-/// answers add up to the unsplit count, and so do their nodes. A query
-/// without free variables, whose count stops at its first solution,
-/// runs unsplit. `governor` (may be null) is checked before each window,
-/// or once before the unsplit count; once it has fired the rest are
-/// skipped and the count is incomplete. `parallel` receives the lanes,
-/// the windows as tasks (0 when unsplit) and those a pool worker ran.
-JoinCount CountAnswersJoinSplit(const Query& q, const Database& db,
-                                Executor* pool, int lanes,
-                                const ResourceGovernor* governor,
-                                ParallelStats* parallel);
+                           uint64_t node_budget = UINT64_MAX,
+                           const ResourceGovernor* governor = nullptr,
+                           Executor* pool = nullptr, int lanes = 1);
 
 /// True iff Sol(phi, D) is non-empty.
 bool DecideSolutionBrute(const Query& q, const Database& db);

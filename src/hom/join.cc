@@ -5,6 +5,8 @@
 #include <limits>
 #include <map>
 
+#include "util/cancel.h"
+
 namespace cqcount {
 namespace {
 
@@ -162,6 +164,20 @@ bool BagJoiner::Enumerate(const VarDomains* domains,
                          ? depth
                          : std::min(limits.distinct_prefix, depth);
   uint64_t tried = 0;
+  // Each node is one compare against `checkpoint`: the budget, or sooner
+  // the next governor poll (the first node, then every
+  // kGovernorPollNodes nodes).
+  uint64_t checkpoint =
+      limits.governor != nullptr ? 0 : limits.node_budget;
+  auto out_of_nodes = [&] {
+    if (++tried <= checkpoint) return false;
+    if (tried > limits.node_budget ||
+        limits.governor->Check() != GovernanceState::kRunning) {
+      return true;
+    }
+    checkpoint = std::min(limits.node_budget, tried + kGovernorPollNodes - 1);
+    return false;
+  };
   const bool windowed = limits.first_begin > 0 ||
                         limits.first_end < std::numeric_limits<Value>::max();
 
@@ -215,7 +231,7 @@ bool BagJoiner::Enumerate(const VarDomains* domains,
       // on the first level only the window.
       const Value end = d == 0 ? std::min(n, limits.first_end) : n;
       for (Value w = d == 0 ? limits.first_begin : 0; w < end; ++w) {
-        if (++tried > limits.node_budget) return Next::kStop;
+        if (out_of_nodes()) return Next::kStop;
         if (domains && !domains->Allows(vars_[d], w)) continue;
         if (!passes_checks(w)) continue;
         assignment[d] = w;
@@ -247,7 +263,7 @@ bool BagJoiner::Enumerate(const VarDomains* domains,
 
     size_t pos = plo;
     while (pos < phi) {
-      if (++tried > limits.node_budget) return Next::kStop;
+      if (out_of_nodes()) return Next::kStop;
       const Value w = pivot_rel.At(pos, pivot_col);
       // The pivot scans groups in order: the group starts at `pos`, so
       // only its end needs searching.

@@ -30,6 +30,8 @@
 
 namespace cqcount {
 
+class ResourceGovernor;
+
 /// Per-variable domain restrictions. An empty `allowed` vector (or an empty
 /// mask for a variable) means "unrestricted". The colour-coding oracle
 /// (Lemma 30) expresses all of B-hat's unary relations through this type.
@@ -70,6 +72,9 @@ void ApplyOverlay(VarDomains& domains,
 /// overlaid twice the FIRST save (its original domain) wins.
 void RestoreOverlay(VarDomains& domains, SavedDomains& saved);
 
+/// Nodes between two governor polls of one descent (SearchLimits).
+inline constexpr uint64_t kGovernorPollNodes = 4096;
+
 /// How far one BagJoiner::Enumerate call searches.
 struct SearchLimits {
   /// Report each assignment to the first `distinct_prefix` variables at
@@ -80,6 +85,11 @@ struct SearchLimits {
   /// Candidate values the descent may try, summed over levels. Trying one
   /// more stops it.
   uint64_t node_budget = UINT64_MAX;
+  /// The request's governor (not owned; null = ungoverned), polled at the
+  /// first node and then every kGovernorPollNodes nodes. Once it has
+  /// fired the descent stops as it does when the budget runs out; while
+  /// it runs, the descent is the ungoverned one.
+  const ResourceGovernor* governor = nullptr;
   /// The window [first_begin, first_end) of values the first variable may
   /// take; the default admits every value. The first level scans only the
   /// window's values (its pivot is the one the unwindowed descent picks),
@@ -115,9 +125,9 @@ class BagJoiner {
   /// (may be null), in lexicographic order of the tuple (values aligned
   /// with the `vars` order), or once per distinct prefix under `limits`.
   /// The callback returns false to stop; Enumerate then returns false, as
-  /// it does when the node budget runs out. `nodes` (may be null)
-  /// receives the candidate values tried, which exceed the budget exactly
-  /// when the budget stopped the descent.
+  /// it does when the node budget runs out or the governor has fired.
+  /// `nodes` (may be null) receives the candidate values tried, which
+  /// exceed the budget exactly when the budget stopped the descent.
   bool Enumerate(const VarDomains* domains,
                  const std::function<bool(const Tuple&)>& callback,
                  const SearchLimits& limits = {},

@@ -60,8 +60,9 @@ inline int CompareValues(const Value* a, const Value* b, size_t n) {
   return 0;
 }
 
-/// A borrowed, non-owning view of one tuple inside a flat buffer.
-/// Invalidated by any mutation of the owning container.
+/// A borrowed, non-owning view of one tuple inside a flat buffer, or of a
+/// relation's whole buffer (Relation::flat()). Invalidated by any
+/// mutation of the owning container.
 class TupleView {
  public:
   using value_type = Value;
@@ -88,46 +89,6 @@ class TupleView {
     const int c = CompareValues(a.data_, b.data_, n);
     if (c != 0) return c < 0;
     return a.size_ < b.size_;
-  }
-
- private:
-  const Value* data_ = nullptr;
-  size_t size_ = 0;
-};
-
-/// A borrowed, non-owning view of a whole flat value buffer (the
-/// storage-backend-neutral return type of Relation::flat(): owned vectors
-/// and mmap'd spans read identically through it).
-class ValueSpan {
- public:
-  using value_type = Value;
-
-  ValueSpan() = default;
-  ValueSpan(const Value* data, size_t size) : data_(data), size_(size) {}
-
-  const Value* data() const { return data_; }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  Value operator[](size_t i) const {
-    assert(i < size_);
-    return data_[i];
-  }
-  const Value* begin() const { return data_; }
-  const Value* end() const { return data_ + size_; }
-
-  friend bool operator==(ValueSpan a, ValueSpan b) {
-    if (a.size_ != b.size_) return false;
-    for (size_t i = 0; i < a.size_; ++i) {
-      if (a.data_[i] != b.data_[i]) return false;
-    }
-    return true;
-  }
-  friend bool operator!=(ValueSpan a, ValueSpan b) { return !(a == b); }
-  friend bool operator==(ValueSpan a, const std::vector<Value>& b) {
-    return a == ValueSpan(b.data(), b.size());
-  }
-  friend bool operator==(const std::vector<Value>& a, ValueSpan b) {
-    return b == a;
   }
 
  private:
@@ -333,8 +294,8 @@ class Relation {
 
   /// The raw flat buffer (size() * arity() values, row-major, sorted) as
   /// a backend-neutral span: owned vector or mmap'd segment data.
-  ValueSpan flat() const {
-    return ValueSpan(base(), num_rows_ * static_cast<size_t>(arity_));
+  TupleView flat() const {
+    return TupleView(base(), num_rows_ * static_cast<size_t>(arity_));
   }
 
   /// Iteration over tuples as views.

@@ -7,6 +7,7 @@
 #include "app/graph_gen.h"
 #include "query/parser.h"
 #include "test_util.h"
+#include "util/cancel.h"
 #include "util/executor.h"
 
 namespace cqcount {
@@ -82,32 +83,42 @@ TEST(BacktrackingTest, ExistentialWitnessRequired) {
   EXPECT_EQ(CountAnswersBrute(q, db), 1u);
 }
 
-// The split count of (q, db) against its unsplit count: the same answers
-// and nodes at 1, 2 and 4 lanes of a 4-thread pool. With a free variable
-// it runs kJoinWindows windows, whose answers and nodes therefore sum to
-// the unsplit ones; without one it is never split.
-void ExpectSplitCountMatches(const Query& q, const Database& db,
-                             const JoinCount& unsplit) {
+Executor& Pool() {
   static Executor pool(4);
+  return pool;
+}
+
+// CountAnswersJoin of (q, db) on 1, 2 and 4 lanes of a 4-thread pool,
+// ungoverned and under a quiescent governor, against its one descent: the
+// same answers and nodes. On one lane it is that descent; on more, with a
+// free variable, it runs kJoinWindows windows, whose answers and nodes
+// therefore sum to the descent's.
+void ExpectLaneCountsMatch(const Query& q, const Database& db,
+                           const JoinCount& descent) {
+  const ResourceGovernor quiet(CancelToken(), uint64_t{1} << 40);
   for (int lanes : {1, 2, 4}) {
-    SCOPED_TRACE("lanes " + std::to_string(lanes));
-    ParallelStats parallel;
-    const JoinCount split =
-        CountAnswersJoinSplit(q, db, &pool, lanes, nullptr, &parallel);
-    EXPECT_TRUE(split.complete);
-    EXPECT_EQ(split.answers, unsplit.answers);
-    EXPECT_EQ(split.nodes, unsplit.nodes);
-    const bool windows = q.num_free() > 0;
-    EXPECT_EQ(parallel.lanes, windows ? lanes : 1);
-    EXPECT_EQ(parallel.tasks, windows ? uint64_t{kJoinWindows} : 0u);
-    EXPECT_LE(parallel.worker_tasks, parallel.tasks);
+    for (const ResourceGovernor* governor :
+         {&quiet, static_cast<const ResourceGovernor*>(nullptr)}) {
+      SCOPED_TRACE("lanes " + std::to_string(lanes) +
+                   (governor != nullptr ? ", governed" : ""));
+      const JoinCount count =
+          CountAnswersJoin(q, db, UINT64_MAX, governor, &Pool(), lanes);
+      EXPECT_TRUE(count.complete);
+      EXPECT_EQ(count.answers, descent.answers);
+      EXPECT_EQ(count.nodes, descent.nodes);
+      const bool windows = lanes > 1 && q.num_free() > 0;
+      EXPECT_EQ(count.parallel.lanes, windows ? lanes : 1);
+      EXPECT_EQ(count.parallel.tasks, windows ? uint64_t{kJoinWindows} : 0u);
+      EXPECT_LE(count.parallel.worker_tasks, count.parallel.tasks);
+    }
   }
 }
 
 // The budget contract of CountAnswersJoin on one (q, db): the count is
 // complete exactly when its node count is within the budget, a repeated
 // run visits the same nodes, and a budget that stops the join still
-// reports the node that stopped it.
+// reports the node that stopped it. A budgeted count is one descent even
+// when it has lanes.
 void ExpectJoinCountMatchesBruteForce(const Query& q, const Database& db,
                                       Rng& rng) {
   SCOPED_TRACE(q.ToString());
@@ -127,8 +138,12 @@ void ExpectJoinCountMatchesBruteForce(const Query& q, const Database& db,
     if (capped.complete) {
       EXPECT_EQ(capped.answers, count.answers) << "budget " << budget;
     }
+    const JoinCount laned =
+        CountAnswersJoin(q, db, budget, nullptr, &Pool(), 4);
+    EXPECT_EQ(laned.nodes, capped.nodes) << "budget " << budget;
+    EXPECT_EQ(laned.parallel.tasks, 0u) << "budget " << budget;
   }
-  ExpectSplitCountMatches(q, db, count);
+  ExpectLaneCountsMatch(q, db, count);
 }
 
 TEST(CountAnswersJoinTest, BooleanQueryStopsAtItsFirstSolution) {
@@ -141,6 +156,41 @@ TEST(CountAnswersJoinTest, BooleanQueryStopsAtItsFirstSolution) {
   // after z = 0 fails x != z): four nodes, not the 120 solutions.
   EXPECT_EQ(count.nodes, 4u);
   EXPECT_EQ(CountSolutionsBrute(q, db), 120u);
+}
+
+// A clock stepping 1 ms per read: the governor's construction reads 0
+// (deadline 5) and the descent polls it at its first node and then every
+// kGovernorPollNodes nodes, reading 1, 2, 3, 4 and then 5, which has
+// expired. So a one-lane count stops at node 1 + 4 * kGovernorPollNodes,
+// incomplete. The Boolean query has no solution, since T holds every
+// pair, so its descent spans the whole search; the all-free one has an
+// answer at almost every leaf.
+TEST(CountAnswersJoinTest, DeadlineStopsTheDescentAtAPoll) {
+  Database db = GraphToDatabase(CliqueGraph(20));
+  ASSERT_TRUE(db.DeclareRelation("T", 2).ok());
+  for (Value u = 0; u < 20; ++u) {
+    for (Value v = 0; v < 20; ++v) ASSERT_TRUE(db.AddFact("T", {u, v}).ok());
+  }
+  db.Canonicalize();
+  for (const char* text : {
+           "ans() :- E(a, b), E(b, c), E(c, d), !T(a, d).",
+           "ans(a, b, c, d) :- E(a, b), E(b, c), E(c, d), a != d.",
+       }) {
+    SCOPED_TRACE(text);
+    const Query q = Parse(text);
+    const JoinCount full = CountAnswersJoin(q, db);
+    ASSERT_GE(full.nodes, 8 * kGovernorPollNodes);
+    ManualClock clock(0, 1);
+    const ResourceGovernor governor(CancelToken(), 5, &clock);
+    const JoinCount stopped =
+        CountAnswersJoin(q, db, UINT64_MAX, &governor, &Pool(), 1);
+    EXPECT_FALSE(stopped.complete);
+    EXPECT_EQ(stopped.nodes, 1 + 4 * kGovernorPollNodes);
+    EXPECT_LE(stopped.answers, full.answers);
+    EXPECT_EQ(stopped.parallel.tasks, 0u);
+    EXPECT_EQ(governor.state(), GovernanceState::kDeadlineExpired);
+    EXPECT_EQ(clock.Peek(), 6u);
+  }
 }
 
 TEST(CountAnswersJoinTest, EachAnswerCostsOneWitness) {
@@ -184,10 +234,10 @@ TEST(CountAnswersJoinTest, EdgeCasesMatchBruteForce) {
   }
 }
 
-// Property: the output-sensitive join, unsplit and split into windows on
-// lanes, equals the enumerate-and-deduplicate reference on random ECQs
-// (negated atoms, disequalities, repeated variables), cycling through no
-// free variables, all variables free and random projections.
+// Property: the output-sensitive join, as one descent and split into
+// windows on lanes, equals the enumerate-and-deduplicate reference on
+// random ECQs (negated atoms, disequalities, repeated variables), cycling
+// through no free variables, all variables free and random projections.
 class CountAnswersJoinPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CountAnswersJoinPropertyTest, MatchesBruteForce) {

@@ -14,6 +14,7 @@
 #include "app/workload.h"
 #include "engine/engine.h"
 #include "hom/backtracking.h"
+#include "hom/join.h"
 #include "obs/metrics.h"
 #include "query/parser.h"
 #include "util/cancel.h"
@@ -251,15 +252,21 @@ TEST_F(GovernanceTest, ExpiredDeadlineBeforeAnyWorkIsTyped) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-// An exact count checks its governor before each of its windows. Past
-// the planner's cap (here 0) its length is unknown, so a force_exact count
-// runs in windows at one lane too: a deadline that expires a few windows
-// in returns the typed status, and a quiescent governor leaves the answer
-// alone.
-TEST_F(GovernanceTest, DeadlineStopsAnExactCountBetweenWindows) {
-  const Database db = Social(300, 4);
+// An exact count's join descent polls the governor at its first node and
+// then every kGovernorPollNodes nodes; on several lanes each of its
+// windows does. A deadline that expires a few polls in returns the typed
+// status, and a quiescent governor leaves the answer alone. Past the
+// planner's cap (here 0) the count is force_exact; on one lane it is one
+// descent, on four it runs in windows.
+TEST_F(GovernanceTest, DeadlineStopsAnExactCountMidDescent) {
+  const Database db = Social(3000, 4);
   auto query = ParseQuery(kApproxQuery);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
+  // The premise: the engine's count, on the query's canonical
+  // presentation, spans at least four poll intervals.
+  const JoinCount full = CountAnswersJoin(
+      CanonicalQuery(*query, CanonicalQueryShape(*query)), db);
+  ASSERT_GE(full.nodes, 4 * kGovernorPollNodes);
   const double reference = static_cast<double>(CountAnswersBrute(*query, db));
   for (int lanes : {1, 4}) {
     SCOPED_TRACE("lanes=" + std::to_string(lanes));
@@ -279,25 +286,71 @@ TEST_F(GovernanceTest, DeadlineStopsAnExactCountBetweenWindows) {
       EXPECT_FALSE(quiet->partial);
       EXPECT_EQ(quiet->estimate, reference);
       EXPECT_EQ(quiet->parallel.lanes, lanes);
-      EXPECT_EQ(quiet->parallel.tasks, uint64_t{kJoinWindows});
+      EXPECT_EQ(quiet->parallel.tasks,
+                lanes > 1 ? uint64_t{kJoinWindows} : 0u);
     }
 
     // Auto-stepping clock: the governor's construction reads 0 (deadline
-    // 5), the component boundary reads 1, and the windows read 2, 3, 4 and
-    // then 5, which has expired: the remaining windows are skipped.
+    // 5), the component boundary reads 1, and the descent's polls read 2,
+    // 3, 4 and then 5, which has expired.
     ManualClock clock(0, 1);
     request.time_budget_ms = 5;
     request.clock = &clock;
     auto stopped = engine.Count(request);
     ASSERT_FALSE(stopped.ok());
     EXPECT_EQ(stopped.status().code(), StatusCode::kDeadlineExceeded);
-    // In order on one lane, exactly three windows ran before the check
-    // that fired; concurrent lanes may race a few more clock reads.
+    // One descent polls in order; concurrent windows may race a few more
+    // clock reads.
     if (lanes == 1) {
       EXPECT_EQ(clock.Peek(), 6u);
     } else {
       EXPECT_GE(clock.Peek(), 6u);
     }
+  }
+}
+
+// A count without a free variable is never split, so only its descent's
+// polls can stop it. T holds every pair, so the Boolean query below has
+// no solution and its descent spans the whole search: a force_exact count
+// past the planner's cap stops at its fourth poll at every lane setting.
+TEST_F(GovernanceTest, DeadlineStopsABooleanExactCount) {
+  Database db = GraphToDatabase(CliqueGraph(20), "F");
+  ASSERT_TRUE(db.DeclareRelation("T", 2).ok());
+  for (Value u = 0; u < 20; ++u) {
+    for (Value v = 0; v < 20; ++v) ASSERT_TRUE(db.AddFact("T", {u, v}).ok());
+  }
+  db.Canonicalize();
+  const char kBoolean[] = "ans() :- F(a, b), F(b, c), F(c, d), !T(a, d).";
+  auto query = ParseQuery(kBoolean);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const JoinCount full = CountAnswersJoin(
+      CanonicalQuery(*query, CanonicalQueryShape(*query)), db);
+  ASSERT_GE(full.nodes, 4 * kGovernorPollNodes);
+  for (int lanes : {0, 1, 4}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    EngineOptions opts = EstimatorOptions();
+    opts.num_threads = 4;
+    opts.intra_query_threads = lanes;
+    CountingEngine engine(opts);
+    ASSERT_TRUE(engine.RegisterDatabase("g", db).ok());
+    CountRequest request;
+    request.query = kBoolean;
+    request.database = "g";
+    request.force_exact = true;
+    auto quiet = engine.Count(request);
+    ASSERT_TRUE(quiet.ok()) << quiet.status().ToString();
+    EXPECT_TRUE(quiet->exact);
+    EXPECT_EQ(quiet->estimate, 0.0);
+    EXPECT_EQ(quiet->parallel.lanes, 1);
+    EXPECT_EQ(quiet->parallel.tasks, 0u);
+
+    ManualClock clock(0, 1);
+    request.time_budget_ms = 5;
+    request.clock = &clock;
+    auto stopped = engine.Count(request);
+    ASSERT_FALSE(stopped.ok());
+    EXPECT_EQ(stopped.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(clock.Peek(), 6u);
   }
 }
 
